@@ -32,7 +32,7 @@ from .embeddings import (
     factor_embedding,
     product_algebra,
 )
-from .rootweyl import SplitData, split_data, weyl_elements
+from .rootweyl import SplitData, chamber_sort, split_data, weyl_elements
 
 __all__ = [
     "GroupElement",
@@ -83,9 +83,7 @@ class ChamberVector:
 
 def _so_infos(g: LieAlgebra):
     out = []
-    facs = g.meta.get("factors")
-    algs = [f["algebra"] for f in facs] if facs else [g]
-    for a in algs:
+    for a, _coff, _boff in g.factors:
         if a.meta.get("family") != "so":
             raise ValueError(
                 f"{a.name}: Cartan projection supports indefinite-orthogonal "
@@ -135,21 +133,6 @@ def _gram_floats(sd: SplitData) -> np.ndarray:
 def mu_norm(v: ChamberVector) -> float:
     g = _gram_floats(v.sd)
     return math.sqrt(float(np.dot(g * v.coords, v.coords)))
-
-
-def _chamber_floats(sd: SplitData, x: np.ndarray) -> np.ndarray:
-    """Float chamber representative, factor by factor (classical types)."""
-    out = np.array(x, dtype=float).copy()
-    for f in sd.factors:
-        seg = out[f.offset : f.offset + f.rank]
-        if f.root_type == "G":
-            raise ValueError("no float chamber model for the exceptional factor")
-        neg = int(np.sum(seg < 0))
-        seg = np.sort(np.abs(seg))[::-1]
-        if f.root_type == "D" and neg % 2 == 1:
-            seg[-1] = -seg[-1]
-        out[f.offset : f.offset + f.rank] = seg
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +287,6 @@ def _part_data(sp: GapSpace):
     return out
 
 
-def _factor_slices(g: LieAlgebra):
-    facs = g.meta.get("factors")
-    if not facs:
-        return [(0, g.n)]
-    return [(f["block_offset"], f["algebra"].n) for f in facs]
-
-
 def _run_shard(sp: GapSpace, seed_seq, count: int):
     rng = np.random.default_rng(seed_seq)
     parts = _part_data(sp)
@@ -330,7 +306,7 @@ def _run_shard(sp: GapSpace, seed_seq, count: int):
         for p, r in zip(parts, ranks):
             amb += x[off : off + r] @ p["a_map"]
             off += r
-        mus[i] = _chamber_floats(sp.sd, amb)
+        mus[i] = chamber_sort(sp.sd, amb)
         if radius <= _CONSISTENCY_RADIUS:
             err = _consistency_error(sp, parts, ranks, x, rng)
             worst = max(worst, err)
@@ -359,7 +335,7 @@ def _consistency_error(sp, parts, ranks, x, rng):
         total_mat = total_mat @ (cmat() @ expm(X) @ cmat())
         off += r
     factors = tuple(
-        total_mat[o : o + m, o : o + m] for o, m in _factor_slices(sp.algebra)
+        total_mat[o : o + a.n, o : o + a.n] for a, _c, o in sp.algebra.factors
     )
     mu_num = cartan_projection(GroupElement(sp.algebra, factors)).coords
     amb = np.zeros(sp.sd.rank)
@@ -367,7 +343,7 @@ def _consistency_error(sp, parts, ranks, x, rng):
     for p, r in zip(parts, ranks):
         amb += x[off : off + r] @ p["a_map"]
         off += r
-    mu_exact = _chamber_floats(sp.sd, amb)
+    mu_exact = chamber_sort(sp.sd, amb)
     return float(np.abs(mu_num - mu_exact).max())
 
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .exactlin import (
     Subspace,
+    fmatmul,
+    fzeros,
     intersect,
     kernel,
     primitive_vector,
@@ -40,8 +42,6 @@ __all__ = [
     "check_compact_intersection",
     "classify_triple",
 ]
-
-_F0 = Fraction(0)
 
 _CERT_PRIMES = (999999937, 998244353)
 
@@ -164,22 +164,15 @@ def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
     return SumCheck(r == d, r, d, "fraction-free elimination")
 
 
-def _factor_table(g: LieAlgebra):
-    info = g.meta.get("factors")
-    if info:
-        return [(f["algebra"], f["coord_offset"]) for f in info]
-    return [(g, 0)]
-
-
 def _factorwise_subspaces(g: LieAlgebra, e: Embedding):
     """Per-factor coordinate subspaces when the embedding respects the
     product splitting; None for twisted diagonals and unstructured images."""
-    facs = _factor_table(g)
+    facs = g.factors
     if len(facs) == 1:
         return [e.subspace()]
     if e.mode in ("factor", "product"):
         out = [
-            Subspace.from_rows([], alg.dim) for alg, _ in facs
+            Subspace.from_rows([], alg.dim) for alg, _c, _b in facs
         ]
         for idx, part in e.parts:
             out[idx] = part.subspace()
@@ -197,23 +190,20 @@ def _iota_matrix(e: Embedding):
 
 
 def _lift_factor_vec(g: LieAlgebra, idx: int, v):
-    facs = _factor_table(g)
-    out = np.empty(g.dim, dtype=object)
-    out[...] = _F0
-    off = facs[idx][1]
+    out = fzeros(g.dim)
+    off = g.factors[idx][1]
     out[off : off + len(v)] = v
     return out
 
 
 def _intersection_vectors(g: LieAlgebra, h: Embedding, l: Embedding):
     """Exact basis (ambient coordinates) of the intersection of the images."""
-    facs = _factor_table(g)
     fh = _factorwise_subspaces(g, h)
     fl = _factorwise_subspaces(g, l)
     if fh is not None and fl is not None:
         vecs = []
-        for i, (alg, off) in enumerate(facs):
-            inter = intersect(fh[i], fl[i])
+        for i, (a, b) in enumerate(zip(fh, fl)):
+            inter = intersect(a, b)
             for v in inter.basis:
                 vecs.append(_lift_factor_vec(g, i, np.array(v, dtype=object)))
         return vecs
@@ -228,7 +218,7 @@ def _intersection_vectors(g: LieAlgebra, h: Embedding, l: Embedding):
         vecs = []
         for t in ker:
             c = np.array(t, dtype=object)
-            img1 = Mh @ c
+            img1 = fmatmul(Mh, c)
             vecs.append(_assemble_pair(g, img1, c))
         return vecs
     # unstructured fallback: stacked-kernel intersection in ambient coords
@@ -242,9 +232,8 @@ def _intersection_vectors(g: LieAlgebra, h: Embedding, l: Embedding):
 
 
 def _assemble_pair(g: LieAlgebra, v1, v2):
-    facs = _factor_table(g)
-    out = np.empty(g.dim, dtype=object)
-    out[...] = _F0
+    facs = g.factors
+    out = fzeros(g.dim)
     off1, off2 = facs[0][1], facs[1][1]
     out[off1 : off1 + len(v1)] = v1
     out[off2 : off2 + len(v2)] = v2
@@ -262,16 +251,18 @@ def _diag_meets_product(g: LieAlgebra, diag: Embedding, fw):
         return []
     B2 = np.array([list(r) for r in F2.basis], dtype=object)  # dim2 x d2
     B1 = np.array([list(r) for r in F1.basis], dtype=object)  # dim1 x d1
-    A = Mi @ B2.T  # d1 x dim2
+    A = fmatmul(Mi, B2.T)  # d1 x dim2
     M = np.concatenate([A, -B1.T], axis=1)
-    vecs = []
-    for w in kernel(M):
-        t = np.array(w[: F2.dim], dtype=object)
-        c = B2.T @ t
-        if all(x == 0 for x in c):
-            continue
-        vecs.append(_assemble_pair(g, Mi @ c, c))
-    return vecs
+    ker = kernel(M)
+    if not ker:
+        return []
+    # row k of C is c = B2.T @ t for the k-th kernel vector (t, s)
+    C = fmatmul(np.array([list(w[: F2.dim]) for w in ker], dtype=object), B2)
+    return [
+        _assemble_pair(g, img, c)
+        for img, c in zip(fmatmul(C, Mi.T), C)
+        if any(x != 0 for x in c)
+    ]
 
 
 def check_compact_intersection(
@@ -294,10 +285,10 @@ def check_compact_intersection(
 
 def _proj_dims(g: LieAlgebra, e: Embedding):
     """Dimensions of the two factor projections and factor intersections."""
-    facs = _factor_table(g)
+    facs = g.factors
     rows = np.array([list(primitive_vector(r)) for r in e.coord_rows()], dtype=object)
     out = []
-    for alg, off in facs:
+    for alg, off, _b in facs:
         block = rows[:, off : off + alg.dim]
         if not block.size or not any(x != 0 for x in block.flat):
             out.append(0)
@@ -314,11 +305,10 @@ def _proj_dims(g: LieAlgebra, e: Embedding):
         amb = Subspace.from_rows(
             [primitive_vector(r) for r in e.coord_rows()], g.dim
         )
-        for i, (alg, off) in enumerate(facs):
+        for alg, off, _b in facs:
             cols = []
             for j in range(alg.dim):
-                v = np.empty(g.dim, dtype=object)
-                v[...] = _F0
+                v = fzeros(g.dim)
                 v[off + j] = Fraction(1)
                 cols.append(v)
             fac_sub = Subspace.from_rows(cols, g.dim)
@@ -328,7 +318,7 @@ def _proj_dims(g: LieAlgebra, e: Embedding):
 
 def _match_case(g: LieAlgebra, h: Embedding, l: Embedding, ev: dict):
     """First matching pattern among the five product-case shapes, or None."""
-    facs = _factor_table(g)
+    facs = g.factors
     d1, d2 = facs[0][0].dim, facs[1][0].dim
     (p1h, p2h), (m1h, m2h) = ev["h_proj"], ev["h_meet"]
     (p1l, p2l), (m1l, m2l) = ev["l_proj"], ev["l_meet"]
@@ -429,10 +419,9 @@ def classify_triple(
             "(restricted Killing form not negative definite)"
         )
 
-    facs = _factor_table(g)
     projections = None
     swapped = False
-    if len(facs) == 2:
+    if len(g.factors) == 2:
         evh_proj, evh_meet = _proj_dims(g, h)
         evl_proj, evl_meet = _proj_dims(g, l)
         ev = {

@@ -23,6 +23,8 @@ import numpy as np
 from .exactlin import (
     CoordinateSolver,
     Subspace,
+    embed_block,
+    fzeros,
     primitive_vector,
     rank,
     rank_at_least_modp,
@@ -56,10 +58,6 @@ __all__ = [
     "normalize_algebra_key",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 class CatalogError(KeyError):
     def __init__(self, msg, suggestions=()):
         self.suggestions = list(suggestions)
@@ -71,12 +69,6 @@ class CatalogError(KeyError):
 
 class AdaptednessError(RuntimeError):
     """The image of the source split part leaves the ambient split part."""
-
-
-def _fzeros(shape):
-    out = np.empty(shape, dtype=object)
-    out[...] = _F0
-    return out
 
 
 class Embedding:
@@ -114,7 +106,7 @@ class Embedding:
     def apply(self, M):
         """Image of an arbitrary source matrix."""
         c = self.source.coords(M)
-        out = _fzeros((self.target.n, self.target.n))
+        out = fzeros((self.target.n, self.target.n))
         for ci, img in zip(c, self.images):
             if ci != 0:
                 out = out + ci * img
@@ -206,7 +198,7 @@ def block_embedding(amb_key: str, sub_key: str) -> Embedding:
         idx = _keep_first_indices(p1, q1, p, q)
         images = []
         for M in sub.basis:
-            out = _fzeros((amb.n, amb.n))
+            out = fzeros((amb.n, amb.n))
             for a in range(sub.n):
                 for b in range(sub.n):
                     if M[a, b] != 0:
@@ -347,18 +339,12 @@ def product_algebra(k1: str, k2: str) -> LieAlgebra:
 
 
 def _block_lift(g: LieAlgebra, factor_index: int, M):
-    info = g.meta["factors"][factor_index]
-    off = info["block_offset"]
-    out = _fzeros((g.n, g.n))
-    m = M.shape[0]
-    out[off : off + m, off : off + m] = M
-    return out
+    return embed_block(M, g.n, g.factors[factor_index][2])
 
 
 def factor_embedding(g: LieAlgebra, factor_index: int, emb: Embedding) -> Embedding:
     """Place an embedding into one ideal of a product (the other gets 0)."""
-    info = g.meta["factors"][factor_index]
-    if emb.target is not info["algebra"]:
+    if emb.target is not g.factors[factor_index][0]:
         raise ValueError("embedding target is not the chosen factor")
     images = [_block_lift(g, factor_index, m) for m in emb.images]
     key = f"[{factor_index}]{emb.key}"
@@ -369,8 +355,8 @@ def factor_embedding(g: LieAlgebra, factor_index: int, emb: Embedding) -> Embedd
 
 def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedding:
     """Blockwise product embedding source1 (+) source2 into g1 (+) g2."""
-    f0, f1 = g.meta["factors"]
-    if emb1.target is not f0["algebra"] or emb2.target is not f1["algebra"]:
+    (alg1, _c1, _b1), (alg2, _c2, _b2) = g.factors
+    if emb1.target is not alg1 or emb2.target is not alg2:
         raise ValueError("part targets do not match the product factors")
     src = direct_sum(emb1.source, emb2.source)
     images = [_block_lift(g, 0, m) for m in emb1.images] + [
@@ -387,9 +373,7 @@ def diagonal(g: LieAlgebra, iota: Embedding | None = None) -> Embedding:
 
     iota embeds the second factor into the first; None means both factors
     agree and the twist is the identity."""
-    f0, f1 = g.meta["factors"]
-    alg2 = f1["algebra"]
-    alg1 = f0["algebra"]
+    (alg1, _c1, _b1), (alg2, _c2, _b2) = g.factors
     if iota is None:
         if alg1 is not alg2 and alg1.name != alg2.name:
             raise ValueError("identity diagonal needs equal factors")
@@ -585,7 +569,7 @@ def validate_embedding(emb: Embedding) -> dict:
         for i in range(d):
             for j in range(i + 1, d):
                 br = emb.images[i] @ emb.images[j] - emb.images[j] @ emb.images[i]
-                expect = _fzeros(br.shape)
+                expect = fzeros(br.shape)
                 for k, v in tensor.get((i, j), ()):
                     expect = expect + v * emb.images[k]
                 if not ((br - expect) == 0).all():
@@ -599,7 +583,7 @@ def validate_embedding(emb: Embedding) -> dict:
         th_src = src.theta
         for i in range(d):
             lhs = tgt.theta_apply_matrix(emb.images[i])
-            rhs = _fzeros(lhs.shape)
+            rhs = fzeros(lhs.shape)
             for k in range(d):
                 if th_src[k, i] != 0:
                     rhs = rhs + th_src[k, i] * emb.images[k]

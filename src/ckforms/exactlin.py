@@ -3,13 +3,19 @@ signatures of symmetric forms.
 
 Matrices are 2-D numpy arrays with ``fractions.Fraction`` entries (dtype
 object).  Every verdict-facing computation here is tolerance-free; floating
-point never enters this module.
+point never enters this module.  Elimination and products run on Python ints
+after scaling by common denominators (``scaled_ints``).
+
+The mod-p rank certificate has one eliminator, ``rank_modp``, which takes an
+int64 array.  ``rank_at_least_modp`` accepts any rational matrix: it scales
+each row to integers and reduces the entries mod p on Python ints before the
+int64 cast, so entries of any size are accepted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -25,6 +31,12 @@ __all__ = [
     "rref",
     "CoordinateSolver",
     "rank_at_least_modp",
+    "rank_modp",
+    "reduce_modp",
+    "fzeros",
+    "fmatmul",
+    "scaled_ints",
+    "embed_block",
     "is_rational_square",
     "rational_sqrt",
     "primitive_vector",
@@ -33,6 +45,63 @@ __all__ = [
 # A RationalMatrix is simply an object-dtype numpy array of Fractions; the
 # alias documents intent in signatures.
 RationalMatrix = np.ndarray
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+# default prime of the mod-p certificate; below 2**30, so the products in
+# ``rank_modp`` stay below 2**60
+MODP_PRIME = 999999937
+
+
+def fzeros(shape) -> RationalMatrix:
+    """Object array of the given shape filled with Fraction(0)."""
+    out = np.empty(shape, dtype=object)
+    out[...] = _F0
+    return out
+
+
+def _frac(x) -> Fraction:
+    """Fraction(x), numpy integers taken as Python ints first (a numpy
+    numerator would wrap silently in later arithmetic)."""
+    return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+
+
+def scaled_ints(M):
+    """(L, N) with N an object array of Python ints and M = N / L exactly;
+    L is the lcm of the entry denominators."""
+    M = np.asarray(M)
+    if M.dtype.kind in "iu":
+        return 1, M.astype(object)
+    fr = [x if type(x) in (int, Fraction) else _frac(x) for x in M.flat]
+    L = lcm(*[x.denominator for x in fr])
+    N = np.empty(M.shape, dtype=object)
+    N.flat[:] = [x.numerator * (L // x.denominator) for x in fr]
+    return L, N
+
+
+def _unscaled(N, L):
+    """Fraction array N / L for an object array N of ints."""
+    out = np.empty(N.shape, dtype=object)
+    out.flat[:] = [Fraction(x, L) for x in N.flat]
+    return out
+
+
+def fmatmul(A, B):
+    """Exact ``A @ B`` for rational arrays (1-D or 2-D): each factor is
+    scaled to Python ints by one common denominator, so the product costs
+    integer operations instead of Fraction ones."""
+    la, na = scaled_ints(A)
+    lb, nb = scaled_ints(B)
+    return _unscaled(na @ nb, la * lb)
+
+
+def embed_block(M, size: int, off: int) -> RationalMatrix:
+    """size x size zero matrix with the square matrix M placed at (off, off)."""
+    out = fzeros((size, size))
+    m = M.shape[0]
+    out[off : off + m, off : off + m] = M
+    return out
 
 
 def fmat(rows) -> RationalMatrix:
@@ -44,15 +113,12 @@ def fmat(rows) -> RationalMatrix:
         if len(r) != n:
             raise ValueError("ragged rows")
         for j, x in enumerate(r):
-            out[i, j] = Fraction(x)
+            out[i, j] = _frac(x)
     return out
 
 
 def fvec(entries) -> np.ndarray:
-    out = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        out[i] = Fraction(x)
-    return out
+    return fmat([entries])[0]
 
 
 def _as_frac_array(m) -> RationalMatrix:
@@ -61,59 +127,26 @@ def _as_frac_array(m) -> RationalMatrix:
     return fmat(m)
 
 
-def _integerize_rows(A: RationalMatrix):
-    """Scale each row to integers (per-row lcm), returning Python-int rows."""
-    out = []
-    for row in A:
-        l = 1
-        for x in row:
-            d = Fraction(x).denominator
-            l = l * d // gcd(l, d)
-        out.append([int(Fraction(x) * l) for x in row])
-    return out
-
-
 def rank(m) -> int:
-    """Exact rank over the rationals (fraction-free Bareiss elimination)."""
-    A = _integerize_rows(_as_frac_array(m))
-    if not A or not A[0]:
-        return 0
-    A = np.array(A, dtype=object)
-    rows, cols = A.shape
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        below = A[r + 1 :]
-        if len(below):
-            # Bareiss step: exact integer division keeps entries as minors
-            updated = (A[r, c] * below - np.outer(below[:, c], A[r])) // prev
-            A[r + 1 :] = updated
-        prev = A[r, c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Exact rank over the rationals (``_rref_ints`` on integer rows)."""
+    rows = [scaled_ints(row)[1] for row in _as_frac_array(m)]
+    return len(_rref_ints(rows))
 
 
-def rank_at_least_modp(m, target: int, p: int = 999999937) -> bool:
-    """Certify rank(m) >= target via elimination mod a large prime.
+def reduce_modp(m, p: int = MODP_PRIME) -> np.ndarray:
+    """Scale each row of a rational matrix to integers (per-row lcm) and
+    reduce mod p on Python ints; returns an int64 array for ``rank_modp``."""
+    rows = [scaled_ints(row)[1] for row in _as_frac_array(m)]
+    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+
+
+def rank_modp(M: np.ndarray, target: int, p: int = MODP_PRIME) -> bool:
+    """Certify rank(M) >= target for an int64 array by elimination mod p.
 
     A full-rank witness mod p is a valid exact certificate (minors that are
     nonzero mod p are nonzero over Q); a shortfall proves nothing.
     """
-    A = _integerize_rows(_as_frac_array(m))
-    if not A:
-        return target <= 0
-    M = np.array(A, dtype=np.int64) % p
+    M = M % p
     rows, cols = M.shape
     r = 0
     for c in range(cols):
@@ -137,31 +170,51 @@ def rank_at_least_modp(m, target: int, p: int = 999999937) -> bool:
     return r >= target
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    A = _as_frac_array(m).copy()
-    rows, cols = A.shape
+def rank_at_least_modp(m, target: int, p: int = MODP_PRIME) -> bool:
+    """``rank_modp`` for any rational matrix (see ``reduce_modp``)."""
+    if not len(m):
+        return target <= 0
+    return rank_modp(reduce_modp(m, p), target, p)
+
+
+def _rref_ints(M) -> list:
+    """Fraction-free Gauss-Jordan elimination, in place, on a list of
+    Python-int rows (object arrays), each kept primitive.  Returns the pivot
+    columns; row i of the RREF is M[i] / M[i][pivots[i]]."""
+    rows = len(M)
     piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c] != 0:
-                piv = i
-                break
+    for c in range(len(M[0]) if rows else 0):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] / A[r, c]
+        M[r], M[piv] = M[piv], M[r]
+        top = M[r]
+        a = top[c]
         for i in range(rows):
-            if i != r and A[i, c] != 0:
-                A[i] = A[i] - A[i, c] * A[r]
+            b = M[i][c]
+            if i != r and b:
+                g = gcd(a, b)
+                row = (a // g) * M[i] - (b // g) * top
+                M[i] = row // (gcd(*row) or 1)
         piv_cols.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == rows:
             break
-    return A, piv_cols
+    return piv_cols
+
+
+def rref(m):
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    The elimination runs on rows scaled to integers (``_rref_ints``); the
+    RREF is unique, so R is the exact one."""
+    A = _as_frac_array(m)
+    M = [scaled_ints(row)[1] for row in A]
+    piv_cols = _rref_ints(M)
+    R = fzeros(A.shape)
+    for i, c in enumerate(piv_cols):
+        R[i] = [Fraction(x, M[i][c]) for x in M[i]]
+    return R, piv_cols
 
 
 def kernel(m) -> list[np.ndarray]:
@@ -172,10 +225,8 @@ def kernel(m) -> list[np.ndarray]:
     free = [c for c in range(cols) if c not in piv_cols]
     out = []
     for fc in free:
-        v = np.empty(cols, dtype=object)
-        for j in range(cols):
-            v[j] = Fraction(0)
-        v[fc] = Fraction(1)
+        v = fzeros(cols)
+        v[fc] = _F1
         for i, pc in enumerate(piv_cols):
             v[pc] = -R[i, fc]
         out.append(v)
@@ -299,50 +350,51 @@ class CoordinateSolver:
     def __init__(self, basis_rows: RationalMatrix):
         B = _as_frac_array(basis_rows)
         d, n = B.shape
-        # track the row transform C with R = C @ B in RREF
-        A = B.copy()
-        C = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                C[i, j] = Fraction(1) if i == j else Fraction(0)
-        piv = []
-        r = 0
-        for c in range(n):
-            pr = next((i for i in range(r, d) if A[i, c] != 0), None)
-            if pr is None:
-                continue
-            if pr != r:
-                A[[r, pr]] = A[[pr, r]]
-                C[[r, pr]] = C[[pr, r]]
-            pv = A[r, c]
-            A[r] = A[r] / pv
-            C[r] = C[r] / pv
-            for i in range(d):
-                if i != r and A[i, c] != 0:
-                    f = A[i, c]
-                    A[i] = A[i] - f * A[r]
-                    C[i] = C[i] - f * C[r]
-            piv.append(c)
-            r += 1
-            if r == d:
-                break
-        if r != d:
+        self._basis_den, self._basis_int = scaled_ints(B)
+        # rref([B | I]) = [R | C] with R = C @ B, on the integer rows of
+        # basis_den * [B | I]
+        eye = np.eye(d, dtype=object) * self._basis_den
+        M = list(np.hstack([self._basis_int, eye]).astype(object))
+        piv = _rref_ints(M)
+        # [B | I] has rank d; B has it iff every pivot lies in B
+        if d and piv[-1] >= n:
             raise ValueError("basis rows are dependent")
         self.basis = B
-        self.transform = C
         self.pivots = piv
         self.dim = d
         self.ambient = n
+        # C = transform_int / transform_den
+        self._transform_den = lcm(*[M[i][c] for i, c in enumerate(piv)])
+        self._transform_int = np.array(
+            [M[i][n:] * (self._transform_den // M[i][c])
+             for i, c in enumerate(piv)], dtype=object,
+        ).reshape(d, d)
+
+    def solve(self, vec):
+        """(xn, lx): Python-int numerators and common denominator of the
+        coordinates x = xn / lx that reproduce vec if it lies in the span
+        (unchecked); only the rows of nonzero pivot entries are summed."""
+        ly, y = scaled_ints(np.asarray(vec)[self.pivots])
+        xn = np.zeros(self.dim, dtype=object)
+        for yi, row in zip(y, self._transform_int):
+            if yi:
+                xn = xn + yi * row
+        return xn, ly * self._transform_den
 
     def coords(self, vec, check: bool = True) -> np.ndarray:
         v = vec if isinstance(vec, np.ndarray) else fvec(vec)
-        y = np.array([v[c] for c in self.pivots], dtype=object)
-        x = y @ self.transform
+        xn, lx = self.solve(v)
         if check:
-            recon = x @ self.basis
-            if not all(a == b for a, b in zip(recon, v)):
+            # x @ basis == v  <=>  (xn @ basis_int) * lv == vn * lx * basis_den
+            lv, vn = scaled_ints(v)
+            recon = np.zeros(self.ambient, dtype=object)
+            for xi, row in zip(xn, self._basis_int):
+                if xi:
+                    recon = recon + xi * row
+            s = lx * self._basis_den
+            if not all(a * lv == b * s for a, b in zip(recon, vn)):
                 raise ValueError("vector not in span")
-        return x
+        return _unscaled(xn, lx)
 
     def try_coords(self, vec):
         try:
@@ -353,22 +405,12 @@ class CoordinateSolver:
 
 def primitive_vector(vec) -> np.ndarray:
     """Clear denominators, divide by content, normalize leading sign."""
-    v = [Fraction(x) for x in vec]
-    l = 1
-    for x in v:
-        l = l * x.denominator // gcd(l, x.denominator)
-    ints = [int(x * l) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return fvec(ints)
+    _l, ints = scaled_ints(list(vec))
+    g = gcd(*ints)
+    lead = next((x for x in ints if x), 0)
+    if lead < 0:
+        g = -g
+    return fvec(ints // g if g else ints)
 
 
 def is_rational_square(x) -> bool:

@@ -1,6 +1,10 @@
 """Matrix Lie algebras over Q with exact structure constants.
 
-A ``LieAlgebra`` owns an independent basis of rational matrices.  The Killing
+A ``LieAlgebra`` owns an independent basis of integer matrices (stored as
+Fractions); the constructor raises ValueError on any non-integral entry.
+Every catalog real form has such a basis, and the structure constants and
+the Killing form are then computed in int64 under an explicit overflow
+bound, with ValueError past it.  The Killing
 form is computed from structure constants (trace of ad-composites), never from
 the matrix trace form, so it is correct for any faithful realization; the
 proportionality of the two forms on simple algebras is exploited only as a
@@ -11,6 +15,7 @@ its coordinate matrix on the chosen basis.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,7 +24,10 @@ import numpy as np
 from .exactlin import (
     CoordinateSolver,
     Subspace,
+    embed_block,
     fmat,
+    fmatmul,
+    fzeros,
     kernel,
     primitive_vector,
     rank,
@@ -39,24 +47,18 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _fzeros(shape):
-    out = np.empty(shape, dtype=object)
-    out[...] = _F0
-    return out
-
-
-def _is_integral(mats) -> bool:
-    return all(
-        all(Fraction(x).denominator == 1 for x in m.flat) for m in mats
-    )
-
-
-def bracket(X, Y):
-    return X @ Y - Y @ X
+def _check_int64(name, what, bound):
+    """Refuse an int64 computation whose entries are bounded only by
+    ``bound`` when that reaches 2**63 (numpy would wrap silently)."""
+    if bound >= 2**63:
+        raise ValueError(
+            f"{name}: {what} entries may reach {bound} >= 2**63, "
+            "beyond int64"
+        )
 
 
 class LieAlgebra:
-    """A Lie algebra of n x n rational matrices with a fixed ordered basis."""
+    """A Lie algebra of n x n integer matrices with a fixed ordered basis."""
 
     def __init__(self, name, basis, theta_conjugator=None, meta=None):
         self.name = name
@@ -64,6 +66,12 @@ class LieAlgebra:
         self.dim = len(self.basis)
         self.n = self.basis[0].shape[0] if self.basis else 0
         self.meta = dict(meta or {})
+        if any(
+            getattr(x, "denominator", None) != 1
+            for b in self.basis
+            for x in b.flat
+        ):
+            raise ValueError(f"{name}: basis matrices must be integral")
         flat = np.array([b.reshape(-1) for b in self.basis], dtype=object)
         self._solver = CoordinateSolver(flat)
         self._flat = flat
@@ -76,7 +84,7 @@ class LieAlgebra:
             [j for j, v in enumerate(row) if v != 0] for row in flat
         ]
         self._tensor = None  # sparse structure constants {(i,j): [(k, val)]}
-        self._ad_int = None  # dense int64 ad matrices when integral
+        self._ad_int = None  # dense int64 ad matrices
         self._killing = None
         self._theta_coord = None
 
@@ -90,7 +98,7 @@ class LieAlgebra:
         return self._solver.try_coords(np.asarray(X, dtype=object).reshape(-1))
 
     def matrix(self, u) -> np.ndarray:
-        out = _fzeros((self.n, self.n))
+        out = fzeros((self.n, self.n))
         for c, b in zip(u, self.basis):
             if c != 0:
                 out = out + Fraction(c) * b
@@ -98,6 +106,17 @@ class LieAlgebra:
 
     def contains_matrix(self, X) -> bool:
         return self.try_coords(X) is not None
+
+    @property
+    def factors(self) -> list:
+        """(algebra, coord_offset, block_offset) per simple ideal; a simple
+        algebra is its own single factor."""
+        info = self.meta.get("factors")
+        if not info:
+            return [(self, 0, 0)]
+        return [
+            (f["algebra"], f["coord_offset"], f["block_offset"]) for f in info
+        ]
 
     # -- structure constants ----------------------------------------------
 
@@ -108,16 +127,12 @@ class LieAlgebra:
         basis rows; outside it both sides vanish identically.
         """
         sol = self._solver
-        x = _fzeros(sol.dim)
-        hit = False
-        for idx, c in enumerate(sol.pivots):
-            v = flat_vec[c]
-            if v != 0:
-                x = x + Fraction(v) * sol.transform[idx]
-                hit = True
-        nz = [k for k in range(sol.dim) if x[k] != 0] if hit else []
+        xn, lx = sol.solve(flat_vec)
+        x = fzeros(sol.dim)
+        nz = [k for k in range(sol.dim) if xn[k]]
         cols = set()
         for k in nz:
+            x[k] = Fraction(xn[k], lx)
             cols.update(self._support[k])
         for j, v in enumerate(flat_vec):
             if v != 0 and j not in cols:
@@ -137,12 +152,12 @@ class LieAlgebra:
     def _compute_structure(self):
         d, n = self.dim, self.n
         tensor = {}
-        integral = _is_integral(self.basis)
-        if integral and d and n:
-            B = np.array(
-                [[[int(x) for x in row] for row in b] for b in self.basis],
-                dtype=np.int64,
-            )
+        if d and n:
+            ints = [[[int(x) for x in row] for row in b] for b in self.basis]
+            m = max(abs(x) for b in ints for row in b for x in row)
+            # a bracket is a difference of two products of n terms each
+            _check_int64(self.name, "bracket", 2 * m * m * n)
+            B = np.array(ints, dtype=np.int64)
             for i in range(d):
                 # all brackets [b_i, b_j] in one batched product
                 br = B[i] @ B - B @ B[i]
@@ -151,18 +166,6 @@ class LieAlgebra:
                         continue
                     flat = br[j].reshape(-1)
                     if not flat.any():
-                        continue
-                    x = self._sparse_coords(flat)
-                    ent = [(k, x[k]) for k in range(d) if x[k] != 0]
-                    if ent:
-                        tensor[(i, j)] = ent
-        else:
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        continue
-                    flat = bracket(self.basis[i], self.basis[j]).reshape(-1)
-                    if all(v == 0 for v in flat):
                         continue
                     x = self._sparse_coords(flat)
                     ent = [(k, x[k]) for k in range(d) if x[k] != 0]
@@ -177,10 +180,9 @@ class LieAlgebra:
             AD = np.zeros((d, d, d), dtype=np.int64)
             for (i, j), ent in self.tensor.items():
                 for k, v in ent:
-                    f = Fraction(v)
-                    if f.denominator != 1:
+                    if v.denominator != 1:
                         raise ValueError("structure constants not integral")
-                    AD[i, k, j] = int(f)
+                    AD[i, k, j] = int(v)
             self._ad_int = AD
         return self._ad_int
 
@@ -189,33 +191,19 @@ class LieAlgebra:
         """Killing form Gram matrix on the basis, B(x,y) = tr(ad x ad y)."""
         if self._killing is None:
             d = self.dim
-            try:
-                AD = self.ad_int64()
-                A2 = AD.reshape(d, -1)
-                B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)
-                K = A2 @ B2.T
-            except ValueError:
-                K = np.zeros((d, d), dtype=object)
-                tensor = self.tensor
-                ad = []
-                for i in range(d):
-                    m = _fzeros((d, d))
-                    for j in range(d):
-                        for k, v in tensor.get((i, j), ()):
-                            m[k, j] = v
-                    ad.append(m)
-                for i in range(d):
-                    for j in range(i, d):
-                        t = sum(
-                            (ad[i][k] @ ad[j][:, k] for k in range(d)),
-                            _F0,
-                        )
-                        K[i, j] = K[j, i] = t
-            self._killing = fmat(K.tolist())
+            m = max(
+                (abs(v) for ent in self.tensor.values() for _k, v in ent),
+                default=0,
+            )
+            _check_int64(self.name, "Killing form", m * m * d * d)
+            AD = self.ad_int64()
+            A2 = AD.reshape(d, -1)
+            B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)
+            self._killing = fmat((A2 @ B2.T).tolist())
         return self._killing
 
     def bracket_coords(self, u, v) -> np.ndarray:
-        out = _fzeros(self.dim)
+        out = fzeros(self.dim)
         tensor = self.tensor
         nz_u = [(i, Fraction(u[i])) for i in range(self.dim) if u[i] != 0]
         nz_v = [(j, Fraction(v[j])) for j in range(self.dim) if v[j] != 0]
@@ -235,7 +223,8 @@ class LieAlgebra:
                 raise ValueError(f"{self.name}: no Cartan involution attached")
             g = self.theta_conjugator
             cols = [
-                self._sparse_coords((g @ b @ g).reshape(-1)) for b in self.basis
+                self._sparse_coords(fmatmul(fmatmul(g, b), g).reshape(-1))
+                for b in self.basis
             ]
             self._theta_coord = np.array(cols, dtype=object).T
         return self._theta_coord
@@ -246,21 +235,16 @@ class LieAlgebra:
 
     def k_subspace(self) -> Subspace:
         """Fixed space of theta (maximal compact part), in coordinates."""
-        th = self.theta
-        d = self.dim
-        M = th.copy()
-        for i in range(d):
-            M[i, i] = M[i, i] - _F1
-        return Subspace.from_rows(
-            [primitive_vector(v) for v in kernel(M)], d
-        ) if d else Subspace(0, ())
+        return self._theta_eigenspace(_F1)
 
     def p_subspace(self) -> Subspace:
-        th = self.theta
+        return self._theta_eigenspace(-_F1)
+
+    def _theta_eigenspace(self, lam) -> Subspace:
         d = self.dim
-        M = th.copy()
+        M = self.theta.copy()
         for i in range(d):
-            M[i, i] = M[i, i] + _F1
+            M[i, i] = M[i, i] - lam
         return Subspace.from_rows(
             [primitive_vector(v) for v in kernel(M)], d
         ) if d else Subspace(0, ())
@@ -268,7 +252,7 @@ class LieAlgebra:
     def restricted_gram(self, sub: Subspace) -> np.ndarray:
         V = sub.matrix()
         K = self.killing_form
-        return V @ K @ V.T
+        return fmatmul(fmatmul(V, K), V.T)
 
     def __repr__(self):
         return f"LieAlgebra({self.name}, dim={self.dim}, n={self.n})"
@@ -295,30 +279,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _jacobi_triples(d: int, cap: int = 6000):
-    """Deterministic Jacobi sample: every triple when feasible, else a strided
-    spread plus a dense prefix."""
-    total = d * (d - 1) * (d - 2) // 6
-    if total <= cap:
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    yield (i, j, k)
-        return
-    count = 0
-    step = max(1, round((total / cap) ** (1 / 3)))
-    for i in range(0, d, step):
-        for j in range(i + 1, d, step):
-            for k in range(j + 1, d, step):
-                yield (i, j, k)
-                count += 1
-    m = min(d, 12)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                yield (i, j, k)
-
-
 def validate_structure(alg: LieAlgebra) -> ValidationReport:
     """Certify basis independence, bracket closure, Jacobi, and the Cartan
     involution axioms (exact arithmetic throughout)."""
@@ -343,7 +303,7 @@ def validate_structure(alg: LieAlgebra) -> ValidationReport:
 
     bad = 0
     checked = 0
-    for (i, j, k) in _jacobi_triples(d):
+    for (i, j, k) in itertools.combinations(range(d), 3):
         acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             inner = tensor.get((a, b), ())
@@ -442,19 +402,11 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     """Block-diagonal direct sum; structure data is assembled blockwise."""
     n1, n2 = a.n, b.n
     N = n1 + n2
-    basis = []
-    for m in a.basis:
-        M = _fzeros((N, N))
-        M[:n1, :n1] = m
-        basis.append(M)
-    for m in b.basis:
-        M = _fzeros((N, N))
-        M[n1:, n1:] = m
-        basis.append(M)
+    basis = [embed_block(m, N, 0) for m in a.basis]
+    basis += [embed_block(m, N, n1) for m in b.basis]
     conj = None
     if a.theta_conjugator is not None and b.theta_conjugator is not None:
-        conj = _fzeros((N, N))
-        conj[:n1, :n1] = a.theta_conjugator
+        conj = embed_block(a.theta_conjugator, N, 0)
         conj[n1:, n1:] = b.theta_conjugator
     meta = {
         "factors": [
@@ -475,14 +427,12 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     out._tensor = tensor
 
     d = out.dim
-    K = _fzeros((d, d))
-    K[: a.dim, : a.dim] = a.killing_form
+    K = embed_block(a.killing_form, d, 0)
     K[a.dim :, a.dim :] = b.killing_form
     out._killing = K
 
     if conj is not None:
-        th = _fzeros((d, d))
-        th[: a.dim, : a.dim] = a.theta
+        th = embed_block(a.theta, d, 0)
         th[a.dim :, a.dim :] = b.theta
         out._theta_coord = th
     return out

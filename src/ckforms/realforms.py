@@ -20,11 +20,15 @@ import numpy as np
 
 from .exactlin import (
     Subspace,
+    fmat,
+    fmatmul,
+    fzeros,
     is_rational_square,
     kernel,
     primitive_vector,
     rank,
     rational_sqrt,
+    scaled_ints,
 )
 from .liealg import LieAlgebra
 
@@ -48,20 +52,6 @@ _F1 = Fraction(1)
 _FH = Fraction(1, 2)
 
 
-def _fzeros(shape):
-    out = np.empty(shape, dtype=object)
-    out[...] = _F0
-    return out
-
-
-def _frac_mat(M):
-    out = np.empty(M.shape, dtype=object)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            out[i, j] = Fraction(int(M[i, j]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # classical matrix bases
 # ---------------------------------------------------------------------------
@@ -74,7 +64,7 @@ def so_basis(p: int, q: int):
     out = []
     for a in range(n):
         for b in range(a + 1, n):
-            M = _fzeros((n, n))
+            M = fzeros((n, n))
             if eta[a] == eta[b]:
                 M[a, b] = _F1
                 M[b, a] = -_F1
@@ -88,7 +78,7 @@ def so_basis(p: int, q: int):
 def complex_to_real(entries, n: int):
     """Realify a complex matrix given as {(a,b): (re, im)}; complex coordinate
     j occupies real coordinates (2j, 2j+1), a+bi -> [[a,-b],[b,a]]."""
-    M = _fzeros((2 * n, 2 * n))
+    M = fzeros((2 * n, 2 * n))
     for (a, b), (re, im) in entries.items():
         M[2 * a, 2 * b] += re
         M[2 * a, 2 * b + 1] += -im
@@ -204,7 +194,7 @@ def sp_real_basis_r4(p: int, q: int):
     n = p + q
     out = []
     for e in sp_entries(p, q):
-        M = _fzeros((4 * n, 4 * n))
+        M = fzeros((4 * n, 4 * n))
         for (aa, bb), co in e.items():
             Q = _qmat(co)
             for u in range(4):
@@ -405,14 +395,17 @@ def make_phi(gam, eps: int, p: int, q: int):
     phi = {}
     for a in range(p + q):
         for b in range(a + 1, p + q):
-            phi[(a, b)] = _frac_mat(gam[a] @ gam[b]) * Fraction(eps, 2)
+            phi[(a, b)] = fmat(gam[a] @ gam[b]) * Fraction(eps, 2)
     return phi
 
 
 def symmetric_monomial_form(gam, phi):
     """First symmetric gamma-subset product S with x^T S = -S x for all spin
-    images x, or None."""
-    spin = [np.array(m, dtype=object) for m in phi.values()]
+    images x, or None.
+
+    The condition is homogeneous in x, so each image is scaled to integers
+    and the test runs in int64 (entries stay below nn * max|x|)."""
+    spin = [scaled_ints(m)[1].astype(np.int64) for m in phi.values()]
     nn = gam[0].shape[0]
     for rr in range(len(gam) + 1):
         for idx in itertools.combinations(range(len(gam)), rr):
@@ -421,9 +414,8 @@ def symmetric_monomial_form(gam, phi):
                 M = M @ gam[i]
             if not np.array_equal(M, M.T):
                 continue
-            Mf = _frac_mat(M)
-            if all((x.T @ Mf + Mf @ x == 0).all() for x in spin):
-                return Mf
+            if all(not (x.T @ M + M @ x).any() for x in spin):
+                return fmat(M)
     return None
 
 
@@ -454,7 +446,7 @@ def clifford_generators(p: int, q: int) -> CliffordData:
         return _clifford_cache[key]
     for gam, eps, words in clifford_candidates(p, q):
         if p + q == 1:
-            data = CliffordData(p, q, gam, _frac_mat(gam[0]), eps, words)
+            data = CliffordData(p, q, gam, fmat(gam[0]), eps, words)
             _clifford_cache[key] = data
             return data
         phi = make_phi(gam, eps, p, q)
@@ -517,7 +509,7 @@ class SpinFrame:
     def image(self, a: int, b: int) -> np.ndarray:
         if a > b:
             return -self.image(b, a)
-        M = self.Tinv @ self.phi[(a, b)] @ self.T
+        M = fmatmul(fmatmul(self.Tinv, self.phi[(a, b)]), self.T)
         # phi represents eta_bb E_ab - eta_aa E_ba; the standard basis element
         # (E_ab - E_ba or E_ab + E_ba) differs by a sign unless a, b are both
         # plus coordinates
@@ -576,27 +568,27 @@ def _build_frame_from(gam, eps, words, Smat, p, q):
             neg_cols.append(alpha * (v - w))
     T = np.array(pos_cols + neg_cols, dtype=object).T
     eta_t = np.diag([_F1] * (n // 2) + [-_F1] * (n // 2)).astype(object)
-    if not (T.T @ Smat @ T == eta_t).all():
+    if not (fmatmul(fmatmul(T.T, Smat), T) == eta_t).all():
         return None, "frame does not normalize the spinor form"
-    TTt = T.T @ T
+    TTt = fmatmul(T.T, T)
     c = TTt[0, 0]
     if not (TTt == c * np.eye(n, dtype=object)).all():
         return None, "frame gram is not scalar"
     Tinv = T.T / c
     Astd = []
     for i in range(n // 2):
-        M = _fzeros((n, n))
+        M = fzeros((n, n))
         M[i, n // 2 + i] = _F1
         M[n // 2 + i, i] = _F1
         Astd.append(M)
     arows = [list(M.reshape(-1)) for M in Astd]
     for i in range(r):
-        XT = Tinv @ np.array(X[i], dtype=object) @ T
+        XT = fmatmul(fmatmul(Tinv, X[i]), T)
         if rank(np.array(arows + [list(XT.reshape(-1))], dtype=object)) != n // 2:
             return None, "boost image leaves the diagonal split part"
     for M in phi.values():
-        Y = Tinv @ np.array(M, dtype=object) @ T
-        if not ((Y.T @ eta_t + eta_t @ Y) == 0).all():
+        Y = fmatmul(fmatmul(Tinv, M), T)
+        if not ((fmatmul(Y.T, eta_t) + fmatmul(eta_t, Y)) == 0).all():
             return None, "image not in the target orthogonal algebra"
     return (T, Tinv, phi, c), None
 
@@ -643,12 +635,7 @@ def spin_embedding(p: int, q: int):
 
     Returns (frame, images); images[i] corresponds to so_basis(p,q)[i]."""
     frame = spin_frame(p, q)
-    n = p + q
-    images = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            images.append(frame.image(a, b))
-    return frame, images
+    return frame, frame.all_images()
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +682,7 @@ def _root_type(family: str, p: int, q: int) -> str:
 def _a_basis_so(p, q):
     out = []
     for i in range(p):
-        M = _fzeros((p + q, p + q))
+        M = fzeros((p + q, p + q))
         M[i, p + i] = _F1
         M[p + i, i] = _F1
         out.append(M)
@@ -705,7 +692,7 @@ def _a_basis_so(p, q):
 def _a_basis_su_real(p, q):
     out = []
     for i in range(p):
-        M = _fzeros((2 * (p + q), 2 * (p + q)))
+        M = fzeros((2 * (p + q), 2 * (p + q)))
         for t in (0, 1):
             M[2 * i + t, 2 * (p + i) + t] = _F1
             M[2 * (p + i) + t, 2 * i + t] = _F1
@@ -716,7 +703,7 @@ def _a_basis_su_real(p, q):
 def _a_basis_sp_r4(p, q):
     out = []
     for i in range(p):
-        M = _fzeros((4 * (p + q), 4 * (p + q)))
+        M = fzeros((4 * (p + q), 4 * (p + q)))
         for t in range(4):
             M[4 * i + t, 4 * (p + i) + t] = _F1
             M[4 * (p + i) + t, 4 * i + t] = _F1
@@ -729,7 +716,7 @@ def _g2_split_part():
     g2 = g2_basis()
     astd = []
     for i in range(3):
-        M = _fzeros((7, 7))
+        M = fzeros((7, 7))
         M[i, 3 + i] = _F1
         M[3 + i, i] = _F1
         astd.append(M)
@@ -738,7 +725,7 @@ def _g2_split_part():
     A = np.array(rows_h + rows_l, dtype=object).T
     out = []
     for c in kernel(A):
-        M = _fzeros((7, 7))
+        M = fzeros((7, 7))
         for ci, B in zip(c[: len(g2)], g2):
             if ci != 0:
                 M = M + ci * B

@@ -9,6 +9,7 @@ reflection products for the split g2.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,13 +17,18 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlin import (
+    CoordinateSolver,
     Subspace,
+    embed_block,
     fmat,
+    fmatmul,
+    fzeros,
     intersect,
     kernel,
     primitive_vector,
     rank,
-    rank_at_least_modp,
+    rank_modp,
+    reduce_modp,
 )
 from .liealg import LieAlgebra
 
@@ -79,23 +85,6 @@ class SplitData:
         return weyl_order(self)
 
 
-def _factor_list(g: LieAlgebra):
-    info = g.meta.get("factors")
-    if info:
-        return [
-            (f["algebra"], f["coord_offset"], f["block_offset"]) for f in info
-        ]
-    return [(g, 0, 0)]
-
-
-def _embed_block(M, size, off):
-    out = np.empty((size, size), dtype=object)
-    out[...] = _F0
-    m = M.shape[0]
-    out[off : off + m, off : off + m] = M
-    return out
-
-
 def split_data(g: LieAlgebra) -> SplitData:
     """Assemble the standard split part of g (product-aware) together with
     the exact Killing Gram of its boost basis."""
@@ -106,19 +95,17 @@ def split_data(g: LieAlgebra) -> SplitData:
     a_mats = []
     gram_diag = []
     coord = 0
-    for alg, _coff, boff in _factor_list(g):
+    for alg, _coff, boff in g.factors:
         fam_a = list(alg.meta.get("a_basis") or ())
         if not fam_a:
             raise ValueError(f"{alg.name}: no split part data attached")
         K = alg.killing_form
         cs = [alg.coords(A) for A in fam_a]
+        G = _gram(cs, K)
         # orthogonalize exactly when needed (the exceptional factor); the
         # classical boost bases are already Killing-orthogonal
-        if any(
-            cs[i] @ K @ cs[j] != 0
-            for i in range(len(cs))
-            for j in range(i + 1, len(cs))
-        ):
+        r = len(cs)
+        if any(G[i, j] != 0 for i in range(r) for j in range(i + 1, r)):
             for i in range(len(cs)):
                 for j in range(i):
                     cij = cs[j] @ K @ cs[i]
@@ -126,7 +113,8 @@ def split_data(g: LieAlgebra) -> SplitData:
                         cs[i] = cs[i] - (cij / (cs[j] @ K @ cs[j])) * cs[j]
                 cs[i] = primitive_vector(cs[i])
             fam_a = [alg.matrix(c) for c in cs]
-        scales = [c @ K @ c for c in cs]
+            G = _gram(cs, K)
+        scales = [G[i, i] for i in range(r)]
         rt = alg.meta.get("root_type", "?")
         if rt != "G" and any(s != scales[0] for s in scales):
             raise ValueError(f"{alg.name}: boost norms differ")
@@ -140,12 +128,11 @@ def split_data(g: LieAlgebra) -> SplitData:
             )
         )
         for A in fam_a:
-            a_mats.append(_embed_block(A, g.n, boff) if boff or alg.n != g.n else A)
+            a_mats.append(embed_block(A, g.n, boff) if boff or alg.n != g.n else A)
         gram_diag.extend(scales)
         coord += len(fam_a)
     r = len(a_mats)
-    gram = np.empty((r, r), dtype=object)
-    gram[...] = _F0
+    gram = fzeros((r, r))
     for i, s in enumerate(gram_diag):
         gram[i, i] = s
     sd = SplitData(g, a_mats, factors, gram)
@@ -173,14 +160,15 @@ def weyl_order(sd: SplitData) -> int:
 # ---------------------------------------------------------------------------
 
 def _exact_eigenvalues(A):
-    """Rational eigenvalues of a symmetric integer matrix, float-hinted and
-    exactly verified; raises if multiplicities do not exhaust the space."""
+    """Rational eigenvalues of a diagonalizable rational matrix with a
+    rational spectrum, float-hinted and exactly verified, with a basis of
+    each eigenspace; raises if multiplicities do not exhaust the space."""
     n = A.shape[0]
     fl = np.array([[float(x) for x in row] for row in A])
-    hints = np.linalg.eigvalsh(fl)
+    hints = np.linalg.eigvals(fl).real
     cands = []
     for h in hints:
-        fr = Fraction(h).limit_denominator(24)
+        fr = Fraction(float(h)).limit_denominator(24)
         if fr not in cands:
             cands.append(fr)
     out = []
@@ -191,7 +179,7 @@ def _exact_eigenvalues(A):
             M[i, i] = M[i, i] - lam
         vecs = kernel(M)
         if vecs:
-            out.append((lam, [primitive_vector(v) for v in vecs]))
+            out.append((lam, vecs))
             covered += len(vecs)
     if covered != n:
         raise ValueError("eigenvalue reconstruction incomplete")
@@ -212,18 +200,17 @@ def _g2_weyl_matrices(alg: LieAlgebra):
             [[(a2 @ v)[i] for i in range(7)] for v in space], dtype=object
         )
         # a2 restricted to span(space) in that basis: coords of a2 v rows
-        # solve stacked^T x = (a2 v)^T per vector
-        from .exactlin import CoordinateSolver
-
         sol = CoordinateSolver(stacked)
         rest = np.array([sol.coords(row) for row in sub], dtype=object).T
-        for lam2, cvecs in _exact_eigenvalues_small(rest):
+        for lam2, cvecs in _exact_eigenvalues(rest):
             weights.append(((lam1, lam2), len(cvecs)))
     roots = [w for w, _m in weights if w != (_F0, _F0)]
     short = sorted(set(roots))
     if len(short) != 6:
         raise ValueError(f"expected 6 short restricted roots, got {short}")
-    G = _gram_2x2(alg)
+    G = _gram(
+        [alg.coords(a) for a in alg.meta["a_basis"]], alg.killing_form
+    )
     Ginv = _inv2(G)
 
     def nrm2(lam):
@@ -274,39 +261,10 @@ def _g2_weyl_matrices(alg: LieAlgebra):
     return mats
 
 
-def _exact_eigenvalues_small(A):
-    n = A.shape[0]
-    fl = np.array([[float(x) for x in row] for row in A])
-    hints = np.linalg.eigvals(fl)
-    cands = []
-    for h in hints.real:
-        fr = Fraction(float(h)).limit_denominator(24)
-        if fr not in cands:
-            cands.append(fr)
-    out = []
-    covered = 0
-    for lam in cands:
-        M = A.copy().astype(object)
-        for i in range(n):
-            M[i, i] = M[i, i] - lam
-        vecs = kernel(M)
-        if vecs:
-            out.append((lam, vecs))
-            covered += len(vecs)
-    if covered != n:
-        raise ValueError("eigenvalue reconstruction incomplete")
-    return out
-
-
-def _gram_2x2(alg):
-    K = alg.killing_form
-    a1, a2 = alg.meta["a_basis"]
-    c1, c2 = alg.coords(a1), alg.coords(a2)
-    G = np.empty((2, 2), dtype=object)
-    G[0, 0] = c1 @ K @ c1
-    G[0, 1] = G[1, 0] = c1 @ K @ c2
-    G[1, 1] = c2 @ K @ c2
-    return G
+def _gram(cs, K):
+    """Gram matrix of the coordinate vectors cs under the form K."""
+    C = np.array([list(c) for c in cs], dtype=object)
+    return fmatmul(fmatmul(C, K), C.T)
 
 
 def _inv2(G):
@@ -336,22 +294,36 @@ def _g2_weyl(alg):
 # element enumeration
 # ---------------------------------------------------------------------------
 
+def _perms_and_signs(root_type: str, k: int):
+    """The little Weyl group of a classical factor of rank k as all
+    permutations times all sign vectors (even sign count for type D): each
+    pair (perm, signs) is the element (w x)_i = signs[i] * x[perm[i]], and
+    the group is enumerated permutation-major."""
+    perms = list(itertools.permutations(range(k)))
+    signs = [
+        s for s in itertools.product((1, -1), repeat=k)
+        if root_type != "D" or s.count(-1) % 2 == 0
+    ]
+    return perms, signs
+
+
+def _signed_perm_matrix(perm, signs):
+    """Exact matrix of the signed permutation (perm, signs)."""
+    k = len(perm)
+    M = fzeros((k, k))
+    for i in range(k):
+        M[i, perm[i]] = Fraction(int(signs[i]))
+    return M
+
+
 def _factor_elements(f: FactorSplit):
     """Yield the little Weyl group of one factor as exact k x k matrices."""
     if f.root_type == "G":
         yield from _g2_weyl(f.algebra)
         return
-    k = f.rank
-    even_only = f.root_type == "D"
-    for perm in itertools.permutations(range(k)):
-        for signs in itertools.product((1, -1), repeat=k):
-            if even_only and (signs.count(-1) % 2):
-                continue
-            M = np.empty((k, k), dtype=object)
-            M[...] = _F0
-            for i in range(k):
-                M[i, perm[i]] = Fraction(signs[i])
-            yield M
+    perms, signs = _perms_and_signs(f.root_type, f.rank)
+    for perm, sg in itertools.product(perms, signs):
+        yield _signed_perm_matrix(perm, sg)
 
 
 def _iter_product(makers):
@@ -380,12 +352,9 @@ def weyl_elements(sd: SplitData, cutoff: int = DEFAULT_WEYL_CUTOFF):
 def _weyl_element_iter(sd: SplitData):
     r = sd.rank
     facs = sd.factors
-    makers = [
-        (lambda ff: (lambda: _factor_elements(ff)))(f) for f in facs
-    ]
+    makers = [functools.partial(_factor_elements, f) for f in facs]
     for combo in _iter_product(makers):
-        M = np.empty((r, r), dtype=object)
-        M[...] = _F0
+        M = fzeros((r, r))
         for f, block in zip(facs, combo):
             M[f.offset : f.offset + f.rank, f.offset : f.offset + f.rank] = block
         yield M
@@ -395,19 +364,12 @@ def _classical_perm_signs(sd: SplitData):
     """For split data whose factors are all classical, yield Weyl elements in
     structured form (perm, signs): (w x)_i = signs[i] * x[perm[i]]."""
     r = sd.rank
-
-    def factor_maker(f):
-        def gen():
-            even_only = f.root_type == "D"
-            for perm in itertools.permutations(range(f.rank)):
-                for signs in itertools.product((1, -1), repeat=f.rank):
-                    if even_only and (signs.count(-1) % 2):
-                        continue
-                    yield (perm, signs)
-
-        return gen
-
-    makers = [factor_maker(f) for f in sd.factors]
+    makers = [
+        functools.partial(
+            itertools.product, *_perms_and_signs(f.root_type, f.rank)
+        )
+        for f in sd.factors
+    ]
     for combo in _iter_product(makers):
         perm = np.empty(r, dtype=np.int64)
         signs = np.empty(r, dtype=np.int64)
@@ -429,35 +391,6 @@ def _int_rows(sub: Subspace):
     )
 
 
-_SCAN_PRIME = 999999937
-
-
-def _int_rank_modp(A: np.ndarray, target: int) -> bool:
-    """Full-rank certificate mod a large prime for an int64 matrix."""
-    M = A % _SCAN_PRIME
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if M[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), _SCAN_PRIME - 2, _SCAN_PRIME)
-        M[r] = (M[r] * inv) % _SCAN_PRIME
-        if r + 1 < rows:
-            f = M[r + 1 :, c : c + 1]
-            M[r + 1 :] = (M[r + 1 :] - f * M[r]) % _SCAN_PRIME
-        r += 1
-        if r >= target or r == rows:
-            break
-    return r >= target
-
-
 def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
     """Vectorized scan for a single type-D factor: does any Weyl translate of
     the hyperplane-dimensional subspace U contain the line?
@@ -470,27 +403,16 @@ def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
         raise ValueError("scan needs a corank-one subspace")
     nvec = np.array([int(x) for x in primitive_vector(normal_kernel[0])], dtype=np.int64)
     v = _int_rows(line)[0]
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    perm_list, sign_list = _perms_and_signs("D", k)
+    perms = np.array(perm_list, dtype=np.int64)
     N = nvec[perms]  # each row: n composed with the permutation
-    signs = []
-    for s in itertools.product((1, -1), repeat=k):
-        if s.count(-1) % 2 == 0:
-            signs.append(s)
-    S = np.array(signs, dtype=np.int64)  # (m, k)
+    S = np.array(sign_list, dtype=np.int64)  # (m, k)
     dots = (N * v[None, :]) @ S.T  # (perms, signmasks)
     hits = np.argwhere(dots == 0)
     if hits.size == 0:
         return True, None
     pi, si = hits[0]
-    perm = perms[pi]
-    sgn = S[si]
-    # reconstruct w with (w n)_i = s_i n_{perm(i)}: w e_{perm(i)} = s_i e_i ... use
-    # the matrix acting on coordinates: w[i, perm[i]] = s_i
-    W = np.empty((k, k), dtype=object)
-    W[...] = _F0
-    for i in range(k):
-        W[i, perm[i]] = Fraction(int(sgn[i]))
-    return False, (W, fmat([list(v)])[0])
+    return False, (_signed_perm_matrix(perms[pi], S[si]), fmat([list(v)])[0])
 
 
 def weyl_disjoint(
@@ -542,25 +464,21 @@ def weyl_disjoint(
             # rows of V_h transformed: (w x)_i = s_i x_{perm(i)}
             wh = Hm_int[:, perm] * signs[None, :]
             stacked = np.vstack([wh, Lm_int])
-            if _int_rank_modp(stacked, target):
+            if rank_modp(stacked, target):
                 continue
-            M = np.empty((r, r), dtype=object)
-            M[...] = _F0
-            for i in range(r):
-                M[i, perm[i]] = Fraction(int(signs[i]))
             moved = Subspace.from_rows(
                 [primitive_vector(list(row)) for row in wh], r
             )
             inter = intersect(moved, V_l)
             if inter.dim:
-                return False, (M, inter.basis[0])
+                return False, (_signed_perm_matrix(perm, signs), inter.basis[0])
         return True, None
     Hm = V_h.matrix()
     Lm = V_l.matrix()
     for w in weyl_elements(sd, cutoff):
         wh = Hm @ w.T
         stacked = np.vstack([wh, Lm])
-        if rank_at_least_modp(stacked, target):
+        if rank_modp(reduce_modp(stacked), target):
             continue
         if rank(stacked) == target:
             continue

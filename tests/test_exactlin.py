@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from ckforms.exactlin import (
     CoordinateSolver,
     Subspace,
     fmat,
+    fmatmul,
     fvec,
     intersect,
     is_rational_square,
@@ -16,6 +18,7 @@ from ckforms.exactlin import (
     primitive_vector,
     rank,
     rank_at_least_modp,
+    rank_modp,
     rational_sqrt,
     rref,
     signature,
@@ -98,6 +101,48 @@ def test_modular_rank_certificate_matches_exact_rank():
     assert not rank_at_least_modp(fmat([[1, 2], [2, 4]]), 2)
 
 
+def test_modular_rank_certificate_accepts_entries_beyond_int64():
+    assert rank_at_least_modp([[2**70, 1], [1, 1]], 2)
+    assert rank_at_least_modp(fmat([[Fraction(2**80, 3), 1], [1, 0]]), 2)
+    assert not rank_at_least_modp([[2**70, 2**71], [1, 2]], 2)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -(2**63)),
+)
+
+
+@given(
+    st.lists(
+        st.lists(_ENTRIES, min_size=3, max_size=3), min_size=1, max_size=5
+    ),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_modular_rank_certificate_is_sound(rows, copy_from, target):
+    # a repeated row makes rank-deficient matrices common
+    rows = rows + [rows[copy_from % len(rows)]]
+    if rank_at_least_modp(rows, target):
+        assert rank(fmat(rows)) >= target
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=4, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(0, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_modular_rank_certificate_agrees_on_int64_and_fractions(rows, target):
+    as_int64 = np.array(rows, dtype=np.int64)
+    assert rank_modp(as_int64, target) == rank_at_least_modp(fmat(rows), target)
+
+
 def test_coordinate_solver_round_trip():
     basis = fmat([[1, 0, 1, 0], [0, 2, 0, 0], [0, 0, 0, 3]])
     sol = CoordinateSolver(basis)
@@ -106,6 +151,11 @@ def test_coordinate_solver_round_trip():
     recon = x @ basis
     assert all(a == b for a, b in zip(recon, target))
     assert sol.try_coords(fvec([1, 0, 0, 0])) is None
+
+
+def test_coordinate_solver_rejects_dependent_rows():
+    with pytest.raises(ValueError, match="dependent"):
+        CoordinateSolver(fmat([[1, 2, 0], [2, 4, 0]]))
 
 
 def test_primitive_vector_clears_denominators_and_content():
@@ -145,3 +195,40 @@ def test_rank_nullity_and_transpose_invariance(rows):
     assert r + len(ker) == 4
     for v in ker:
         assert all(x == 0 for x in m @ v)
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.lists(_rationals, min_size=k, max_size=k),
+                     min_size=1, max_size=4),
+            st.lists(st.lists(_rationals, min_size=3, max_size=3),
+                     min_size=k, max_size=k),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_scaled_product_equals_the_fraction_product(pair):
+    a, b = fmat(pair[0]), fmat(pair[1])
+    got = fmatmul(a, b)
+    assert got.shape == (a @ b).shape
+    assert all(type(x) is Fraction for x in got.flat)
+    assert (got == a @ b).all()
+
+
+def test_coordinate_solver_with_rational_rows_and_coordinates():
+    basis = fmat([[Fraction(1, 2), 1, 0], [0, Fraction(2, 3), 1]])
+    sol = CoordinateSolver(basis)
+    x = sol.coords(fvec([Fraction(1, 4), Fraction(5, 6), Fraction(1, 2)]))
+    assert list(x) == [Fraction(1, 2), Fraction(1, 2)]
+    assert sol.try_coords(fvec([1, 0, 0])) is None
+
+
+def test_numpy_integers_become_python_int_fractions():
+    # a numpy numerator would wrap: 2**62 * 4 must not come out as 0
+    m = fmat(np.array([[2**62, 1], [1, 1]], dtype=np.int64))
+    assert m[0, 0] * 4 == 2**64
+    assert type(m[0, 0].numerator) is int

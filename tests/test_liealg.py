@@ -2,15 +2,17 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ckforms.exactlin import Subspace, fvec, signature
 from ckforms.liealg import (
+    LieAlgebra,
     direct_sum,
     is_compactly_embedded,
     span_closure,
     validate_structure,
 )
-from ckforms.realforms import build_real_form
+from ckforms.realforms import build_real_form, so_basis
 
 
 def test_structure_validation_passes_for_small_forms(so23, su22):
@@ -120,3 +122,21 @@ def test_matrix_and_coords_round_trip(so23):
     back = so23.coords(M)
     assert all(a == b for a, b in zip(back, x))
     assert so23.contains_matrix(M)
+
+
+def test_constructor_rejects_a_non_integral_basis():
+    basis = so_basis(1, 2)
+    basis[0] = basis[0] * Fraction(1, 2)
+    with pytest.raises(ValueError, match="half: basis matrices must be integral"):
+        LieAlgebra("half", basis)
+
+
+def test_int64_products_are_bounded_explicitly():
+    big = LieAlgebra("big", [2**32 * b for b in so_basis(1, 2)])
+    with pytest.raises(ValueError, match="big: bracket entries"):
+        big.killing_form
+    scaled = LieAlgebra("scaled", [2**20 * b for b in so_basis(1, 2)])
+    K = scaled.killing_form
+    # so(1,2): one rotation (tr = -2) and two boosts (tr = +2), times 2**40
+    assert [K[i, i] for i in range(3)] == [2**41, 2**41, -(2**41)]
+    assert all(K[i, j] == 0 for i in range(3) for j in range(3) if i != j)

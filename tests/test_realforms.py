@@ -64,10 +64,13 @@ def test_killing_signature_counts_boosts_and_rotations(key, boosts):
 
 
 def test_structure_validation_across_families():
-    for key in ("so(2,4)", "su(1,2)", "sp(1,1)", "g2(2)"):
+    for key in ("so(2,4)", "su(1,2)", "sp(1,1)", "g2(2)", "su(2,4)"):
         rep = validate_structure(build_real_form(key))
         failed = [c for c in rep.checks if not c["passed"]]
         assert not failed, (key, failed)
+    # the Jacobi check covers every triple of basis elements: C(35, 3)
+    jacobi = next(c for c in rep.checks if c["name"] == "jacobi")
+    assert jacobi["detail"] == "6545 triples, 0 violations"
 
 
 def test_so_basis_preserves_the_bilinear_form():
