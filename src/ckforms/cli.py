@@ -20,7 +20,9 @@ Product separators are the letter x directly followed by an algebra atom,
 so variant names containing x (complexstruct) do not need escaping.
 
 Exit codes: 0 verification succeeded / command completed, 1 the triple or
-table failed a mathematical criterion, 2 malformed input or unknown keys.
+table failed a mathematical criterion, 2 malformed input or unknown keys,
+3 the algebraic criteria and the Weyl-orbit cross-check disagree (a defect,
+reported on stderr with the triple).
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import sys
 
 from . import SCHEMA_VERSION, __version__
 from .cartanproj import GapSpaceError, gap_experiment, gap_space_keys
-from .criteria import classify_triple
+from .criteria import CriteriaDisagreeError, classify_triple
 from .embeddings import (
     CatalogError,
     catalog_lookup,
@@ -419,6 +421,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CriteriaDisagreeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
     except (TripleSyntaxError, CatalogError, GapSpaceError, ValueError) as exc:
         # KeyError subclasses repr their payload when formatted directly
         msg = exc.args[0] if exc.args else exc

@@ -38,12 +38,30 @@ __all__ = [
     "SumCheck",
     "CompactCheck",
     "Verdict",
+    "CriteriaDisagreeError",
     "check_sum",
     "check_compact_intersection",
     "classify_triple",
 ]
 
 _CERT_PRIMES = (999999937, 998244353)
+
+
+class CriteriaDisagreeError(Exception):
+    """The triple passes the algebraic criteria, yet a little Weyl group
+    element moves its split part V_h onto a vector of V_l.  A proper action
+    needs Weyl-disjoint split parts (Kobayashi 1989; Benoist 1996), so the
+    two criteria cannot both be right: one computation is wrong."""
+
+    def __init__(self, g, h, l, witness):
+        w, v = witness
+        super().__init__(
+            f"criteria disagree on g={g.name} h={h.key} l={l.key}: the "
+            "algebraic criteria hold, but the Weyl element "
+            f"{[[str(x) for x in row] for row in w]} maps V_h onto the "
+            f"vector {[str(x) for x in v]} of V_l"
+        )
+        self.witness = witness
 
 
 @dataclass
@@ -128,7 +146,7 @@ class Verdict:
             )
         if self.weyl is not None:
             st = self.weyl["status"]
-            mark = "ok" if st == "disjoint" else ("--" if st != "witness" else "FAIL")
+            mark = "ok" if st == "disjoint" else "--"
             lines.append(
                 f"[{mark}] Weyl-orbit disjointness: {st} "
                 f"(group order {self.weyl['order']})"
@@ -375,17 +393,9 @@ def _weyl_section(g, h, l, cutoff):
             "note": "Weyl group order exceeds the enumeration cutoff; "
             "verdict rests on the algebraic criteria",
         }
-    if ok:
-        return {"order": order, "status": "disjoint"}
-    W, v = witness
-    return {
-        "order": order,
-        "status": "witness",
-        "witness": {
-            "element": [[str(x) for x in row] for row in np.array(W)],
-            "vector": [str(x) for x in v],
-        },
-    }
+    if not ok:
+        raise CriteriaDisagreeError(g, h, l, witness)
+    return {"order": order, "status": "disjoint"}
 
 
 def classify_triple(

@@ -23,6 +23,7 @@ import numpy as np
 from .exactlin import (
     CoordinateSolver,
     Subspace,
+    check_int64,
     embed_block,
     fzeros,
     primitive_vector,
@@ -543,6 +544,8 @@ def validate_embedding(emb: Embedding) -> dict:
     hom = True
     try:
         IM, den = _int64_images(emb.images)
+        m = int(np.abs(IM).max()) if IM.size else 0
+        check_int64(emb.key, "bracket", 2 * m * m * IM.shape[-1])
         den2 = den * den
         # [img_i, img_j] computed batched; compare with den^2 * image of the
         # bracket, staying in int64 for the (frequent) zero brackets

@@ -7,15 +7,16 @@ point never enters this module.  Elimination and products run on Python ints
 after scaling by common denominators (``scaled_ints``).
 
 The mod-p rank certificate has one eliminator, ``rank_modp``, which takes an
-int64 array.  ``rank_at_least_modp`` accepts any rational matrix: it scales
-each row to integers and reduces the entries mod p on Python ints before the
-int64 cast, so entries of any size are accepted.
+int64 matrix or a stack of them (the Weyl-orbit scan certifies a whole chunk
+of group elements in one call).  ``rank_at_least_modp`` accepts any rational
+matrix: it scales each row to integers and reduces the entries mod p on
+Python ints before the int64 cast, so entries of any size are accepted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "rank_modp",
     "reduce_modp",
     "fzeros",
+    "check_int64",
     "fmatmul",
     "scaled_ints",
     "embed_block",
@@ -49,9 +51,19 @@ RationalMatrix = np.ndarray
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-# default prime of the mod-p certificate; below 2**30, so the products in
-# ``rank_modp`` stay below 2**60
+# default prime of the mod-p certificate; below 2**30, so a product of two
+# reduced entries stays below 2**60
 MODP_PRIME = 999999937
+
+
+def check_int64(name, what, bound):
+    """Refuse an int64 computation whose entries are bounded only by
+    ``bound`` when that reaches 2**63 (numpy would wrap silently)."""
+    if bound >= 2**63:
+        raise ValueError(
+            f"{name}: {what} entries may reach {bound} >= 2**63, "
+            "beyond int64"
+        )
 
 
 def fzeros(shape) -> RationalMatrix:
@@ -140,34 +152,40 @@ def reduce_modp(m, p: int = MODP_PRIME) -> np.ndarray:
     return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
 
 
-def rank_modp(M: np.ndarray, target: int, p: int = MODP_PRIME) -> bool:
-    """Certify rank(M) >= target for an int64 array by elimination mod p.
+def rank_modp(M: np.ndarray, target: int, p: int = MODP_PRIME):
+    """Certify rank(M) >= target by elimination mod p, for one int64 matrix
+    (returns a bool) or a stack ``(..., rows, cols)`` of them (returns one
+    bool per matrix).
 
+    Fraction-free, row by row: the first nonzero entry of each row is its
+    pivot and clears its column from the rows below (row <- pivot * row -
+    entry * pivot_row), with no inverse and no row swap; a row left zero is
+    dependent.  Entries stay in [0, p), so for p < 2**30 every product is
+    below 2**60.
     A full-rank witness mod p is a valid exact certificate (minors that are
     nonzero mod p are nonzero over Q); a shortfall proves nothing.
     """
-    M = M % p
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if M[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        if r + 1 < rows:
-            f = M[r + 1 :, c : c + 1]
-            M[r + 1 :] = (M[r + 1 :] - f * M[r]) % p
-        r += 1
-        if r >= target or r == rows:
+    M = np.asarray(M, dtype=np.int64)
+    batch = M.shape[:-2]
+    rows, cols = M.shape[-2:]
+    M = M.reshape(prod(batch), rows, cols) % p
+    at = np.arange(len(M))
+    found = np.zeros(len(M), dtype=np.int64)
+    for i in range(rows if cols else 0):
+        row = M[:, i]
+        nonzero = row != 0
+        has = nonzero.any(axis=1)
+        found += has
+        if i + 1 == rows or (found >= target).all():
             break
-    return r >= target
+        col = nonzero.argmax(axis=1)
+        piv = np.where(has, row[at, col], 1)
+        lead = M[at, i + 1 :, col]
+        M[:, i + 1 :] = (
+            M[:, i + 1 :] * piv[:, None, None] - lead[:, :, None] * row[:, None]
+        ) % p
+    ok = (found >= target).reshape(batch)
+    return bool(ok) if not batch else ok
 
 
 def rank_at_least_modp(m, target: int, p: int = MODP_PRIME) -> bool:
@@ -248,11 +266,10 @@ class Subspace:
                 raise ValueError("ambient_dim required for empty basis")
             ambient_dim = len(rows[0])
         if rows:
-            mat = np.array([list(r) for r in rows], dtype=object)
-            if rank(mat) != len(rows):
-                # keep an independent subset, deterministic (first-seen pivots)
-                R, piv = rref(mat.T)
-                rows = [rows[i] for i in piv]
+            # keep the first-seen independent rows: the pivot columns of
+            # the transpose
+            cols = np.array([list(r) for r in rows], dtype=object).T
+            rows = [rows[i] for i in _rref_ints([scaled_ints(c)[1] for c in cols])]
         return Subspace(ambient_dim, tuple(rows))
 
     @property

@@ -24,6 +24,7 @@ import numpy as np
 from .exactlin import (
     CoordinateSolver,
     Subspace,
+    check_int64,
     embed_block,
     fmat,
     fmatmul,
@@ -45,16 +46,6 @@ __all__ = [
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _check_int64(name, what, bound):
-    """Refuse an int64 computation whose entries are bounded only by
-    ``bound`` when that reaches 2**63 (numpy would wrap silently)."""
-    if bound >= 2**63:
-        raise ValueError(
-            f"{name}: {what} entries may reach {bound} >= 2**63, "
-            "beyond int64"
-        )
 
 
 class LieAlgebra:
@@ -156,7 +147,7 @@ class LieAlgebra:
             ints = [[[int(x) for x in row] for row in b] for b in self.basis]
             m = max(abs(x) for b in ints for row in b for x in row)
             # a bracket is a difference of two products of n terms each
-            _check_int64(self.name, "bracket", 2 * m * m * n)
+            check_int64(self.name, "bracket", 2 * m * m * n)
             B = np.array(ints, dtype=np.int64)
             for i in range(d):
                 # all brackets [b_i, b_j] in one batched product
@@ -195,7 +186,7 @@ class LieAlgebra:
                 (abs(v) for ent in self.tensor.values() for _k, v in ent),
                 default=0,
             )
-            _check_int64(self.name, "Killing form", m * m * d * d)
+            check_int64(self.name, "Killing form", m * m * d * d)
             AD = self.ad_int64()
             A2 = AD.reshape(d, -1)
             B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)

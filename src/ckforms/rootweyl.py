@@ -6,10 +6,16 @@ boost basis attached by the real form constructors (concatenated over factors
 for products).  Weyl elements act on these coordinates: signed permutations
 for the classical types (even sign count for type D), and twelve computed
 reflection products for the split g2.
+
+The disjointness scan projects V_h onto ker(V_l): w(V_h) meets V_l only at 0
+iff H w^T N has full row rank (N an integer basis of ker V_l).  The group is
+walked in enumeration order, in chunks of about a thousand elements; each
+factor adds its block H_f w_f^T N_f mod p, one batched elimination mod p
+certifies the whole chunk, and only the elements that fail mod p are
+re-checked exactly, so the witness is the first one in enumeration order.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlin import (
+    MODP_PRIME,
     CoordinateSolver,
     Subspace,
     embed_block,
@@ -294,19 +301,6 @@ def _g2_weyl(alg):
 # element enumeration
 # ---------------------------------------------------------------------------
 
-def _perms_and_signs(root_type: str, k: int):
-    """The little Weyl group of a classical factor of rank k as all
-    permutations times all sign vectors (even sign count for type D): each
-    pair (perm, signs) is the element (w x)_i = signs[i] * x[perm[i]], and
-    the group is enumerated permutation-major."""
-    perms = list(itertools.permutations(range(k)))
-    signs = [
-        s for s in itertools.product((1, -1), repeat=k)
-        if root_type != "D" or s.count(-1) % 2 == 0
-    ]
-    return perms, signs
-
-
 def _signed_perm_matrix(perm, signs):
     """Exact matrix of the signed permutation (perm, signs)."""
     k = len(perm)
@@ -316,25 +310,63 @@ def _signed_perm_matrix(perm, signs):
     return M
 
 
-def _factor_elements(f: FactorSplit):
-    """Yield the little Weyl group of one factor as exact k x k matrices."""
-    if f.root_type == "G":
-        yield from _g2_weyl(f.algebra)
-        return
-    perms, signs = _perms_and_signs(f.root_type, f.rank)
-    for perm, sg in itertools.product(perms, signs):
-        yield _signed_perm_matrix(perm, sg)
+class _FactorGroup:
+    """The little Weyl group of one factor, indexed in enumeration order:
+    mod-p matrices for a batch of indices, the exact matrix for one.
+
+    A classical factor of rank k is every permutation times every sign
+    vector (even sign count for type D), permutation-major: element
+    (perm, signs) is (w x)_i = signs[i] * x[perm[i]].  A g2 factor is its
+    twelve computed matrices, reduced mod p entrywise (a/b as a * b^-1)."""
+
+    def __init__(self, f: FactorSplit):
+        self.factor = f
+        p = MODP_PRIME
+        if f.root_type == "G":
+            self.mats = _g2_weyl(f.algebra)
+            self.table = np.array(
+                [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
+                  for row in M] for M in self.mats],
+                dtype=np.int64,
+            )
+            self.size = len(self.mats)
+            return
+        k = f.rank
+        self.table = None
+        self.perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+        self.signs = np.array(
+            [s for s in itertools.product((1, -1), repeat=k)
+             if f.root_type != "D" or s.count(-1) % 2 == 0],
+            dtype=np.int64,
+        )
+        self.size = len(self.perms) * len(self.signs)
+
+    def modp(self, idx):
+        """(len(idx), k, k) int64 matrices of the elements idx, mod p."""
+        if self.table is not None:
+            return self.table[idx]
+        k = self.factor.rank
+        pi, si = np.divmod(idx, len(self.signs))
+        W = np.zeros((len(idx), k, k), dtype=np.int64)
+        W[np.arange(len(idx))[:, None], np.arange(k), self.perms[pi]] = (
+            self.signs[si] % MODP_PRIME
+        )
+        return W
+
+    def exact(self, e):
+        if self.table is not None:
+            return self.mats[e]
+        pi, si = divmod(int(e), len(self.signs))
+        return _signed_perm_matrix(self.perms[pi], self.signs[si])
 
 
-def _iter_product(makers):
-    """Cartesian product of regenerable iterators, fully streaming."""
-    if not makers:
-        yield ()
-        return
-    head, rest = makers[0], makers[1:]
-    for h in head():
-        for tail in _iter_product(rest):
-            yield (h,) + tail
+def _element_matrix(r: int, groups, idx):
+    """Exact r x r matrix of the product element with factor indices idx."""
+    M = fzeros((r, r))
+    for g, e in zip(groups, idx):
+        lo, hi = g.factor.offset, g.factor.offset + g.factor.rank
+        M[lo:hi, lo:hi] = g.exact(e)
+    return M
 
 
 def weyl_elements(sd: SplitData, cutoff: int = DEFAULT_WEYL_CUTOFF):
@@ -350,45 +382,19 @@ def weyl_elements(sd: SplitData, cutoff: int = DEFAULT_WEYL_CUTOFF):
 
 
 def _weyl_element_iter(sd: SplitData):
-    r = sd.rank
-    facs = sd.factors
-    makers = [functools.partial(_factor_elements, f) for f in facs]
-    for combo in _iter_product(makers):
-        M = fzeros((r, r))
-        for f, block in zip(facs, combo):
-            M[f.offset : f.offset + f.rank, f.offset : f.offset + f.rank] = block
-        yield M
-
-
-def _classical_perm_signs(sd: SplitData):
-    """For split data whose factors are all classical, yield Weyl elements in
-    structured form (perm, signs): (w x)_i = signs[i] * x[perm[i]]."""
-    r = sd.rank
-    makers = [
-        functools.partial(
-            itertools.product, *_perms_and_signs(f.root_type, f.rank)
-        )
-        for f in sd.factors
-    ]
-    for combo in _iter_product(makers):
-        perm = np.empty(r, dtype=np.int64)
-        signs = np.empty(r, dtype=np.int64)
-        for f, (p, s) in zip(sd.factors, combo):
-            for i in range(f.rank):
-                perm[f.offset + i] = f.offset + p[i]
-                signs[f.offset + i] = s[i]
-        yield perm, signs
+    groups = [_FactorGroup(f) for f in sd.factors]
+    sizes = [g.size for g in groups]
+    for flat in range(weyl_order(sd)):
+        yield _element_matrix(sd.rank, groups, np.unravel_index(flat, sizes))
 
 
 # ---------------------------------------------------------------------------
 # disjointness scan
 # ---------------------------------------------------------------------------
 
-def _int_rows(sub: Subspace):
-    return np.array(
-        [[int(x) for x in primitive_vector(v)] for v in sub.basis],
-        dtype=np.int64,
-    )
+# Weyl elements per step of the batched scan; the per-step stacks, not the
+# group order, set the scan's memory
+_SCAN_CHUNK = 1024
 
 
 def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
@@ -396,23 +402,37 @@ def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
     the hyperplane-dimensional subspace U contain the line?
 
     Signed permutations are B-orthogonal, so w(U) contains v iff the permuted
-    and signed normal of U is orthogonal to v (integer arithmetic, exact)."""
+    and signed normal of U is orthogonal to v (integer arithmetic, exact:
+    int64 under the bound max|n| max|v| k < 2**63, Python ints past it)."""
     k = sd.rank
     normal_kernel = kernel(U.matrix())
     if len(normal_kernel) != 1:
         raise ValueError("scan needs a corank-one subspace")
-    nvec = np.array([int(x) for x in primitive_vector(normal_kernel[0])], dtype=np.int64)
-    v = _int_rows(line)[0]
-    perm_list, sign_list = _perms_and_signs("D", k)
-    perms = np.array(perm_list, dtype=np.int64)
+    nvec = [int(x) for x in primitive_vector(normal_kernel[0])]
+    v = [int(x) for x in primitive_vector(line.basis[0])]
+    bound = max(map(abs, nvec)) * max(map(abs, v)) * k
+    dtype = np.int64 if bound < 2**63 else object
+    nvec, v = np.array(nvec, dtype=dtype), np.array(v, dtype=dtype)
+    group = _FactorGroup(sd.factors[0])
+    perms = group.perms
     N = nvec[perms]  # each row: n composed with the permutation
-    S = np.array(sign_list, dtype=np.int64)  # (m, k)
+    S = group.signs.astype(dtype)  # (m, k)
     dots = (N * v[None, :]) @ S.T  # (perms, signmasks)
     hits = np.argwhere(dots == 0)
     if hits.size == 0:
         return True, None
     pi, si = hits[0]
     return False, (_signed_perm_matrix(perms[pi], S[si]), fmat([list(v)])[0])
+
+
+def _matmul_modp(A, B):
+    """Broadcast ``A @ B mod p`` for int64 stacks with entries in [0, p),
+    reduced after every term, so partial sums stay below p**2 + p < 2**63
+    for any inner dimension."""
+    out = 0
+    for j in range(A.shape[-1]):
+        out = (out + A[..., :, j, None] * B[..., None, j, :]) % MODP_PRIME
+    return out
 
 
 def weyl_disjoint(
@@ -424,9 +444,18 @@ def weyl_disjoint(
     """Certify that w(V_h) meets V_l only at 0 for every Weyl element w.
 
     Returns (True, None) or (False, (w, witness_vector)); the witness vector
-    lies in w(V_h) and V_l.  Exact: full-rank claims are certified modulo a
-    large prime (a valid proof of rational full rank), shortfalls re-checked
-    with exact elimination."""
+    lies in w(V_h) and V_l, and w is the first such element in enumeration
+    order (``weyl_elements``), except on the type-D line scan with dim V_h
+    = 1, which scans V_l against the line and returns the inverse.
+
+    With N an integer basis of ker(V_l) (the vectors orthogonal to V_l),
+    rank [w(V_h); V_l] = dim V_l + rank(H w^T N), so w(V_h) meets V_l only
+    at 0 iff the dim V_h x dim ker(V_l) projection H w^T N has full row
+    rank.  The whole group is scanned in chunks of ``_SCAN_CHUNK``
+    elements: each factor contributes its block H_f w_f^T N_f mod p, and one
+    batched elimination mod p (``rank_modp``) certifies full rank for every
+    element of the chunk (a valid proof of rational full rank).  Only the
+    elements that fail mod p are re-checked exactly, in enumeration order."""
     r = sd.rank
     if V_h.ambient_dim != r or V_l.ambient_dim != r:
         raise ValueError("subspaces must live in a-coordinates")
@@ -455,37 +484,39 @@ def weyl_disjoint(
         return ok, None
     if order > cutoff:
         raise WeylCutoffError(order, cutoff)
-    target = V_h.dim + V_l.dim
-    classical = all(f.root_type != "G" for f in sd.factors)
-    if classical:
-        Hm_int = _int_rows(V_h)
-        Lm_int = _int_rows(V_l)
-        for perm, signs in _classical_perm_signs(sd):
-            # rows of V_h transformed: (w x)_i = s_i x_{perm(i)}
-            wh = Hm_int[:, perm] * signs[None, :]
-            stacked = np.vstack([wh, Lm_int])
-            if rank_modp(stacked, target):
-                continue
-            moved = Subspace.from_rows(
-                [primitive_vector(list(row)) for row in wh], r
-            )
-            inter = intersect(moved, V_l)
-            if inter.dim:
-                return False, (_signed_perm_matrix(perm, signs), inter.basis[0])
-        return True, None
-    Hm = V_h.matrix()
-    Lm = V_l.matrix()
-    for w in weyl_elements(sd, cutoff):
-        wh = Hm @ w.T
-        stacked = np.vstack([wh, Lm])
-        if rank_modp(reduce_modp(stacked), target):
-            continue
-        if rank(stacked) == target:
-            continue
-        moved = Subspace.from_rows([primitive_vector(row) for row in wh], r)
-        inter = intersect(moved, V_l)
-        if inter.dim:
-            return False, (w, inter.basis[0])
+    Hm, Lm = V_h.matrix(), V_l.matrix()
+    H = reduce_modp(Hm)
+    N = reduce_modp(np.array([list(v) for v in kernel(Lm)])).T
+    groups = [_FactorGroup(f) for f in sd.factors]
+
+    def blocks(g, idx):
+        # H_f w_f^T N_f mod p for the factor elements idx
+        sl = slice(g.factor.offset, g.factor.offset + g.factor.rank)
+        HW = _matmul_modp(H[:, sl], g.modp(idx).transpose(0, 2, 1))
+        return _matmul_modp(HW, N[sl])
+
+    # factors no larger than a chunk are tabulated once; larger ones are
+    # formed chunk by chunk, so memory stays bounded by the chunk
+    tables = [
+        blocks(g, np.arange(g.size)) if g.size <= _SCAN_CHUNK else None
+        for g in groups
+    ]
+    sizes = [g.size for g in groups]
+    for start in range(0, order, _SCAN_CHUNK):
+        idx = np.unravel_index(
+            np.arange(start, min(start + _SCAN_CHUNK, order)), sizes
+        )
+        stack = sum(
+            t[i] if t is not None else blocks(g, i)
+            for g, t, i in zip(groups, tables, idx)
+        ) % MODP_PRIME
+        for j in np.flatnonzero(~rank_modp(stack, V_h.dim)):
+            w = _element_matrix(r, groups, [i[j] for i in idx])
+            wh = fmatmul(Hm, w.T)
+            if rank(np.vstack([wh, Lm])) == V_h.dim + V_l.dim:
+                continue  # full rank over Q, deficient only mod p
+            moved = Subspace.from_rows([primitive_vector(row) for row in wh], r)
+            return False, (w, intersect(moved, V_l).basis[0])
     return True, None
 
 

@@ -64,6 +64,24 @@ def test_usage_errors_exit_two():
         assert r.stderr.decode().startswith("error:"), args
 
 
+def test_criteria_disagreement_exits_three(monkeypatch, capsys):
+    import numpy as np
+
+    import ckforms.criteria as criteria
+    from ckforms.cli import main
+    from ckforms.exactlin import fvec
+
+    # a standard triple whose Weyl cross-check reports a witness
+    witness = (np.eye(4, dtype=object), fvec([1, 0, 0, 0]))
+    monkeypatch.setattr(criteria, "weyl_disjoint", lambda *a, **k: (False, witness))
+    code = main(["verify", "--triple", "so(4,4):so(3,4)@spin+so(1,4)@block"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: criteria disagree on g=so(4,4) ")
+    assert "h=so(4,4):so(3,4):spin l=so(4,4):so(1,4):block" in err
+
+
 def test_verify_json_output_and_out_file(tmp_path):
     triple = "so(3,4):g2(2)+so(1,4)@block"
     r = run("verify", "--triple", triple, "--format", "json")

@@ -108,6 +108,28 @@ def test_composition_requires_matching_realizations(so44):
     assert all(rep.values())
 
 
+def test_bracket_check_products_are_bounded_explicitly():
+    from fractions import Fraction
+
+    from ckforms.exactlin import fmat
+    from ckforms.liealg import LieAlgebra
+    from ckforms.realforms import so_basis
+
+    # so(1,2) conjugated by diag(1, 2**12, 2**24): the int64 images (scaled
+    # by 2**24) stay below 2**48, their brackets reach 2**72 and would wrap
+    src = LieAlgebra("so(1,2)", so_basis(1, 2))
+    D = [Fraction(2 ** (12 * i)) for i in range(3)]
+    imgs = [
+        fmat([[b[i, j] * D[i] / D[j] for j in range(3)] for i in range(3)])
+        for b in src.basis
+    ]
+    tgt = LieAlgebra("conj", [2**24 * m for m in imgs])
+    report = validate_embedding(Embedding("conj:so(1,2)", src, tgt, imgs))
+    assert report == {
+        "injective": True, "homomorphism": True, "theta_compatible": True
+    }
+
+
 def test_product_algebra_and_factor_embeddings(so44xso24):
     g = so44xso24
     assert g.dim == 28 + 15

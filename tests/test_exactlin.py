@@ -140,7 +140,11 @@ def test_modular_rank_certificate_is_sound(rows, copy_from, target):
 @settings(max_examples=60, deadline=None)
 def test_modular_rank_certificate_agrees_on_int64_and_fractions(rows, target):
     as_int64 = np.array(rows, dtype=np.int64)
-    assert rank_modp(as_int64, target) == rank_at_least_modp(fmat(rows), target)
+    one = rank_at_least_modp(fmat(rows), target)
+    assert rank_modp(as_int64, target) == one
+    # a stack gets one answer per matrix
+    stack = np.stack([as_int64, np.zeros_like(as_int64)])
+    assert list(rank_modp(stack, target)) == [one, target <= 0]
 
 
 def test_coordinate_solver_round_trip():

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ckforms.exactlin import Subspace, fvec
+from ckforms.exactlin import Subspace, fmat, fvec, intersect, kernel, primitive_vector
 from ckforms.embeddings import adapted_split_part, catalog_lookup, product_algebra
+from ckforms.realforms import build_real_form
 from ckforms.rootweyl import (
     WeylCutoffError,
+    _d_line_scan,
     chamber_sort,
     split_data,
     weyl_disjoint,
@@ -128,3 +132,95 @@ def test_split_gram_is_positive_definite(so44):
     assert np.all(np.linalg.eigvalsh(G) > 0)
     # B-norms of basis boosts agree within a simple factor
     assert all(sd.gram[i][i] == sd.gram[0][0] for i in range(sd.rank))
+
+
+def test_line_scan_products_are_bounded_explicitly(so44):
+    # every dot product is nonzero, but n . v = 2**64 + 2**32 - 2**32 for the
+    # identity with signs (1, 1, -1, -1): int64 would wrap it to 0
+    sd = split_data(so44)
+    U = Subspace.from_rows(kernel(fmat([[2**32 + 1, 2**32, 3, 5]])), 4)
+    line = Subspace.from_rows([[2**32, 0, 0, 1]], 4)
+    assert _d_line_scan(sd, U, line) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# the batched scan against a plain exact loop
+# ---------------------------------------------------------------------------
+
+def _reference_scan(sd, V_h, V_l):
+    """The first Weyl element w (in enumeration order) with w(V_h) meeting
+    V_l, by exact intersection for every element."""
+    for w in weyl_elements(sd):
+        moved = Subspace.from_rows(
+            [primitive_vector(row) for row in V_h.matrix() @ w.T], sd.rank
+        )
+        inter = intersect(moved, V_l)
+        if inter.dim:
+            return False, (w, inter.basis[0])
+    return True, None
+
+
+def _assert_same_scan(sd, V_h, V_l):
+    got = weyl_disjoint(sd, V_h, V_l)
+    ref = _reference_scan(sd, V_h, V_l)
+    assert got[0] == ref[0]
+    if not ref[0]:
+        (w, v), (w_ref, v_ref) = got[1], ref[1]
+        assert np.array_equal(w, w_ref)
+        assert list(v) == list(v_ref)
+    return got
+
+
+_SCAN_AMBIENTS = {
+    "B3": lambda: build_real_form("so(3,4)"),
+    "C2": lambda: build_real_form("su(2,2)"),
+    "BC2": lambda: build_real_form("su(2,3)"),
+    "D4": lambda: build_real_form("so(4,4)"),
+    "G2xB2": lambda: product_algebra("g2(2)", "so(2,3)"),
+}
+
+
+@st.composite
+def _subspace_pairs(draw):
+    name = draw(st.sampled_from(sorted(_SCAN_AMBIENTS)))
+    r = split_data(_SCAN_AMBIENTS[name]()).rank
+    dh = draw(st.integers(1, r - 1))
+    dl = draw(st.integers(1, r - dh))
+    vec = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    return (
+        name,
+        draw(st.lists(vec, min_size=dh, max_size=dh)),
+        draw(st.lists(vec, min_size=dl, max_size=dl)),
+    )
+
+
+@given(_subspace_pairs())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_scan_agrees_with_the_plain_loop(pair):
+    name, h_rows, l_rows = pair
+    sd = split_data(_SCAN_AMBIENTS[name]())
+    _assert_same_scan(
+        sd, Subspace.from_rows(h_rows, sd.rank), Subspace.from_rows(l_rows, sd.rank)
+    )
+
+
+def test_scan_finds_a_first_hit_beyond_the_first_chunk():
+    # D4 x G2 has 192 * 12 = 2304 elements; x meets the line through y only
+    # under the reversing permutation (D4 index 23 * 8) with g2's identity
+    # (index 0) or its -1, so the first hit has index 184 * 12 = 2208
+    sd = split_data(product_algebra("so(4,4)", "g2(2)"))
+    x = [1, 2, 3, 4, 1, 0]
+    y = [4, 3, 2, 1, 1, 0]
+    ok, (w, v) = _assert_same_scan(
+        sd, Subspace.from_rows([x], 6), Subspace.from_rows([y], 6)
+    )
+    assert not ok
+    assert list(w @ fvec(x)) == list(fvec(y))
+
+
+def test_scan_accepts_entries_beyond_int64(so34):
+    sd = split_data(so34)
+    big = 2**70
+    V_h = Subspace.from_rows([[big, 1, 0]], 3)
+    _assert_same_scan(sd, V_h, Subspace.from_rows([[1, big, 0]], 3))
+    _assert_same_scan(sd, V_h, Subspace.from_rows([[1, 0, big + 1]], 3))
