@@ -10,6 +10,20 @@ sampled X pins mu(l) exactly (KAK uniqueness), so huge radii never enter a
 floating eigensolver.  Group elements are materialized only for the small
 radius cross-check subset, where the eigenvalue path is verified against the
 analytic value.
+
+The sampler works in shards of 1,024 samples, each with its own spawned
+seed, in two phases.  Phase 1 makes only the RNG draws, one sample at a time
+in a fixed order: the direction, the log-radius and, for a cross-checked
+sample, the compact coefficients of each part, left then right.  Phase 2
+does the arithmetic on whole arrays: row norms, the boost maps, a row-wise
+chamber sort (only B, C, BC and D factors occur: ``gap_experiment`` refuses
+any ambient that is not indefinite-orthogonal), and the cross-check with
+stacked ``expm``, ``eigvalsh`` and ``det``.  Distances to the translate
+union are taken over bounded chunks of samples.  Every float operation is
+the per-sample one applied row-wise, so a report is bit-identical to that of
+a loop over samples.  ``test_batched_shard_matches_the_per_sample_loop``
+compares shards with that loop and ``test_gap_reports_are_pinned`` holds
+reports it gave; SciPy is imported only by the cross-check.
 """
 from __future__ import annotations
 
@@ -19,9 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
-from .exactlin import Subspace, primitive_vector, rref
+from .exactlin import InternalError, Subspace, primitive_vector, rref
 from .liealg import LieAlgebra
 from .realforms import build_real_form
 from .embeddings import (
@@ -32,7 +45,7 @@ from .embeddings import (
     factor_embedding,
     product_algebra,
 )
-from .rootweyl import SplitData, chamber_sort, split_data, weyl_elements
+from .rootweyl import SplitData, split_data, weyl_elements
 
 __all__ = [
     "GroupElement",
@@ -50,6 +63,7 @@ __all__ = [
 _CONSISTENCY_RADIUS = 5.0
 _CONSISTENCY_TOL = 1e-6
 _REL_CLAMP = 1e-9
+_DIST_CHUNK = 4096
 
 
 class GapSpaceError(KeyError):
@@ -94,25 +108,26 @@ def _so_infos(g: LieAlgebra):
 
 
 def _factor_mu(M: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Boost coordinates of one factor, sorted into the closed chamber."""
+    """Boost coordinates of one factor matrix, or of each matrix of a
+    stack, sorted into the closed chamber."""
     n = p + q
     eta = np.ones(n)
     eta[p:] = -1.0
-    scale = max(1.0, float(np.abs(M).max()) ** 2)
-    gram = (M.T * eta) @ M
-    if np.abs(gram - np.diag(eta)).max() > 1e-9 * scale:
+    Mt = np.swapaxes(M, -1, -2)
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)) ** 2)
+    gram = (Mt * eta) @ M
+    if (np.abs(gram - np.diag(eta)).max(axis=(-2, -1)) > 1e-9 * scale).any():
         raise ValueError("matrix does not preserve the indefinite form")
-    ev = np.linalg.eigvalsh(M.T @ M)
-    lam = np.sort(ev)[::-1][:p]
+    ev = np.linalg.eigvalsh(Mt @ M)
+    lam = np.sort(ev, axis=-1)[..., ::-1][..., :p]
     lam = np.maximum(lam, 1e-300)
     t = 0.5 * np.log(lam)
     t = np.maximum(t, 0.0)
     if p == q and p > 0:
         # the split even chamber allows one negative coordinate; its sign is
         # the sign of the off-diagonal block determinant (identity component)
-        s = np.linalg.det(M[:p, p:])
-        if s < 0:
-            t[-1] = -t[-1]
+        s = np.linalg.det(M[..., :p, p:])
+        t[..., -1] = np.where(s < 0, -t[..., -1], t[..., -1])
     return t
 
 
@@ -250,12 +265,15 @@ def union_distance(space, coords) -> float:
 
 def _union_distances(sp: GapSpace, mus: np.ndarray) -> np.ndarray:
     Qs, scale = _union_tensor(sp)
-    Y = mus * scale[None, :]
-    norms2 = np.einsum("nr,nr->n", Y, Y)
-    proj = np.einsum("mrk,nr->mnk", Qs, Y)
-    best = np.max(np.einsum("mnk,mnk->mn", proj, proj), axis=0)
-    d2 = np.maximum(norms2 - best, 0.0)
-    return np.sqrt(d2)
+    out = np.empty(len(mus))
+    # bounded chunks keep the (translates, samples, k) projection small
+    for s in range(0, len(mus), _DIST_CHUNK):
+        Y = mus[s : s + _DIST_CHUNK] * scale[None, :]
+        norms2 = np.einsum("nr,nr->n", Y, Y)
+        proj = np.einsum("mrk,rn->mnk", Qs, np.ascontiguousarray(Y.T))
+        best = np.max(np.einsum("mnk,mnk->mn", proj, proj), axis=0)
+        out[s : s + len(Y)] = np.sqrt(np.maximum(norms2 - best, 0.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,62 +306,92 @@ def _part_data(sp: GapSpace):
 
 
 def _run_shard(sp: GapSpace, seed_seq, count: int):
+    """mu of ``count`` samples, the number of them cross-checked and the
+    worst cross-check error: the draws one sample at a time, then the
+    arithmetic on whole arrays (see the module docstring)."""
     rng = np.random.default_rng(seed_seq)
     parts = _part_data(sp)
     ranks = [p["a_map"].shape[0] for p in parts]
-    total = sum(ranks)
-    R = sp.sd.rank
-    mus = np.empty((count, R))
-    checked = 0
-    worst = 0.0
+    ksizes = [len(p["k_imgs"]) for p in parts]
+    U = np.empty((count, sum(ranks)))
+    radius = np.empty(count)
+    kdraws = []  # per checked sample: left, right coefficients per part
     for i in range(count):
-        u = rng.normal(size=total)
-        u /= np.linalg.norm(u)
-        radius = math.exp(rng.uniform(0.0, 50.0))
-        x = radius * u
-        amb = np.zeros(R)
-        off = 0
-        for p, r in zip(parts, ranks):
-            amb += x[off : off + r] @ p["a_map"]
-            off += r
-        mus[i] = chamber_sort(sp.sd, amb)
-        if radius <= _CONSISTENCY_RADIUS:
-            err = _consistency_error(sp, parts, ranks, x, rng)
-            worst = max(worst, err)
-            checked += 1
-    return mus, checked, worst
+        U[i] = rng.normal(size=U.shape[1])
+        radius[i] = r = math.exp(rng.uniform(0.0, 50.0))
+        if r <= _CONSISTENCY_RADIUS:
+            kdraws.append([rng.normal(size=k) for k in ksizes for _ in "lr"])
+    U /= _row_norms(U)[:, None]
+    X = radius[:, None] * U
+    mus = _chamber_rows(sp.sd, _boost_coords(parts, ranks, X))
+    if not kdraws:
+        return mus, 0, 0.0
+    small = radius <= _CONSISTENCY_RADIUS
+    worst = _consistency_error(sp, parts, ranks, X[small], kdraws, mus[small])
+    return mus, len(kdraws), worst
 
 
-def _consistency_error(sp, parts, ranks, x, rng):
-    """Build the actual group element and compare the eigenvalue route."""
+def _row_norms(U):
+    # bit-equal to np.linalg.norm of each row; einsum and sum are not
+    return np.sqrt(np.vecdot(U, U))
+
+
+def _boost_coords(parts, ranks, X):
+    """Ambient split-part coordinates of the sampled boosts, one per row."""
+    amb = np.zeros((len(X), parts[0]["a_map"].shape[1]))
+    off = 0
+    for p, r in zip(parts, ranks):
+        amb += X[:, off : off + r] @ p["a_map"]
+        off += r
+    return amb
+
+
+def _chamber_rows(sd: SplitData, amb):
+    """``chamber_sort`` of every row, for the B, C, BC and D factors of an
+    indefinite-orthogonal ambient (``gap_experiment`` refuses any other)."""
+    out = np.empty_like(amb)
+    for f in sd.factors:
+        seg = amb[:, f.offset : f.offset + f.rank]
+        mags = np.sort(np.abs(seg), axis=1)[:, ::-1]
+        if f.root_type == "D":
+            odd = np.count_nonzero(seg < 0, axis=1) % 2 == 1
+            mags[odd, -1] = -mags[odd, -1]
+        out[:, f.offset : f.offset + f.rank] = mags
+    return out
+
+
+def _combine(C, mats):
+    """The stack of sums_j C[s, j] * mats[j], accumulated in basis order."""
+    out = np.zeros((len(C),) + mats[0].shape)
+    for c, A in zip(C.T, mats):
+        out += c[:, None, None] * A
+    return out
+
+
+def _consistency_error(sp, parts, ranks, X, kdraws, mu_exact):
+    """Build the group elements k1 exp(X) k2 of the checked samples and
+    return the worst distance between their eigenvalue route and mu_exact."""
+    from scipy.linalg import expm  # the only use of scipy
+
     n = sp.algebra.n
-    total_mat = np.eye(n)
+    total_mat = np.tile(np.eye(n), (len(X), 1, 1))
     off = 0
-    for p, r in zip(parts, ranks):
-        X = np.zeros((n, n))
-        for c, A in zip(x[off : off + r], p["a_imgs"]):
-            X += c * A
-        def cmat():
-            co = rng.normal(size=len(p["k_imgs"]))
-            nrm = np.linalg.norm(co)
-            if nrm > 0:
-                co /= nrm
-            Y = np.zeros((n, n))
-            for ci, Kimg in zip(co, p["k_imgs"]):
-                Y += ci * Kimg
-            return expm(Y)
-        total_mat = total_mat @ (cmat() @ expm(X) @ cmat())
+    for j, (p, r) in enumerate(zip(parts, ranks)):
+        def cmat(side):
+            co = np.array([d[2 * j + side] for d in kdraws])
+            return expm(_combine(co / _row_norms(co)[:, None], p["k_imgs"]))
+        boost = expm(_combine(X[:, off : off + r], p["a_imgs"]))
+        total_mat = total_mat @ (cmat(0) @ boost @ cmat(1))
         off += r
-    factors = tuple(
-        total_mat[o : o + a.n, o : o + a.n] for a, _c, o in sp.algebra.factors
+    mu_num = np.concatenate(
+        [
+            _factor_mu(total_mat[:, o : o + a.n, o : o + a.n], p, q)
+            for (p, q), (a, _c, o) in zip(
+                _so_infos(sp.algebra), sp.algebra.factors
+            )
+        ],
+        axis=1,
     )
-    mu_num = cartan_projection(GroupElement(sp.algebra, factors)).coords
-    amb = np.zeros(sp.sd.rank)
-    off = 0
-    for p, r in zip(parts, ranks):
-        amb += x[off : off + r] @ p["a_map"]
-        off += r
-    mu_exact = chamber_sort(sp.sd, amb)
     return float(np.abs(mu_num - mu_exact).max())
 
 
@@ -375,6 +423,7 @@ def gap_experiment(
     """Sample L, measure B-distances from mu(L) to the translate union, and
     fit the best linear gap d >= eps * |mu| - C valid on every sample."""
     sp = _get_space(space)
+    _so_infos(sp.algebra)  # the row-wise chamber sort knows no G factor
     _union_tensor(sp)
     _part_data(sp)
     shard = 1024
@@ -393,8 +442,9 @@ def gap_experiment(
     checked = sum(r[1] for r in results)
     worst = max((r[2] for r in results), default=0.0)
     if worst > _CONSISTENCY_TOL:
-        raise RuntimeError(
-            f"eigenvalue route disagrees with the exact route by {worst:.2e}"
+        raise InternalError(
+            "cartanproj.gap_experiment",
+            f"eigenvalue route disagrees with the exact route by {worst:.2e}",
         )
     dists = _union_distances(sp, mus)
     gram = _gram_floats(sp.sd)

@@ -21,8 +21,9 @@ so variant names containing x (complexstruct) do not need escaping.
 
 Exit codes: 0 verification succeeded / command completed, 1 the triple or
 table failed a mathematical criterion, 2 malformed input or unknown keys,
-3 the algebraic criteria and the Weyl-orbit cross-check disagree (a defect,
-reported on stderr with the triple).
+3 a defect of the program, reported on stderr: the algebraic criteria and
+the Weyl-orbit cross-check disagree (with the triple), or an internal
+invariant failed ("internal error in <stage>: ...").
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ from .enumerate import (
     generate,
     verify_record,
 )
+from .exactlin import InternalError
 from .realforms import build_real_form
 from .rootweyl import DEFAULT_WEYL_CUTOFF
 
@@ -308,14 +310,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    try:
-        report = gap_experiment(
-            args.space, samples=args.samples, seed=args.seed,
-            threads=args.threads,
-        )
-    except RuntimeError as exc:
-        sys.stderr.write(f"gap experiment failed: {exc}\n")
-        return 1
+    report = gap_experiment(
+        args.space, samples=args.samples, seed=args.seed, threads=args.threads
+    )
     if args.format == "md":
         lines = [
             f"space: {report.space}",
@@ -421,7 +418,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CriteriaDisagreeError as exc:
+    except (CriteriaDisagreeError, InternalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (TripleSyntaxError, CatalogError, GapSpaceError, ValueError) as exc:

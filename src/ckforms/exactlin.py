@@ -36,6 +36,7 @@ __all__ = [
     "reduce_modp",
     "fzeros",
     "check_int64",
+    "InternalError",
     "fmatmul",
     "scaled_ints",
     "embed_block",
@@ -54,6 +55,15 @@ _F1 = Fraction(1)
 # default prime of the mod-p certificate; below 2**30, so a product of two
 # reduced entries stays below 2**60
 MODP_PRIME = 999999937
+
+
+class InternalError(Exception):
+    """A broken invariant of the program itself, not a fault of its input;
+    ``stage`` names the function that found it."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"internal error in {stage}: {message}")
+        self.stage = stage
 
 
 def check_int64(name, what, bound):
@@ -85,6 +95,8 @@ def scaled_ints(M):
     M = np.asarray(M)
     if M.dtype.kind in "iu":
         return 1, M.astype(object)
+    if all(type(x) is int for x in M.flat):
+        return 1, M.copy()
     fr = [x if type(x) in (int, Fraction) else _frac(x) for x in M.flat]
     L = lcm(*[x.denominator for x in fr])
     N = np.empty(M.shape, dtype=object)

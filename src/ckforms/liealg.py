@@ -23,6 +23,7 @@ import numpy as np
 
 from .exactlin import (
     CoordinateSolver,
+    InternalError,
     Subspace,
     check_int64,
     embed_block,
@@ -57,23 +58,23 @@ class LieAlgebra:
         self.dim = len(self.basis)
         self.n = self.basis[0].shape[0] if self.basis else 0
         self.meta = dict(meta or {})
-        if any(
-            getattr(x, "denominator", None) != 1
+        # one Python-int copy of the flattened basis serves the solver, the
+        # supports, the span checks and the structure constants
+        ints = [
+            [int(x) if getattr(x, "denominator", None) == 1 else None
+             for x in b.flat]
             for b in self.basis
-            for x in b.flat
-        ):
+        ]
+        if any(None in row for row in ints):
             raise ValueError(f"{name}: basis matrices must be integral")
-        flat = np.array([b.reshape(-1) for b in self.basis], dtype=object)
-        self._solver = CoordinateSolver(flat)
-        self._flat = flat
+        self._flat = np.array(ints, dtype=object).reshape(self.dim, self.n**2)
+        self._solver = CoordinateSolver(self._flat)
         self.theta_conjugator = (
             np.asarray(theta_conjugator, dtype=object)
             if theta_conjugator is not None
             else None
         )
-        self._support = [
-            [j for j, v in enumerate(row) if v != 0] for row in flat
-        ]
+        self._support = [[j for j, v in enumerate(row) if v] for row in ints]
         self._tensor = None  # sparse structure constants {(i,j): [(k, val)]}
         self._ad_int = None  # dense int64 ad matrices
         self._killing = None
@@ -125,13 +126,17 @@ class LieAlgebra:
         for k in nz:
             x[k] = Fraction(xn[k], lx)
             cols.update(self._support[k])
-        for j, v in enumerate(flat_vec):
-            if v != 0 and j not in cols:
-                raise ValueError("bracket left the span: algebra not closed")
-        for j in cols:
-            recon = sum((x[k] * sol.basis[k, j] for k in nz), _F0)
-            if recon != flat_vec[j]:
-                raise ValueError("bracket left the span: algebra not closed")
+        in_span = all(
+            v == 0 or j in cols for j, v in enumerate(flat_vec)
+        ) and all(
+            sum((x[k] * self._flat[k, j] for k in nz), _F0) == flat_vec[j]
+            for j in cols
+        )
+        if not in_span:
+            raise InternalError(
+                "liealg.LieAlgebra._sparse_coords",
+                "bracket left the span: algebra not closed",
+            )
         return x
 
     @property
@@ -144,11 +149,10 @@ class LieAlgebra:
         d, n = self.dim, self.n
         tensor = {}
         if d and n:
-            ints = [[[int(x) for x in row] for row in b] for b in self.basis]
-            m = max(abs(x) for b in ints for row in b for x in row)
+            m = max(map(abs, self._flat.flat))
             # a bracket is a difference of two products of n terms each
             check_int64(self.name, "bracket", 2 * m * m * n)
-            B = np.array(ints, dtype=np.int64)
+            B = self._flat.astype(np.int64).reshape(d, n, n)
             for i in range(d):
                 # all brackets [b_i, b_j] in one batched product
                 br = B[i] @ B - B @ B[i]
@@ -281,7 +285,7 @@ def validate_structure(alg: LieAlgebra) -> ValidationReport:
     try:
         tensor = alg.tensor
         rep.add("bracket-closure", True, f"{len(tensor)} nonzero pairs")
-    except ValueError as e:
+    except (InternalError, ValueError) as e:
         rep.add("bracket-closure", False, str(e))
         return rep
 

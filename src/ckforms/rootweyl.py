@@ -25,6 +25,7 @@ import numpy as np
 from .exactlin import (
     MODP_PRIME,
     CoordinateSolver,
+    InternalError,
     Subspace,
     embed_block,
     fmat,
@@ -189,7 +190,9 @@ def _exact_eigenvalues(A):
             out.append((lam, vecs))
             covered += len(vecs)
     if covered != n:
-        raise ValueError("eigenvalue reconstruction incomplete")
+        raise InternalError(
+            "rootweyl._exact_eigenvalues", "eigenvalue reconstruction incomplete"
+        )
     return out
 
 

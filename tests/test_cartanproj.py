@@ -1,10 +1,17 @@
 """Cartan projection numerics and the Weyl-translate gap experiment."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import ckforms.cartanproj as cartanproj
 from ckforms.cartanproj import (
+    GapReport,
+    GapSpace,
     GapSpaceError,
     GroupElement,
     cartan_projection,
@@ -14,9 +21,10 @@ from ckforms.cartanproj import (
     mu_norm,
     union_distance,
 )
+from ckforms.cli import main
 from ckforms.embeddings import product_algebra
 from ckforms.realforms import build_real_form
-from ckforms.rootweyl import split_data
+from ckforms.rootweyl import chamber_sort, split_data
 
 
 def _floats(m):
@@ -174,3 +182,142 @@ def test_control_space_has_no_gap():
     assert r.fitted_epsilon == 0.0
     assert r.fitted_C == 0.0
     assert r.min_margin == 0.0
+
+
+# Reports of the per-sample sampler (one Python iteration per sample) that
+# the batched sampler replaced, floats exactly as ``repr`` printed them.  The
+# batched sampler must reproduce them bit for bit: a changed draw order or
+# summation order moves these digits.
+_PINNED_GAP_REPORTS = [
+    ("so44xso24-delta", 7, 0.3175301032753859, 47, 1.1368683772161603e-13),
+    ("so34xso24-delta", 11, 0.34371891714561387, 59, 7.069900220812997e-13),
+    ("so44xso24-delta-control", 3, 0.0, 66, 5.702105454474804e-13),
+]
+
+
+@pytest.mark.parametrize("space,seed,eps,checked,err", _PINNED_GAP_REPORTS)
+def test_gap_reports_are_pinned(space, seed, eps, checked, err, capsys):
+    want = GapReport(space, 2000, seed, eps, 0.0, 0.0, checked, err)
+    assert repr(gap_experiment(space, 2000, seed)) == repr(want)
+    assert repr(gap_experiment(space, 2000, seed, threads=2)) == repr(want)
+    argv = ["gap", "--space", space, "--samples", "2000", "--seed", str(seed)]
+    assert main(argv + ["--format", "md"]) == 0
+    assert capsys.readouterr().out == (
+        f"space: {space}\n"
+        f"samples: 2000  seed: {seed}\n"
+        f"fitted_epsilon: {eps!r}\n"
+        "fitted_C: 0.0\n"
+        "min_margin: 0.0\n"
+        f"consistency: {checked} group elements, max error {err:.3e}\n"
+    )
+
+
+def _per_sample_shard(sp, seed_seq, count):
+    """The sampler as one Python iteration per sample: the reference that
+    the batched ``_run_shard`` must match bit for bit."""
+    rng = np.random.default_rng(seed_seq)
+    parts = cartanproj._part_data(sp)
+    ranks = [p["a_map"].shape[0] for p in parts]
+    n = sp.algebra.n
+    mus = np.empty((count, sp.sd.rank))
+    checked, worst = 0, 0.0
+    for i in range(count):
+        u = rng.normal(size=sum(ranks))
+        u /= np.linalg.norm(u)
+        radius = math.exp(rng.uniform(0.0, 50.0))
+        x = radius * u
+        amb = np.zeros(sp.sd.rank)
+        off = 0
+        for p, r in zip(parts, ranks):
+            amb += x[off : off + r] @ p["a_map"]
+            off += r
+        mus[i] = chamber_sort(sp.sd, amb)
+        if radius > 5.0:
+            continue
+
+        def cmat(k_imgs):
+            co = rng.normal(size=len(k_imgs))
+            co /= np.linalg.norm(co)
+            Y = np.zeros((n, n))
+            for c, K in zip(co, k_imgs):
+                Y += c * K
+            return expm(Y)
+
+        total = np.eye(n)
+        off = 0
+        for p, r in zip(parts, ranks):
+            X = np.zeros((n, n))
+            for c, A in zip(x[off : off + r], p["a_imgs"]):
+                X += c * A
+            total = total @ (cmat(p["k_imgs"]) @ expm(X) @ cmat(p["k_imgs"]))
+            off += r
+        factors = tuple(
+            total[o : o + a.n, o : o + a.n] for a, _c, o in sp.algebra.factors
+        )
+        mu_num = cartan_projection(GroupElement(sp.algebra, factors)).coords
+        worst = max(worst, float(np.abs(mu_num - mus[i]).max()))
+        checked += 1
+    return mus, checked, worst
+
+
+@pytest.mark.parametrize("space", gap_space_keys())
+def test_batched_shard_matches_the_per_sample_loop(space, monkeypatch):
+    sp = cartanproj._get_space(space)
+    seqs = np.random.SeedSequence(2024).spawn(3)
+    got = [cartanproj._run_shard(sp, sq, 700) for sq in seqs]
+    want = [_per_sample_shard(sp, sq, 700) for sq in seqs]
+    for (mus, checked, worst), (mus0, checked0, worst0) in zip(got, want):
+        assert mus.tobytes() == mus0.tobytes()
+        assert (checked, repr(worst)) == (checked0, repr(worst0))
+    assert sum(w[1] for w in want) > 0
+    # distances in chunks, with a short last one, equal one whole-array pass
+    mus = np.concatenate([g[0] for g in got])
+    Qs, scale = cartanproj._union_tensor(sp)
+    Y = mus * scale[None, :]
+    proj = np.einsum("mrk,nr->mnk", Qs, Y)
+    best = np.max(np.einsum("mnk,mnk->mn", proj, proj), axis=0)
+    whole = np.sqrt(np.maximum(np.einsum("nr,nr->n", Y, Y) - best, 0.0))
+    monkeypatch.setattr(cartanproj, "_DIST_CHUNK", 999)
+    assert cartanproj._union_distances(sp, mus).tobytes() == whole.tobytes()
+
+
+_GAP_AMBIENTS = ("so44xso24-delta", "so34xso24-delta")
+_CHAMBER_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -1.5, math.exp(50), -math.exp(50)]),
+    st.floats(-math.exp(50), math.exp(50), allow_nan=False),
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_row_wise_chamber_sort_matches_chamber_sort(data):
+    sd = cartanproj._get_space(data.draw(st.sampled_from(_GAP_AMBIENTS))).sd
+    assert {f.root_type for f in sd.factors} <= {"B", "D"}
+    # zeros, -0.0, ties and an odd count of negatives (D4 of so(4,4) first)
+    edges = [
+        [-3.0, 2.0, 0.0, -0.0, 1.0, -1.0],
+        [-0.0, -0.0, -0.0, 0.0, -0.0, 0.0],
+        [2.0, -2.0, -2.0, 2.0, -math.exp(50), 0.0],
+        [-1.0, -1.0, -1.0, -math.exp(50), 0.0, -0.0],
+    ]
+    rows = [row[: sd.rank] for row in edges] + data.draw(
+        st.lists(
+            st.lists(_CHAMBER_ENTRIES, min_size=sd.rank, max_size=sd.rank),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    amb = np.array(rows)
+    want = np.array([chamber_sort(sd, row) for row in amb])
+    # bytes, so that 0.0 and -0.0 count as different
+    assert cartanproj._chamber_rows(sd, amb).tobytes() == want.tobytes()
+
+
+def test_the_sampler_never_sees_a_g2_factor(monkeypatch):
+    g = product_algebra("so(3,4)", "g2(2)")
+    space = GapSpace("so34xg2", g, split_data(g), [], None, "g2 factor")
+    assert "G" in {f.root_type for f in space.sd.factors}
+    monkeypatch.setitem(cartanproj._space_cache, "so34xg2", space)
+    monkeypatch.setitem(cartanproj._SPACE_BUILDERS, "so34xg2", lambda: space)
+    with pytest.raises(ValueError, match="indefinite-orthogonal"):
+        gap_experiment("so34xg2", 10, 0)

@@ -82,6 +82,55 @@ def test_criteria_disagreement_exits_three(monkeypatch, capsys):
     assert "h=so(4,4):so(3,4):spin l=so(4,4):so(1,4):block" in err
 
 
+def test_gap_cross_check_failure_exits_three(monkeypatch, capsys):
+    import ckforms.cartanproj as cartanproj
+    from ckforms.cli import main
+
+    # the eigenvalue route of the cross-checked samples disagrees
+    monkeypatch.setattr(cartanproj, "_consistency_error", lambda *a: 1.0)
+    argv = ["gap", "--space", "so44xso24-delta", "--samples", "2000"]
+    assert main(argv + ["--seed", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: internal error in cartanproj.gap_experiment: eigenvalue "
+        "route disagrees with the exact route by 1.00e+00\n"
+    )
+
+
+def test_closure_failure_exits_three(monkeypatch, capsys):
+    import numpy as np
+
+    import ckforms.embeddings as embeddings
+    import ckforms.realforms as realforms
+    from ckforms.cli import main
+    from ckforms.exactlin import CoordinateSolver, InternalError
+
+    assert not issubclass(InternalError, ValueError)
+    # fresh caches, and a solver whose coordinates reproduce no bracket
+    monkeypatch.setattr(realforms, "_form_cache", {})
+    monkeypatch.setattr(embeddings, "_lookup_cache", {})
+    monkeypatch.setattr(embeddings, "_product_cache", {})
+    monkeypatch.setattr(
+        CoordinateSolver, "solve",
+        lambda self, vec: (np.zeros(self.dim, dtype=object), 1),
+    )
+    code = main(["verify", "--triple", "so(4,4):so(3,4)@spin+so(1,4)@block"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: internal error in liealg.LieAlgebra._sparse_coords: "
+        "bracket left the span: algebra not closed\n"
+    )
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, ckforms.cli; sys.exit('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+
+
 def test_verify_json_output_and_out_file(tmp_path):
     triple = "so(3,4):g2(2)+so(1,4)@block"
     r = run("verify", "--triple", triple, "--format", "json")

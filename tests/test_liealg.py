@@ -129,6 +129,10 @@ def test_constructor_rejects_a_non_integral_basis():
     basis[0] = basis[0] * Fraction(1, 2)
     with pytest.raises(ValueError, match="half: basis matrices must be integral"):
         LieAlgebra("half", basis)
+    basis = so_basis(1, 2)
+    basis[1] = basis[1].astype(float)
+    with pytest.raises(ValueError, match="floaty: basis matrices must be integral"):
+        LieAlgebra("floaty", basis)
 
 
 def test_int64_products_are_bounded_explicitly():
@@ -140,3 +144,13 @@ def test_int64_products_are_bounded_explicitly():
     # so(1,2): one rotation (tr = -2) and two boosts (tr = +2), times 2**40
     assert [K[i, i] for i in range(3)] == [2**41, 2**41, -(2**41)]
     assert all(K[i, j] == 0 for i in range(3) for j in range(3) if i != j)
+
+
+def test_structure_validation_reports_a_basis_that_is_not_closed():
+    # [E12, E21] = E11 - E22 lies outside span(E12, E21)
+    e12 = np.array([[0, 1], [0, 0]], dtype=object)
+    e21 = np.array([[0, 0], [1, 0]], dtype=object)
+    rep = validate_structure(LieAlgebra("open", [e12, e21]))
+    closure = [c for c in rep.checks if c["name"] == "bracket-closure"]
+    assert [c["passed"] for c in closure] == [False]
+    assert "bracket left the span" in closure[0]["detail"]
