@@ -28,15 +28,12 @@ reports it gave; SciPy is imported only by the cross-check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .exactlin import InternalError, Subspace, primitive_vector, rref
 from .liealg import LieAlgebra
-from .realforms import build_real_form
 from .embeddings import (
     Embedding,
     a_map,
@@ -417,30 +414,23 @@ class GapReport:
         }
 
 
-def gap_experiment(
-    space: str, samples: int, seed: int, threads: int | None = None
-) -> GapReport:
+def gap_experiment(space: str, samples: int, seed: int) -> GapReport:
     """Sample L, measure B-distances from mu(L) to the translate union, and
     fit the best linear gap d >= eps * |mu| - C valid on every sample."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     sp = _get_space(space)
     _so_infos(sp.algebra)  # the row-wise chamber sort knows no G factor
     _union_tensor(sp)
     _part_data(sp)
     shard = 1024
-    nsh = max(1, -(-samples // shard))
+    nsh = -(-samples // shard)
     sizes = [shard] * (nsh - 1) + [samples - shard * (nsh - 1)]
     seqs = np.random.SeedSequence(seed).spawn(nsh)
-    jobs = list(zip(seqs, sizes))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(
-                ex.map(lambda jb: _run_shard(sp, jb[0], jb[1]), jobs)
-            )
-    else:
-        results = [_run_shard(sp, sq, c) for sq, c in jobs]
+    results = [_run_shard(sp, sq, c) for sq, c in zip(seqs, sizes)]
     mus = np.concatenate([r[0] for r in results], axis=0)
     checked = sum(r[1] for r in results)
-    worst = max((r[2] for r in results), default=0.0)
+    worst = max(r[2] for r in results)
     if worst > _CONSISTENCY_TOL:
         raise InternalError(
             "cartanproj.gap_experiment",

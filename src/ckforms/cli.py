@@ -11,13 +11,15 @@ The ambient is a single algebra ``so(4,4)`` or a two-factor product
     <p1>x<p2>                  product side; each part is <alg>[@<variant>]
                                or 0 for the zero part
     delta(<alg>[,<iota>])      twisted diagonal in a product ambient; the
-                               copy lives in factor 2, <iota> names its
+    delta-<alg>                copy lives in factor 2, <iota> names its
                                realization inside factor 1
 
 Variants are the catalog realizations: block, complexstruct, quaternionic,
 spin, g2in7, id.  When a variant is omitted the catalog default applies.
-Product separators are the letter x directly followed by an algebra atom,
-so variant names containing x (complexstruct) do not need escaping.
+A diagonal side is the catalog key ``<g1>x<g2>:<side>``, so it is parsed and
+cached by ``catalog_lookup`` alone.  Product separators are the letter x
+directly followed by an algebra atom (``embeddings.split_product``), so
+variant names containing x (complexstruct) do not need escaping.
 
 Exit codes: 0 verification succeeded / command completed, 1 the triple or
 table failed a mathematical criterion, 2 malformed input or unknown keys,
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import SCHEMA_VERSION, __version__
@@ -37,12 +38,13 @@ from .cartanproj import GapSpaceError, gap_experiment, gap_space_keys
 from .criteria import CriteriaDisagreeError, classify_triple
 from .embeddings import (
     CatalogError,
+    _split_top,
     catalog_lookup,
-    diagonal,
     factor_embedding,
     normalize_algebra_key,
     product_algebra,
     product_embedding,
+    split_product,
 )
 from .enumerate import (
     GenerationSpec,
@@ -60,52 +62,6 @@ __all__ = ["main", "parse_triple", "TripleSyntaxError"]
 
 class TripleSyntaxError(ValueError):
     pass
-
-
-# a product separator is an 'x' immediately followed by an algebra atom,
-# a diagonal, or the zero part
-_ATOM_AHEAD = re.compile(r"(?:so|su|sp|g2|delta)[\d(]|0(?:x|$)")
-
-
-def _split_top(s: str, sep: str) -> list:
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(s):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise TripleSyntaxError(f"unbalanced parentheses in {s!r}")
-        elif c == sep and depth == 0:
-            parts.append(s[start:i])
-            start = i + 1
-    if depth:
-        raise TripleSyntaxError(f"unbalanced parentheses in {s!r}")
-    parts.append(s[start:])
-    return parts
-
-
-def _split_product(s: str) -> list:
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(s):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise TripleSyntaxError(f"unbalanced parentheses in {s!r}")
-        elif (
-            c == "x"
-            and depth == 0
-            and i > start
-            and _ATOM_AHEAD.match(s, i + 1)
-        ):
-            parts.append(s[start:i])
-            start = i + 1
-    if depth:
-        raise TripleSyntaxError(f"unbalanced parentheses in {s!r}")
-    parts.append(s[start:])
-    return parts
 
 
 def _parse_part(part: str):
@@ -129,36 +85,10 @@ def _part_lookup(factor_key: str, part):
 
 
 def _resolve_side(g, factor_keys, spec: str, side: str):
-    if spec.startswith("delta(") or spec.startswith("delta-"):
-        if len(factor_keys) != 2:
-            raise TripleSyntaxError(
-                f"{side}: delta(...) needs a two-factor ambient"
-            )
-        if spec.startswith("delta-"):
-            inner = [spec[len("delta-"):]]
-        else:
-            if not spec.endswith(")"):
-                raise TripleSyntaxError(f"{side}: malformed {spec!r}")
-            inner = _split_top(spec[len("delta("):-1], ",")
-        if not 1 <= len(inner) <= 2 or not inner[0]:
-            raise TripleSyntaxError(f"{side}: malformed {spec!r}")
-        alg = normalize_algebra_key(inner[0])
-        if alg != factor_keys[1]:
-            raise TripleSyntaxError(
-                f"{side}: the diagonal copy is factor 2, {factor_keys[1]},"
-                f" not {alg}"
-            )
-        iota_v = inner[1] if len(inner) == 2 else None
-        if iota_v in (None, "id") and factor_keys[0] == factor_keys[1]:
-            return diagonal(g, None)
-        if iota_v == "id" and factor_keys[0] != factor_keys[1]:
-            raise TripleSyntaxError(
-                f"{side}: identity twist needs equal factors"
-            )
-        key = f"{factor_keys[0]}:{alg}" + (f":{iota_v}" if iota_v else "")
-        return diagonal(g, catalog_lookup(key))
+    if spec.startswith("delta"):
+        return catalog_lookup(f"{'x'.join(factor_keys)}:{spec}")
 
-    parts = [_parse_part(p) for p in _split_product(spec)]
+    parts = [_parse_part(p) for p in split_product(spec)]
     if len(parts) == 1:
         if parts[0] is None:
             raise TripleSyntaxError(f"{side}: the zero side is not allowed")
@@ -199,7 +129,7 @@ def parse_triple(text: str):
         raise TripleSyntaxError(
             f"expected exactly one + between h and l in {text!r}"
         )
-    factor_keys = [normalize_algebra_key(f) for f in _split_product(g_spec)]
+    factor_keys = [normalize_algebra_key(f) for f in split_product(g_spec)]
     if len(factor_keys) == 1:
         g = build_real_form(factor_keys[0])
     elif len(factor_keys) == 2:
@@ -310,9 +240,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    report = gap_experiment(
-        args.space, samples=args.samples, seed=args.seed, threads=args.threads
-    )
+    report = gap_experiment(args.space, samples=args.samples, seed=args.seed)
     if args.format == "md":
         lines = [
             f"space: {report.space}",
@@ -403,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     common(p, "json")
     p.set_defaults(func=_cmd_gap)
 

@@ -200,11 +200,7 @@ def _factorwise_subspaces(g: LieAlgebra, e: Embedding):
 
 def _iota_matrix(e: Embedding):
     # columns are first-factor coordinates of the twisted basis images
-    rows = e.iota.coord_rows() if e.iota is not None else None
-    if rows is None:
-        return None
-    A = np.array([list(r) for r in rows], dtype=object)
-    return A.T
+    return np.array([list(r) for r in e.iota.coord_rows()], dtype=object).T
 
 
 def _lift_factor_vec(g: LieAlgebra, idx: int, v):
@@ -379,11 +375,8 @@ def _match_case(g: LieAlgebra, h: Embedding, l: Embedding, ev: dict):
 def _weyl_section(g, h, l, cutoff):
     sd = split_data(g)
     order = weyl_order(sd)
-    try:
-        Vh = adapted_split_part(h)
-        Vl = adapted_split_part(l)
-    except Exception as exc:  # pragma: no cover - catalog data is adapted
-        return {"order": order, "status": f"unavailable: {exc}"}
+    Vh = adapted_split_part(h)
+    Vl = adapted_split_part(l)
     try:
         ok, witness = weyl_disjoint(sd, Vh, Vl, cutoff=cutoff)
     except WeylCutoffError:

@@ -16,19 +16,19 @@ from __future__ import annotations
 
 import difflib
 import re
-from fractions import Fraction
 
 import numpy as np
 
 from .exactlin import (
     CoordinateSolver,
+    InternalError,
     Subspace,
-    check_int64,
     embed_block,
     fzeros,
     primitive_vector,
     rank,
     rank_at_least_modp,
+    scaled_ints,
 )
 from .liealg import LieAlgebra, direct_sum
 from . import realforms
@@ -68,8 +68,9 @@ class CatalogError(KeyError):
         self.message = msg
 
 
-class AdaptednessError(RuntimeError):
-    """The image of the source split part leaves the ambient split part."""
+class AdaptednessError(InternalError):
+    """The image of the source split part leaves the ambient split part:
+    every catalog embedding is adapted, so this is a defect of the program."""
 
 
 class Embedding:
@@ -136,31 +137,61 @@ def normalize_algebra_key(tok: str) -> str:
     return canonical_name(fam, p, q)
 
 
-def _split_top(s: str, sep: str):
-    """Split on a separator at paren depth zero."""
-    parts, depth, cur = [], 0, []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
+# a product separator is an 'x' immediately followed by an algebra atom,
+# a diagonal, or the zero part
+_ATOM_AHEAD = re.compile(r"(?:so|su|sp|g2|delta)[\d(]|0(?:x|$)")
+
+
+def _split_top(s: str, sep: str) -> list:
+    """Split on a one-character separator at paren depth zero; raises
+    ValueError on unbalanced parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(s):
+        if c == "(":
             depth += 1
-        elif ch == ")":
+        elif c == ")":
             depth -= 1
-        if depth == 0 and s[i : i + len(sep)] == sep:
-            parts.append("".join(cur))
-            cur = []
-            i += len(sep)
-            continue
-        cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
+            if depth < 0:
+                raise ValueError(f"unbalanced parentheses in {s!r}")
+        elif c == sep and depth == 0:
+            parts.append(s[start:i])
+            start = i + 1
+    if depth:
+        raise ValueError(f"unbalanced parentheses in {s!r}")
+    parts.append(s[start:])
+    return parts
+
+
+def split_product(s: str) -> list:
+    """Split a product at paren depth zero on each 'x' that ends a nonempty
+    part and is followed by an algebra atom, so variant names containing x
+    (complexstruct) need no escaping; raises ValueError on unbalanced
+    parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(s):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth < 0:
+                raise ValueError(f"unbalanced parentheses in {s!r}")
+        elif (
+            c == "x"
+            and depth == 0
+            and i > start
+            and _ATOM_AHEAD.match(s, i + 1)
+        ):
+            parts.append(s[start:i])
+            start = i + 1
+    if depth:
+        raise ValueError(f"unbalanced parentheses in {s!r}")
+    parts.append(s[start:])
     return parts
 
 
 def parse_space_key(tok: str):
     """Parse an ambient key: single algebra or '<a>x<b>' product."""
-    t = tok.replace(" ", "").lower()
-    parts = _split_top(t, "x")
+    parts = split_product(tok.replace(" ", "").lower())
     if len(parts) == 1:
         return (normalize_algebra_key(parts[0]),)
     if len(parts) == 2:
@@ -247,16 +278,30 @@ def quaternionic_embedding(amb_key: str, sub_key: str) -> Embedding:
 
 
 def spin_embedding(amb_key: str, sub_key: str) -> Embedding:
-    """Spin representation of so(p,q) normalized into standard so(r,r)."""
+    """Spin representation of so(p,q) normalized into standard so(r,r).
+
+    Refused before any gamma search unless the ambient is some so(r,r) with
+    room for the smallest Clifford module: words of length m supply at most
+    2m+1 anticommuting generators, so the module has dimension at least
+    2**ceil((p+q-1)/2), which must not exceed 2r."""
     amb = build_real_form(amb_key)
     sub = build_real_form(sub_key)
     if amb.meta["family"] != "so" or sub.meta["family"] != "so":
         raise CatalogError(f"no spin inclusion {sub_key} -> {amb_key}")
-    frame, images = realforms.spin_embedding(sub.meta["p"], sub.meta["q"])
-    r = frame.half_dim
-    if (amb.meta["p"], amb.meta["q"]) != (r, r):
+    r, p, q = amb.meta["p"], sub.meta["p"], sub.meta["q"]
+    if amb.meta["q"] != r:
+        raise CatalogError(f"spin images live in a split so(r,r), not {amb_key}")
+    m_min = -(-(p + q - 1) // 2)
+    if 2 ** (m_min - 1) > r:
         raise CatalogError(
-            f"spin image of {sub_key} lives in so({r},{r}), not {amb_key}"
+            f"the Clifford modules of {sub.name} have dimension at least "
+            f"{2 ** m_min}, more than the {2 * r} of {amb.name}"
+        )
+    frame, images = realforms.spin_embedding(p, q)
+    if frame.half_dim != r:
+        raise CatalogError(
+            f"spin image of {sub_key} lives in so({frame.half_dim},"
+            f"{frame.half_dim}), not {amb_key}"
         )
     return Embedding(f"{amb.name}:{sub.name}:spin", sub, amb, images)
 
@@ -420,30 +465,27 @@ def catalog_lookup(key: str) -> Embedding:
     k = key.replace(" ", "").lower()
     if k in _lookup_cache:
         return _lookup_cache[k]
-    parts = _split_top(k, ":")
     try:
+        parts = _split_top(k, ":")
         if len(parts) == 2 and parts[1].startswith("delta"):
             amb = parse_space_key(parts[0])
             if len(amb) != 2:
                 raise CatalogError(f"diagonal needs a product ambient, got {parts[0]!r}")
-            g = product_algebra(*amb)
             spec = parts[1]
-            m = re.match(r"^delta-(.+)$", spec) or re.match(r"^delta\((.+)\)$", spec)
-            if not m:
+            m = re.fullmatch(r"delta(?:-(.+)|\((.+)\))", spec)
+            pieces = _split_top(m.group(1) or m.group(2), ",") if m else []
+            if not 1 <= len(pieces) <= 2:
                 raise CatalogError(f"cannot parse diagonal spec {spec!r}")
-            inner = m.group(1)
-            pieces = _split_top(inner, ",")
             alg = normalize_algebra_key(pieces[0])
             if alg != amb[1]:
                 raise CatalogError(
                     f"diagonal source {alg} must equal the second factor {amb[1]}"
                 )
             iota_key = pieces[1] if len(pieces) > 1 else canonical_iota(*amb)
-            if iota_key == "id":
-                iota = None
-            else:
-                iota = _pair_lookup(amb[0], amb[1], iota_key)
-            emb = diagonal(g, iota)
+            iota = None if iota_key == "id" else catalog_lookup(
+                f"{amb[0]}:{amb[1]}:{iota_key}"
+            )
+            emb = diagonal(product_algebra(*amb), iota)
         elif len(parts) in (2, 3):
             amb = normalize_algebra_key(parts[0])
             sub = normalize_algebra_key(parts[1])
@@ -494,8 +536,9 @@ def a_map(emb: Embedding) -> np.ndarray:
         c = solver.try_coords(np.asarray(img, dtype=object).reshape(-1))
         if c is None:
             raise AdaptednessError(
+                "embeddings.a_map",
                 f"{emb.key}: image of a split generator leaves the ambient "
-                "split part"
+                "split part",
             )
         rows.append(c)
     return np.array([list(r) for r in rows], dtype=object)
@@ -510,30 +553,20 @@ def adapted_split_part(emb: Embedding) -> Subspace:
     sub = Subspace.from_rows([primitive_vector(r) for r in rows], sd_tgt.rank)
     if sub.dim != len(sd_src.a_matrices):
         raise AdaptednessError(
+            "embeddings.adapted_split_part",
             f"{emb.key}: split part image has dimension {sub.dim}, expected "
-            f"{len(sd_src.a_matrices)}"
+            f"{len(sd_src.a_matrices)}",
         )
     return sub
-
-
-def _int64_images(images):
-    den = 1
-    for m in images:
-        for x in m.flat:
-            d = Fraction(x).denominator
-            if den % d:
-                den = den * d // np.gcd(den, d)
-    arr = np.array(
-        [[[int(x * den) for x in row] for row in m] for m in images],
-        dtype=np.int64,
-    )
-    return arr, den
 
 
 def validate_embedding(emb: Embedding) -> dict:
     """Exact checks: injectivity, bracket intertwining, Cartan compatibility.
 
     Returns {"injective": bool, "homomorphism": bool, "theta_compatible": bool}.
+    The brackets run on the images scaled to integers by one denominator, in
+    int64 under the bound 2 * max|entry|**2 * n < 2**63 (a bracket subtracts
+    two products of n terms) and on Python ints past it.
     """
     src, tgt = emb.source, emb.target
     rows = np.array([list(r) for r in emb.coord_rows()], dtype=object)
@@ -541,45 +574,22 @@ def validate_embedding(emb: Embedding) -> dict:
 
     tensor = src.tensor
     d = src.dim
+    den, IM = scaled_ints(np.array(emb.images, dtype=object))
+    m = max(map(abs, IM.flat), default=0)
+    batch = IM.astype(np.int64) if 2 * m * m * tgt.n < 2**63 else IM
     hom = True
-    try:
-        IM, den = _int64_images(emb.images)
-        m = int(np.abs(IM).max()) if IM.size else 0
-        check_int64(emb.key, "bracket", 2 * m * m * IM.shape[-1])
-        den2 = den * den
-        # [img_i, img_j] computed batched; compare with den^2 * image of the
-        # bracket, staying in int64 for the (frequent) zero brackets
-        for i in range(d):
-            br = IM[i] @ IM - IM @ IM[i]
-            for j in range(d):
-                if i == j:
-                    continue
-                ent = tensor.get((i, j))
-                if not ent:
-                    if br[j].any():
-                        hom = False
-                        break
-                    continue
-                expect = np.zeros(IM[i].shape, dtype=object)
-                for k, v in ent:
-                    expect = expect + v * emb.images[k]
-                if not ((br[j] - den2 * expect) == 0).all():
-                    hom = False
-                    break
-            if not hom:
+    # [img_i, img_j], batched over j, against den * the image of the
+    # bracket; a nonzero image is an object array, so the comparison casts
+    # the bracket to Python ints
+    for i in range(d):
+        br = batch[i] @ batch - batch @ batch[i]
+        for j in range(d):
+            expect = sum(den * v * IM[k] for k, v in tensor.get((i, j), ()))
+            if i != j and not (br[j] == expect).all():
+                hom = False
                 break
-    except (OverflowError, ValueError):
-        for i in range(d):
-            for j in range(i + 1, d):
-                br = emb.images[i] @ emb.images[j] - emb.images[j] @ emb.images[i]
-                expect = fzeros(br.shape)
-                for k, v in tensor.get((i, j), ()):
-                    expect = expect + v * emb.images[k]
-                if not ((br - expect) == 0).all():
-                    hom = False
-                    break
-            if not hom:
-                break
+        if not hom:
+            break
 
     theta_ok = True
     if src.theta_conjugator is not None and tgt.theta_conjugator is not None:

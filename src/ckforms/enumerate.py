@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from . import SCHEMA_VERSION
 from .embeddings import (
+    VARIANTS,
     CatalogError,
     catalog_lookup,
     diagonal,
@@ -623,31 +624,13 @@ def negative_sweep(weyl_cutoff=DEFAULT_WEYL_CUTOFF) -> list:
 # ---------------------------------------------------------------------------
 
 def _realizations(big_key: str, small_key: str) -> list:
-    """Catalog variants realizing small inside big.  Spin is only attempted
-    when the minimal Clifford module can fit: words of length m supply at
-    most 2m+1 anticommuting generators, so the module has dimension at least
-    2**ceil((p+q-1)/2)."""
+    """Catalog variants realizing small inside big: every variant that
+    ``catalog_lookup`` accepts (each builder refuses an impossible pair at
+    once).  An algebra sits inside itself only as the identity."""
     if big_key == small_key:
         return ["id"]
-    fb, p, q = parse_form_name(big_key)
-    fs, p1, q1 = parse_form_name(small_key)
-    cands = []
-    if fs == "g2" and fb == "so":
-        cands.append("g2in7")
-    if fb == fs and fb in ("so", "su") and p1 <= p and q1 <= q:
-        cands.append("block")
-    if fb == "so" and fs == "so" and p == q:
-        m_min = -(-(p1 + q1 - 1) // 2)
-        if 2 ** (m_min - 1) <= p:
-            cands.append("spin")
-    if fb == "su" and fs == "sp" and (2 * p1, 2 * q1) == (p, q):
-        cands.append("quaternionic")
-    if fb == "so" and fs == "sp" and (4 * p1, 4 * q1) == (p, q):
-        cands.append("quaternionic")
-    if fb == "so" and fs == "su" and (2 * p1, 2 * q1) == (p, q):
-        cands.append("complexstruct")
     out = []
-    for v in cands:
+    for v in VARIANTS:
         try:
             catalog_lookup(f"{big_key}:{small_key}:{v}")
         except CatalogError:

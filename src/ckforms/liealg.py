@@ -32,7 +32,6 @@ from .exactlin import (
     fzeros,
     kernel,
     primitive_vector,
-    rank,
     signature,
 )
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlin import (
-    Subspace,
     fmat,
     fmatmul,
     fzeros,
@@ -34,9 +33,7 @@ from .liealg import LieAlgebra
 
 __all__ = [
     "build_real_form",
-    "clifford_generators",
     "spin_embedding",
-    "CliffordData",
     "SpinFrame",
     "parse_form_name",
     "so_basis",
@@ -155,17 +152,16 @@ def _quat_entry_to_complex(co):
     return {(0, 0): (a, b), (0, 1): (c, d), (1, 0): (-c, d), (1, 1): (a, -b)}
 
 
-def sp_real_basis_c2(p: int, q: int, idxmap=None, total=None):
+def sp_real_basis_c2(p: int, q: int):
     """Realify sp(p,q) via H -> C^2 (quaternionic coordinate a becomes complex
     coordinates 2a, 2a+1), then C -> R.  Lands inside realified su(2p,2q)."""
-    n = total if total else p + q
+    n = p + q
     out = []
     for e in sp_entries(p, q):
         ce = {}
         for (a, b), co in e.items():
-            aa, bb = (idxmap[a], idxmap[b]) if idxmap else (a, b)
             for (u, v), val in _quat_entry_to_complex(co).items():
-                key = (2 * aa + u, 2 * bb + v)
+                key = (2 * a + u, 2 * b + v)
                 if key in ce:
                     re, im = ce[key]
                     ce[key] = (re + val[0], im + val[1])
@@ -373,21 +369,20 @@ def search_gammas(p: int, q: int, k: int):
 
 
 def clifford_candidates(p: int, q: int, kmax: int = 6):
-    """Yield (gammas, eta_sign, words), smallest representation first.
+    """Yield (gammas, eta_sign), smallest representation first.
 
     eta_sign=+1 means gamma_i^2 = eta_ii; eta_sign=-1 means the generators
     realize the negated form (valid since so(eta) = so(-eta))."""
     if p + q == 1:
-        yield [np.array([[1]], dtype=np.int64)], (1 if p == 1 else -1), [""]
+        yield [np.array([[1]], dtype=np.int64)], (1 if p == 1 else -1)
         return
     for k in range(1, kmax + 1):
         words = search_gammas(p, q, k)
         if words:
-            yield [word_matrix(w) for w in words], 1, words
+            yield [word_matrix(w) for w in words], 1
         words = search_gammas(q, p, k)
         if words:
-            words_r = words[q:] + words[:q]
-            yield [word_matrix(w) for w in words_r], -1, words_r
+            yield [word_matrix(w) for w in words[q:] + words[:q]], -1
 
 
 def make_phi(gam, eps: int, p: int, q: int):
@@ -417,46 +412,6 @@ def symmetric_monomial_form(gam, phi):
             if all(not (x.T @ M + M @ x).any() for x in spin):
                 return fmat(M)
     return None
-
-
-@dataclass
-class CliffordData:
-    """A rational gamma representation for the (possibly negated) form."""
-
-    p: int
-    q: int
-    gammas: list
-    spinor_form: np.ndarray
-    eta_sign: int
-    words: list
-
-    @property
-    def dim(self) -> int:
-        return int(self.gammas[0].shape[0])
-
-
-_clifford_cache = {}
-
-
-def clifford_generators(p: int, q: int) -> CliffordData:
-    """Smallest rational gamma system for signature (p,q) that also carries a
-    symmetric spinor form; raises if none exists within the word search."""
-    key = (p, q)
-    if key in _clifford_cache:
-        return _clifford_cache[key]
-    for gam, eps, words in clifford_candidates(p, q):
-        if p + q == 1:
-            data = CliffordData(p, q, gam, fmat(gam[0]), eps, words)
-            _clifford_cache[key] = data
-            return data
-        phi = make_phi(gam, eps, p, q)
-        S = symmetric_monomial_form(gam, phi)
-        if S is None:
-            continue
-        data = CliffordData(p, q, gam, S, eps, words)
-        _clifford_cache[key] = data
-        return data
-    raise ValueError(f"no rational gamma system found for signature ({p},{q})")
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +452,6 @@ class SpinFrame:
     Tinv: np.ndarray
     phi: dict
     gammas: list
-    eta_sign: int
-    words: list
-    spinor_form: np.ndarray
-    scalar: Fraction
 
     @property
     def half_dim(self) -> int:
@@ -522,7 +473,8 @@ class SpinFrame:
         ]
 
 
-def _build_frame_from(gam, eps, words, Smat, p, q):
+def _build_frame_from(gam, eps, Smat, p, q):
+    """(T, Tinv, phi) for this ordering of the gammas, or None."""
     n = gam[0].shape[0]
     r = min(p, q)
     phi = make_phi(gam, eps, p, q)
@@ -539,7 +491,7 @@ def _build_frame_from(gam, eps, words, Smat, p, q):
                     new.append((lam_prefix + (lam,), sub))
         weights = new
     if sum(len(s) for _, s in weights) != n:
-        return None, "weights not half-integral"
+        return None
     wd = {lam: segs for lam, segs in weights}
     pos_cols, neg_cols = [], []
     used = set()
@@ -548,7 +500,7 @@ def _build_frame_from(gam, eps, words, Smat, p, q):
             continue
         mlam = tuple(-x for x in lam)
         if mlam not in wd or mlam == lam:
-            return None, "unpaired weight"
+            return None
         used.add(lam)
         used.add(mlam)
         vs = []
@@ -561,7 +513,7 @@ def _build_frame_from(gam, eps, words, Smat, p, q):
             v = np.array(primitive_vector(list(v)), dtype=object)
             a = v @ v
             if not is_rational_square(2 * a):
-                return None, "eigenvector norm not in the square class"
+                return None
             w = Smat @ v
             alpha = _F1 / rational_sqrt(2 * a)
             pos_cols.append(alpha * (v + w))
@@ -569,28 +521,22 @@ def _build_frame_from(gam, eps, words, Smat, p, q):
     T = np.array(pos_cols + neg_cols, dtype=object).T
     eta_t = np.diag([_F1] * (n // 2) + [-_F1] * (n // 2)).astype(object)
     if not (fmatmul(fmatmul(T.T, Smat), T) == eta_t).all():
-        return None, "frame does not normalize the spinor form"
+        return None
     TTt = fmatmul(T.T, T)
     c = TTt[0, 0]
     if not (TTt == c * np.eye(n, dtype=object)).all():
-        return None, "frame gram is not scalar"
+        return None
     Tinv = T.T / c
-    Astd = []
-    for i in range(n // 2):
-        M = fzeros((n, n))
-        M[i, n // 2 + i] = _F1
-        M[n // 2 + i, i] = _F1
-        Astd.append(M)
-    arows = [list(M.reshape(-1)) for M in Astd]
+    arows = [list(M.reshape(-1)) for M in _boost_basis(n // 2, n // 2, 1)]
     for i in range(r):
         XT = fmatmul(fmatmul(Tinv, X[i]), T)
         if rank(np.array(arows + [list(XT.reshape(-1))], dtype=object)) != n // 2:
-            return None, "boost image leaves the diagonal split part"
+            return None
     for M in phi.values():
         Y = fmatmul(fmatmul(Tinv, M), T)
         if not ((fmatmul(Y.T, eta_t) + fmatmul(eta_t, Y)) == 0).all():
-            return None, "image not in the target orthogonal algebra"
-    return (T, Tinv, phi, c), None
+            return None
+    return T, Tinv, phi
 
 
 _frame_cache = {}
@@ -605,7 +551,7 @@ def spin_frame(p: int, q: int) -> SpinFrame:
     r = min(p, q)
     if r < 1 or p + q < 3:
         raise ValueError(f"spin frame needs a boost and dim >= 3, got ({p},{q})")
-    for gam0, eps, words0 in clifford_candidates(p, q):
+    for gam0, eps in clifford_candidates(p, q):
         phi0 = make_phi(gam0, eps, p, q)
         Smat = symmetric_monomial_form(gam0, phi0)
         if Smat is None:
@@ -618,13 +564,9 @@ def spin_frame(p: int, q: int) -> SpinFrame:
                 mrest = [i for i in minus_idx if i not in msel]
                 order = list(psel) + prest + list(msel) + mrest
                 gam = [gam0[i] for i in order]
-                words = [words0[i] for i in order]
-                res, _reason = _build_frame_from(gam, eps, words, Smat, p, q)
+                res = _build_frame_from(gam, eps, Smat, p, q)
                 if res:
-                    T, Tinv, phi, c = res
-                    frame = SpinFrame(
-                        p, q, T, Tinv, phi, gam, eps, words, Smat, c
-                    )
+                    frame = SpinFrame(p, q, *res, gam)
                     _frame_cache[key] = frame
                     return frame
     raise ValueError(f"no normalized spin frame found for ({p},{q})")
@@ -679,34 +621,17 @@ def _root_type(family: str, p: int, q: int) -> str:
     return "G"
 
 
-def _a_basis_so(p, q):
+def _boost_basis(p, q, width):
+    """Symmetric boosts pairing plus-coordinate i with minus-coordinate i,
+    i < p, where each coordinate is a block of ``width`` real ones (1 for
+    so, 2 for realified su, 4 for realified sp)."""
+    n = width * (p + q)
     out = []
     for i in range(p):
-        M = fzeros((p + q, p + q))
-        M[i, p + i] = _F1
-        M[p + i, i] = _F1
-        out.append(M)
-    return out
-
-
-def _a_basis_su_real(p, q):
-    out = []
-    for i in range(p):
-        M = fzeros((2 * (p + q), 2 * (p + q)))
-        for t in (0, 1):
-            M[2 * i + t, 2 * (p + i) + t] = _F1
-            M[2 * (p + i) + t, 2 * i + t] = _F1
-        out.append(M)
-    return out
-
-
-def _a_basis_sp_r4(p, q):
-    out = []
-    for i in range(p):
-        M = fzeros((4 * (p + q), 4 * (p + q)))
-        for t in range(4):
-            M[4 * i + t, 4 * (p + i) + t] = _F1
-            M[4 * (p + i) + t, 4 * i + t] = _F1
+        M = fzeros((n, n))
+        for t in range(width):
+            M[width * i + t, width * (p + i) + t] = _F1
+            M[width * (p + i) + t, width * i + t] = _F1
         out.append(M)
     return out
 
@@ -714,12 +639,7 @@ def _a_basis_sp_r4(p, q):
 def _g2_split_part():
     """Intersection of g2 with the standard split part of so(3,4)."""
     g2 = g2_basis()
-    astd = []
-    for i in range(3):
-        M = fzeros((7, 7))
-        M[i, 3 + i] = _F1
-        M[3 + i, i] = _F1
-        astd.append(M)
+    astd = _boost_basis(3, 4, 1)
     rows_h = [list(M.reshape(-1)) for M in g2]
     rows_l = [[-x for x in M.reshape(-1)] for M in astd]
     A = np.array(rows_h + rows_l, dtype=object).T
@@ -757,17 +677,17 @@ def build_real_form(name: str) -> LieAlgebra:
     if fam == "so":
         basis = so_basis(p, q)
         eta = [1] * p + [-1] * q
-        a_basis = _a_basis_so(p, q)
+        a_basis = _boost_basis(p, q, 1)
         rank_r = p
     elif fam == "su":
         basis = su_real_basis(p, q)
         eta = [1] * (2 * p) + [-1] * (2 * q)
-        a_basis = _a_basis_su_real(p, q)
+        a_basis = _boost_basis(p, q, 2)
         rank_r = p
     elif fam == "sp":
         basis = sp_real_basis_r4(p, q)
         eta = [1] * (4 * p) + [-1] * (4 * q)
-        a_basis = _a_basis_sp_r4(p, q)
+        a_basis = _boost_basis(p, q, 4)
         rank_r = p
     else:
         basis = g2_basis()
@@ -779,11 +699,9 @@ def build_real_form(name: str) -> LieAlgebra:
         "family": fam,
         "p": p,
         "q": q,
-        "eta": tuple(eta),
         "real_rank": rank_r,
         "root_type": _root_type(fam, p, q),
         "a_basis": a_basis,
-        "matrix_size": len(eta),
     }
     alg = LieAlgebra(key, basis, conj, meta)
     _form_cache[key] = alg

@@ -75,7 +75,6 @@ class FactorSplit:
     root_type: str  # B, C, BC, D, G
     rank: int
     offset: int  # first coordinate of this factor inside ambient a
-    gram_scale: Fraction  # B(A_i, A_i), constant on the boost basis
 
 
 @dataclass
@@ -88,9 +87,6 @@ class SplitData:
     @property
     def rank(self) -> int:
         return len(self.a_matrices)
-
-    def order(self) -> int:
-        return weyl_order(self)
 
 
 def split_data(g: LieAlgebra) -> SplitData:
@@ -126,15 +122,7 @@ def split_data(g: LieAlgebra) -> SplitData:
         rt = alg.meta.get("root_type", "?")
         if rt != "G" and any(s != scales[0] for s in scales):
             raise ValueError(f"{alg.name}: boost norms differ")
-        factors.append(
-            FactorSplit(
-                alg,
-                alg.meta.get("root_type", "?"),
-                len(fam_a),
-                coord,
-                scales[0] if scales else _F0,
-            )
-        )
+        factors.append(FactorSplit(alg, rt, len(fam_a), coord))
         for A in fam_a:
             a_mats.append(embed_block(A, g.n, boff) if boff or alg.n != g.n else A)
         gram_diag.extend(scales)
@@ -399,6 +387,9 @@ def _weyl_element_iter(sd: SplitData):
 # group order, set the scan's memory
 _SCAN_CHUNK = 1024
 
+# a single type-D factor above this order is scanned by ``_d_line_scan``
+_LINE_SCAN_ORDER = 10**5
+
 
 def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
     """Vectorized scan for a single type-D factor: does any Weyl translate of
@@ -475,7 +466,7 @@ def weyl_disjoint(
         and 1 in (V_h.dim, V_l.dim)
         and V_h.dim + V_l.dim == r
     )
-    if scan_ready and order > 10**5:
+    if scan_ready and order > _LINE_SCAN_ORDER:
         if V_l.dim == 1:
             return _d_line_scan(sd, V_h, V_l)
         ok, wit = _d_line_scan(sd, V_l, V_h)

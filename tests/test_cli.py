@@ -150,9 +150,8 @@ def test_gap_runs_are_byte_identical():
             "--seed", "11", "--format", "json")
     a = run(*args)
     b = run(*args)
-    c = run(*args, "--threads", "2")
-    assert a.returncode == b.returncode == c.returncode == 0
-    assert a.stdout == b.stdout == c.stdout
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
     blob = json.loads(a.stdout)
     assert blob["fitted_epsilon"] > 0
     assert blob["space"] == "so44xso24-delta"
@@ -240,3 +239,76 @@ def test_readme_python_examples_execute():
     assert blocks
     for block in blocks:
         exec(compile(block, "<readme>", "exec"), {})
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_gap_refuses_too_few_samples_before_building(samples, monkeypatch, capsys):
+    import ckforms.cartanproj as cartanproj
+    from ckforms.cli import main
+
+    def no_build(key):
+        raise AssertionError(f"gap space {key} built")
+
+    monkeypatch.setattr(cartanproj, "_get_space", no_build)
+    argv = ["gap", "--space", "so44xso24-delta", "--samples", samples]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: samples must be at least 1\n"
+
+
+def test_impossible_spin_side_exits_two_without_a_search(monkeypatch, capsys):
+    import time
+
+    import ckforms.realforms as realforms
+    from ckforms.cli import main
+
+    def no_search(p, q):
+        raise AssertionError(f"spin frame searched for ({p},{q})")
+
+    monkeypatch.setattr(realforms, "spin_frame", no_search)
+    start = time.perf_counter()
+    code = main(["verify", "--triple", "so(4,4):so(3,5)@spin+so(1,4)@block"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the Clifford modules of so(3,5)")
+
+
+def test_non_adapted_split_part_exits_three(monkeypatch, capsys):
+    import ckforms.criteria as criteria
+    from ckforms.cli import main
+    from ckforms.embeddings import AdaptednessError
+
+    def not_adapted(emb):
+        raise AdaptednessError(
+            "embeddings.adapted_split_part", f"{emb.key}: split part image"
+        )
+
+    monkeypatch.setattr(criteria, "adapted_split_part", not_adapted)
+    code = main(["verify", "--triple", "so(4,4):so(3,4)@spin+so(1,4)@block"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "error: internal error in embeddings.adapted_split_part: "
+        "so(4,4):so(3,4):spin: split part image"
+    )
+
+
+def test_diagonal_sides_resolve_through_the_catalog_cache():
+    from ckforms.embeddings import catalog_lookup
+
+    triple = "so(4,4)xso(2,4):delta(so(2,4),block)+so(3,4)@spinxso(1,4)@block"
+    _g, h, _l, _ = parse_triple(triple)
+    assert parse_triple(triple)[1] is h
+    assert catalog_lookup("so(4,4)xso(2,4):delta(so(2,4),block)") is h
+    assert h.iota is catalog_lookup("so(4,4):so(2,4):block")
+    _g, h2, _l, _ = parse_triple(
+        "so(4,4)xso(2,4):delta-so(2,4)+so(3,4)@spinxso(1,4)@block"
+    )
+    assert h2.key == h.key
+    for bad in ("delta(so(2,4)", "delta(so(2,4),block,id)", "delta()", "delta-"):
+        with pytest.raises((TripleSyntaxError, CatalogError, ValueError)):
+            parse_triple(f"so(4,4)xso(2,4):{bad}+so(3,4)@spinxso(1,4)@block")

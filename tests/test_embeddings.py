@@ -194,3 +194,31 @@ def test_non_adapted_embeddings_are_rejected():
     skew = Embedding("test:skewed", emb.source, g, images)
     with pytest.raises(AdaptednessError):
         a_map(skew)
+
+
+@pytest.mark.parametrize("scale", [2, 2**32])
+def test_bracket_check_rejects_scaled_images(scale):
+    # a scaled embedding is linear and injective but not a homomorphism:
+    # [s x, s y] = s^2 [x, y] != s [x, y].  Images scaled by 2 stay under
+    # the int64 bound of the bracket check, by 2**32 they pass it
+    emb = catalog_lookup("so(4,4):so(1,4):block")
+    scaled = Embedding(
+        f"test:scaled{scale}", emb.source, emb.target,
+        [scale * m for m in emb.images],
+    )
+    assert validate_embedding(scaled) == {
+        "injective": True, "homomorphism": False, "theta_compatible": True
+    }
+
+
+def test_spin_keys_beyond_the_clifford_bound_are_refused_at_once(monkeypatch):
+    import ckforms.realforms as realforms
+
+    def no_search(p, q):
+        raise AssertionError(f"spin frame searched for ({p},{q})")
+
+    monkeypatch.setattr(realforms, "spin_frame", no_search)
+    # so(3,5) needs a module of dimension 16 > 8; so(3,4) is not split
+    for key in ("so(4,4):so(3,5):spin", "so(3,4):so(1,2):spin"):
+        with pytest.raises(CatalogError):
+            catalog_lookup(key)

@@ -224,3 +224,80 @@ def test_scan_accepts_entries_beyond_int64(so34):
     V_h = Subspace.from_rows([[big, 1, 0]], 3)
     _assert_same_scan(sd, V_h, Subspace.from_rows([[1, big, 0]], 3))
     _assert_same_scan(sd, V_h, Subspace.from_rows([[1, 0, big + 1]], 3))
+
+
+# ---------------------------------------------------------------------------
+# the type-D line scan against the batched scan
+# ---------------------------------------------------------------------------
+
+_LINE_AMBIENTS = {"D4": "so(4,4)", "D5": "so(5,5)"}
+
+
+def _assert_witness(V_h, V_l, witness):
+    """w(V_h) and V_l share the nonzero vector x."""
+    w, x = witness
+    assert any(c != 0 for c in x)
+    assert V_l.contains(x)
+    moved = Subspace.from_rows(
+        [primitive_vector(row) for row in V_h.matrix() @ w.T], V_h.ambient_dim
+    )
+    assert moved.contains(x)
+
+
+@st.composite
+def _hyperplane_and_line(draw):
+    name = draw(st.sampled_from(sorted(_LINE_AMBIENTS)))
+    k = int(name[1])
+    vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any)
+    return name, draw(vec), draw(vec)
+
+
+@given(_hyperplane_and_line())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_line_scan_agrees_with_the_batched_scan(case):
+    name, normal, v = case
+    sd = split_data(build_real_form(_LINE_AMBIENTS[name]))
+    U = Subspace.from_rows(kernel(fmat([normal])), sd.rank)
+    line = Subspace.from_rows([v], sd.rank)
+    ok, wit = _d_line_scan(sd, U, line)
+    # a Weyl translate of U contains the line iff the line's translate
+    # meets U: the batched scan must agree in both orientations
+    for V_h, V_l in ((U, line), (line, U)):
+        ref_ok, ref_wit = weyl_disjoint(sd, V_h, V_l)
+        assert ref_ok == ok
+        if not ok:
+            _assert_witness(V_h, V_l, ref_wit)
+    if not ok:
+        _assert_witness(U, line, wit)
+        assert any(np.array_equal(wit[0], w) for w in weyl_elements(sd))
+
+
+@pytest.mark.parametrize(
+    "normal,v,hit",
+    [
+        ([1, 1, 0, 0, 0], [1, -1, 0, 0, 0], True),  # the identity hits
+        ([1, 2, 0, 0, 0], [2, 1, 3, 3, 3], True),  # only after sign changes
+        ([1, 2, 3, 0, 0], [2, 3, 1, 5, 5], True),  # w is not an involution
+        ([1, 2, 4, 8, 16], [1, 1, 1, 1, 1], False),  # no signed sum vanishes
+    ],
+)
+def test_weyl_disjoint_takes_the_line_scan_in_both_orientations(
+    normal, v, hit, monkeypatch
+):
+    import ckforms.rootweyl as rootweyl
+
+    sd = split_data(build_real_form("so(5,5)"))
+    U = Subspace.from_rows(kernel(fmat([normal])), 5)
+    line = Subspace.from_rows([v], 5)
+    pairs = [(U, line), (line, U)]
+    expected = [weyl_disjoint(sd, *pair)[0] for pair in pairs]
+    # D5 has 1,920 elements; lowering the threshold routes both
+    # orientations through _d_line_scan
+    monkeypatch.setattr(rootweyl, "_LINE_SCAN_ORDER", 0)
+    for (V_h, V_l), ref_ok in zip(pairs, expected):
+        ok, wit = weyl_disjoint(sd, V_h, V_l)
+        assert ok == ref_ok == (not hit)
+        if hit:
+            _assert_witness(V_h, V_l, wit)
+        else:
+            assert wit is None
