@@ -23,12 +23,15 @@ from .exactlin import (
     CoordinateSolver,
     InternalError,
     Subspace,
+    absmax,
     embed_block,
+    fmatmul,
     fzeros,
     primitive_vector,
     rank,
     rank_at_least_modp,
     scaled_ints,
+    unscaled,
 )
 from .liealg import LieAlgebra, direct_sum
 from . import realforms
@@ -93,11 +96,9 @@ class Embedding:
     def coord_rows(self):
         """Target coordinates of the basis images (rows)."""
         if self._coord_rows is None:
-            rows = [
-                self.target._sparse_coords(np.asarray(m, dtype=object).reshape(-1))
-                for m in self.images
-            ]
-            self._coord_rows = rows
+            den, IM = scaled_ints(np.array(self.images, dtype=object))
+            N, L = self.target.read_coords(IM)
+            self._coord_rows = list(unscaled(N, L * den))
         return self._coord_rows
 
     def subspace(self) -> Subspace:
@@ -281,9 +282,8 @@ def spin_embedding(amb_key: str, sub_key: str) -> Embedding:
     """Spin representation of so(p,q) normalized into standard so(r,r).
 
     Refused before any gamma search unless the ambient is some so(r,r) with
-    room for the smallest Clifford module: words of length m supply at most
-    2m+1 anticommuting generators, so the module has dimension at least
-    2**ceil((p+q-1)/2), which must not exceed 2r."""
+    room for the smallest real Clifford module of the form or of its
+    negative (``realforms.clifford_module_k``): 2**k must not exceed 2r."""
     amb = build_real_form(amb_key)
     sub = build_real_form(sub_key)
     if amb.meta["family"] != "so" or sub.meta["family"] != "so":
@@ -291,11 +291,11 @@ def spin_embedding(amb_key: str, sub_key: str) -> Embedding:
     r, p, q = amb.meta["p"], sub.meta["p"], sub.meta["q"]
     if amb.meta["q"] != r:
         raise CatalogError(f"spin images live in a split so(r,r), not {amb_key}")
-    m_min = -(-(p + q - 1) // 2)
-    if 2 ** (m_min - 1) > r:
+    k = min(realforms.clifford_module_k(p, q), realforms.clifford_module_k(q, p))
+    if 2**k > 2 * r:
         raise CatalogError(
             f"the Clifford modules of {sub.name} have dimension at least "
-            f"{2 ** m_min}, more than the {2 * r} of {amb.name}"
+            f"{2**k}, more than the {2 * r} of {amb.name}"
         )
     frame, images = realforms.spin_embedding(p, q)
     if frame.half_dim != r:
@@ -564,45 +564,36 @@ def validate_embedding(emb: Embedding) -> dict:
     """Exact checks: injectivity, bracket intertwining, Cartan compatibility.
 
     Returns {"injective": bool, "homomorphism": bool, "theta_compatible": bool}.
-    The brackets run on the images scaled to integers by one denominator, in
-    int64 under the bound 2 * max|entry|**2 * n < 2**63 (a bracket subtracts
-    two products of n terms) and on Python ints past it.
+    The brackets run on the images scaled to integers by one denominator
+    ``den``, against the images of the structure constants c, in int64 under
+    the bound max(2 * max|entry|**2 * n, den * max|c| * max|entry| * dim)
+    < 2**63 (a bracket subtracts two products of n terms) and on Python ints
+    past it.
     """
     src, tgt = emb.source, emb.target
     rows = np.array([list(r) for r in emb.coord_rows()], dtype=object)
     inj = rank_at_least_modp(rows, src.dim) or rank(rows) == src.dim
 
-    tensor = src.tensor
+    T = src.tensor
     d = src.dim
     den, IM = scaled_ints(np.array(emb.images, dtype=object))
-    m = max(map(abs, IM.flat), default=0)
-    batch = IM.astype(np.int64) if 2 * m * m * tgt.n < 2**63 else IM
-    hom = True
-    # [img_i, img_j], batched over j, against den * the image of the
-    # bracket; a nonzero image is an object array, so the comparison casts
-    # the bracket to Python ints
-    for i in range(d):
-        br = batch[i] @ batch - batch @ batch[i]
-        for j in range(d):
-            expect = sum(den * v * IM[k] for k, v in tensor.get((i, j), ()))
-            if i != j and not (br[j] == expect).all():
-                hom = False
-                break
-        if not hom:
-            break
+    m = absmax(IM)
+    # [img_i, img_j], batched over j, against den * sum_k c_ij^k img_k
+    if max(2 * m * m * tgt.n, den * absmax(T) * m * d, den) < 2**63:
+        IM = IM.astype(np.int64)
+    else:
+        T = T.astype(object)
+    flat = IM.reshape(d, -1)
+    hom = all(
+        ((IM[i] @ IM - IM @ IM[i]).reshape(d, -1) == den * (T[i].T @ flat)).all()
+        for i in range(d)
+    )
 
     theta_ok = True
     if src.theta_conjugator is not None and tgt.theta_conjugator is not None:
-        th_src = src.theta
-        for i in range(d):
-            lhs = tgt.theta_apply_matrix(emb.images[i])
-            rhs = fzeros(lhs.shape)
-            for k in range(d):
-                if th_src[k, i] != 0:
-                    rhs = rhs + th_src[k, i] * emb.images[k]
-            if not ((lhs - rhs) == 0).all():
-                theta_ok = False
-                break
+        lhs = [tgt.theta_apply_matrix(x).reshape(-1) for x in emb.images]
+        rhs = fmatmul(src.theta.T, np.array(emb.images, dtype=object).reshape(d, -1))
+        theta_ok = bool((np.array(lhs) == rhs).all())
     return {
         "injective": bool(inj),
         "homomorphism": bool(hom),

@@ -39,6 +39,9 @@ __all__ = [
     "InternalError",
     "fmatmul",
     "scaled_ints",
+    "unscaled",
+    "absmax",
+    "int_matmul",
     "embed_block",
     "is_rational_square",
     "rational_sqrt",
@@ -104,11 +107,29 @@ def scaled_ints(M):
     return L, N
 
 
-def _unscaled(N, L):
-    """Fraction array N / L for an object array N of ints."""
+def unscaled(N, L):
+    """Fraction array N / L for an integer array N (int64 entries become
+    Python ints first, so no Fraction holds a numpy integer); zeros share
+    one Fraction."""
     out = np.empty(N.shape, dtype=object)
-    out.flat[:] = [Fraction(x, L) for x in N.flat]
+    out.flat[:] = [Fraction(x, L) if x else _F0 for x in N.astype(object).flat]
     return out
+
+
+def absmax(A) -> int:
+    """Largest absolute entry of an integer array as a Python int, 0 if
+    empty: the factor of an int64 overflow bound."""
+    if A.dtype == object:
+        return max(map(abs, A.flat), default=0)
+    return int(np.abs(A).max()) if A.size else 0
+
+
+def int_matmul(A, B):
+    """Exact ``A @ B`` for integer arrays: in int64 when max|A| * max|B| *
+    (inner dimension) < 2**63, on Python ints past it."""
+    if absmax(A) * absmax(B) * A.shape[-1] < 2**63:
+        return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
+    return A.astype(object) @ B.astype(object)
 
 
 def fmatmul(A, B):
@@ -117,7 +138,7 @@ def fmatmul(A, B):
     integer operations instead of Fraction ones."""
     la, na = scaled_ints(A)
     lb, nb = scaled_ints(B)
-    return _unscaled(na @ nb, la * lb)
+    return unscaled(na @ nb, la * lb)
 
 
 def embed_block(M, size: int, off: int) -> RationalMatrix:
@@ -372,14 +393,13 @@ def signature(form) -> tuple[int, int, int]:
 class CoordinateSolver:
     """Solve for coordinates in a fixed independent basis of row vectors.
 
-    Precomputes an RREF transform once; each solve is a small matrix-vector
-    product plus an exact membership check.
+    Precomputes an RREF transform once; a solve gathers the pivot entries
+    and multiplies them by the integer transform.
     """
 
     def __init__(self, basis_rows: RationalMatrix):
-        B = _as_frac_array(basis_rows)
-        d, n = B.shape
-        self._basis_den, self._basis_int = scaled_ints(B)
+        self._basis_den, self._basis_int = scaled_ints(basis_rows)
+        d, n = self._basis_int.shape
         # rref([B | I]) = [R | C] with R = C @ B, on the integer rows of
         # basis_den * [B | I]
         eye = np.eye(d, dtype=object) * self._basis_den
@@ -388,46 +408,45 @@ class CoordinateSolver:
         # [B | I] has rank d; B has it iff every pivot lies in B
         if d and piv[-1] >= n:
             raise ValueError("basis rows are dependent")
-        self.basis = B
         self.pivots = piv
         self.dim = d
         self.ambient = n
-        # C = transform_int / transform_den
+        # C = transform / transform_den, kept in int64 when it fits
         self._transform_den = lcm(*[M[i][c] for i, c in enumerate(piv)])
-        self._transform_int = np.array(
+        T = np.array(
             [M[i][n:] * (self._transform_den // M[i][c])
              for i, c in enumerate(piv)], dtype=object,
         ).reshape(d, d)
+        self._transform = T.astype(np.int64) if absmax(T) < 2**63 else T
 
-    def solve(self, vec):
-        """(xn, lx): Python-int numerators and common denominator of the
-        coordinates x = xn / lx that reproduce vec if it lies in the span
-        (unchecked); only the rows of nonzero pivot entries are summed."""
-        ly, y = scaled_ints(np.asarray(vec)[self.pivots])
-        xn = np.zeros(self.dim, dtype=object)
-        for yi, row in zip(y, self._transform_int):
-            if yi:
-                xn = xn + yi * row
-        return xn, ly * self._transform_den
+    def solve(self, Y):
+        """(N, L): integer numerators (m, dim) and common denominator of the
+        coordinates N / L that reproduce the rows of the integer array Y
+        (m, ambient) if they lie in the span (unchecked)."""
+        return (
+            int_matmul(np.asarray(Y)[:, self.pivots], self._transform),
+            self._transform_den,
+        )
 
-    def coords(self, vec, check: bool = True) -> np.ndarray:
-        v = vec if isinstance(vec, np.ndarray) else fvec(vec)
-        xn, lx = self.solve(v)
-        if check:
-            # x @ basis == v  <=>  (xn @ basis_int) * lv == vn * lx * basis_den
-            lv, vn = scaled_ints(v)
-            recon = np.zeros(self.ambient, dtype=object)
-            for xi, row in zip(xn, self._basis_int):
-                if xi:
-                    recon = recon + xi * row
-            s = lx * self._basis_den
-            if not all(a * lv == b * s for a, b in zip(recon, vn)):
-                raise ValueError("vector not in span")
-        return _unscaled(xn, lx)
+    def coords(self, vec) -> np.ndarray:
+        """Coordinates of one vector; ValueError if it is not in the span."""
+        lv, vn = scaled_ints(vec)
+        xn, lx = self.solve(vn.reshape(1, -1))
+        xn = xn[0].astype(object)
+        # x @ basis == v with x = xn / (lx * lv)  <=>
+        # xn @ basis_int == vn * lx * basis_den
+        recon = np.zeros(self.ambient, dtype=object)
+        for xi, row in zip(xn, self._basis_int):
+            if xi:
+                recon = recon + xi * row
+        s = lx * self._basis_den
+        if not all(a == b * s for a, b in zip(recon, vn)):
+            raise ValueError("vector not in span")
+        return unscaled(xn, lx * lv)
 
     def try_coords(self, vec):
         try:
-            return self.coords(vec, check=True)
+            return self.coords(vec)
         except ValueError:
             return None
 

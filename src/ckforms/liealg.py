@@ -2,20 +2,31 @@
 
 A ``LieAlgebra`` owns an independent basis of integer matrices (stored as
 Fractions); the constructor raises ValueError on any non-integral entry.
-Every catalog real form has such a basis, and the structure constants and
-the Killing form are then computed in int64 under an explicit overflow
-bound, with ValueError past it.  The Killing
-form is computed from structure constants (trace of ad-composites), never from
-the matrix trace form, so it is correct for any faithful realization; the
-proportionality of the two forms on simple algebras is exploited only as a
-cross-check in the test suite.
+
+There is one coordinate path: ``LieAlgebra.read_coords`` reads the
+coordinates of a whole stack of integer matrices at once (it gathers the
+pivot entries, multiplies them by the solver's integer transform, and
+rebuilds every matrix from the nonzero basis entries to certify that it lies
+in the span).  The structure constants, theta, the coordinates of embedded
+images, ``bracket_coords`` and ``span_closure`` all go through it; brackets
+are read from integer matrix commutators, so a direct sum never needs a
+structure tensor of its own.
+
+The structure constants are one dense int64 array ``tensor[i, k, j] =
+c_ij^k`` (``tensor[i]`` is ad(b_i)), computed one basis element at a time.
+Their commutators run in int64 under an explicit bound, with ValueError
+past it; the commutators of ``bracket_coords`` and ``span_closure`` and the
+coordinate read fall back to Python ints past theirs.  The Killing
+form is computed from structure constants (trace of ad-composites), never
+from the matrix trace form, so it is correct for any faithful realization;
+the proportionality of the two forms on simple algebras is exploited only
+as a cross-check in the test suite.
 
 The Cartan involution theta is stored both as a matrix-level conjugator and as
 its coordinate matrix on the chosen basis.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,14 +36,18 @@ from .exactlin import (
     CoordinateSolver,
     InternalError,
     Subspace,
+    absmax,
     check_int64,
     embed_block,
     fmat,
     fmatmul,
     fzeros,
+    int_matmul,
     kernel,
     primitive_vector,
+    scaled_ints,
     signature,
+    unscaled,
 )
 
 __all__ = [
@@ -44,9 +59,6 @@ __all__ = [
     "direct_sum",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class LieAlgebra:
     """A Lie algebra of n x n integer matrices with a fixed ordered basis."""
@@ -57,8 +69,8 @@ class LieAlgebra:
         self.dim = len(self.basis)
         self.n = self.basis[0].shape[0] if self.basis else 0
         self.meta = dict(meta or {})
-        # one Python-int copy of the flattened basis serves the solver, the
-        # supports, the span checks and the structure constants
+        # one integer copy of the flattened basis (int64 when it fits)
+        # serves the solver, the coordinate read and the structure constants
         ints = [
             [int(x) if getattr(x, "denominator", None) == 1 else None
              for x in b.flat]
@@ -66,16 +78,26 @@ class LieAlgebra:
         ]
         if any(None in row for row in ints):
             raise ValueError(f"{name}: basis matrices must be integral")
-        self._flat = np.array(ints, dtype=object).reshape(self.dim, self.n**2)
+        flat = np.array(ints, dtype=object).reshape(self.dim, self.n**2)
+        self._flat = flat.astype(np.int64) if absmax(flat) < 2**63 else flat
         self._solver = CoordinateSolver(self._flat)
+        # the nonzero basis entries grouped by column: every coordinate read
+        # rebuilds its matrices from them
+        rows, cols = np.nonzero(self._flat)
+        order = np.argsort(cols, kind="stable")
+        self._nz_rows, self._nz_vals = rows[order], self._flat[rows, cols][order]
+        self._nz_cols, self._nz_starts, counts = np.unique(
+            cols[order], return_index=True, return_counts=True
+        )
+        self._off_support = np.ones(self.n**2, dtype=bool)
+        self._off_support[self._nz_cols] = False
+        self._rebuild_bound = absmax(self._nz_vals) * int(counts.max(initial=0))
         self.theta_conjugator = (
             np.asarray(theta_conjugator, dtype=object)
             if theta_conjugator is not None
             else None
         )
-        self._support = [[j for j, v in enumerate(row) if v] for row in ints]
-        self._tensor = None  # sparse structure constants {(i,j): [(k, val)]}
-        self._ad_int = None  # dense int64 ad matrices
+        self._tensor = None
         self._killing = None
         self._theta_coord = None
 
@@ -109,103 +131,82 @@ class LieAlgebra:
             (f["algebra"], f["coord_offset"], f["block_offset"]) for f in info
         ]
 
-    # -- structure constants ----------------------------------------------
+    def read_coords(self, X):
+        """Coordinates of a stack of integer matrices, read in one batch.
 
-    def _sparse_coords(self, flat_vec):
-        """Coordinate solve exploiting sparsity of the input vector.
-
-        Membership is verified only on the union of supports of the involved
-        basis rows; outside it both sides vanish identically.
+        X is an integer array (m, n, n) or (m, n*n).  Returns (N, L): an
+        integer array N (m, dim) and a positive int L with
+        X[r] = sum_k N[r, k] / L * basis[k].  Every matrix is rebuilt from
+        the nonzero basis entries and compared entrywise; InternalError if
+        one leaves the span.  The rebuild runs in int64 under the bound
+        max(max|N| * rebuild_bound, L * max|X|) < 2**63, on Python ints
+        past it.
         """
-        sol = self._solver
-        xn, lx = sol.solve(flat_vec)
-        x = fzeros(sol.dim)
-        nz = [k for k in range(sol.dim) if xn[k]]
-        cols = set()
-        for k in nz:
-            x[k] = Fraction(xn[k], lx)
-            cols.update(self._support[k])
-        in_span = all(
-            v == 0 or j in cols for j, v in enumerate(flat_vec)
-        ) and all(
-            sum((x[k] * self._flat[k, j] for k in nz), _F0) == flat_vec[j]
-            for j in cols
+        X = np.asarray(X).reshape(len(X), -1)
+        N, L = self._solver.solve(X)
+        bound = max(absmax(N), 1) * self._rebuild_bound
+        dtype = np.int64 if max(bound, L * max(absmax(X), 1)) < 2**63 else object
+        N, X = N.astype(dtype, copy=False), X.astype(dtype, copy=False)
+        R = np.add.reduceat(
+            N[:, self._nz_rows] * self._nz_vals, self._nz_starts, axis=1
         )
-        if not in_span:
+        if X[:, self._off_support].any() or (R != L * X[:, self._nz_cols]).any():
             raise InternalError(
-                "liealg.LieAlgebra._sparse_coords",
+                "liealg.LieAlgebra.read_coords",
                 "bracket left the span: algebra not closed",
             )
-        return x
+        return N, L
+
+    def _brackets(self, rows, a, b):
+        """(N, L) of ``read_coords`` for the brackets [rows[a], rows[b]] of
+        integer coordinate rows, read from their matrix commutators in one
+        batch.  A commutator subtracts two products of n terms: int64 under
+        the bound 2 * max|entry|**2 * n < 2**63, Python ints past it."""
+        M = int_matmul(np.asarray(rows), self._flat).reshape(-1, self.n, self.n)
+        m = absmax(M)
+        M = M.astype(np.int64 if 2 * m * m * self.n < 2**63 else object, copy=False)
+        return self.read_coords(M[a] @ M[b] - M[b] @ M[a])
+
+    # -- structure constants ----------------------------------------------
 
     @property
-    def tensor(self):
+    def tensor(self) -> np.ndarray:
+        """Structure constants as an int64 array (d, d, d) with
+        tensor[i, k, j] = c_ij^k, i.e. tensor[i] is ad(b_i); ValueError if
+        they are not integral."""
         if self._tensor is None:
-            self._compute_structure()
-        return self._tensor
-
-    def _compute_structure(self):
-        d, n = self.dim, self.n
-        tensor = {}
-        if d and n:
-            m = max(map(abs, self._flat.flat))
-            # a bracket is a difference of two products of n terms each
+            d, n = self.dim, self.n
+            m = absmax(self._flat)
             check_int64(self.name, "bracket", 2 * m * m * n)
             B = self._flat.astype(np.int64).reshape(d, n, n)
+            tensor = np.zeros((d, d, d), dtype=np.int64)
             for i in range(d):
-                # all brackets [b_i, b_j] in one batched product
-                br = B[i] @ B - B @ B[i]
-                for j in range(d):
-                    if i == j:
-                        continue
-                    flat = br[j].reshape(-1)
-                    if not flat.any():
-                        continue
-                    x = self._sparse_coords(flat)
-                    ent = [(k, x[k]) for k in range(d) if x[k] != 0]
-                    if ent:
-                        tensor[(i, j)] = ent
-        self._tensor = tensor
-
-    def ad_int64(self):
-        """Dense int64 ad matrices (d, d, d); requires integral structure."""
-        if self._ad_int is None:
-            d = self.dim
-            AD = np.zeros((d, d, d), dtype=np.int64)
-            for (i, j), ent in self.tensor.items():
-                for k, v in ent:
-                    if v.denominator != 1:
-                        raise ValueError("structure constants not integral")
-                    AD[i, k, j] = int(v)
-            self._ad_int = AD
-        return self._ad_int
+                # all brackets [b_i, b_j] in one batched product and read
+                N, L = self.read_coords(B[i] @ B - B @ B[i])
+                if (N % L).any():
+                    raise ValueError(f"{self.name}: structure constants not integral")
+                tensor[i] = (N // L).T
+            self._tensor = tensor
+        return self._tensor
 
     @property
     def killing_form(self) -> np.ndarray:
         """Killing form Gram matrix on the basis, B(x,y) = tr(ad x ad y)."""
         if self._killing is None:
             d = self.dim
-            m = max(
-                (abs(v) for ent in self.tensor.values() for _k, v in ent),
-                default=0,
-            )
+            AD = self.tensor
+            m = absmax(AD)
             check_int64(self.name, "Killing form", m * m * d * d)
-            AD = self.ad_int64()
             A2 = AD.reshape(d, -1)
             B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)
             self._killing = fmat((A2 @ B2.T).tolist())
         return self._killing
 
     def bracket_coords(self, u, v) -> np.ndarray:
-        out = fzeros(self.dim)
-        tensor = self.tensor
-        nz_u = [(i, Fraction(u[i])) for i in range(self.dim) if u[i] != 0]
-        nz_v = [(j, Fraction(v[j])) for j in range(self.dim) if v[j] != 0]
-        for i, ui in nz_u:
-            for j, vj in nz_v:
-                for k, c in tensor.get((i, j), ()):
-                    out[k] += ui * vj * c
-        return out
+        """Coordinates of [u, v], read from the matrix commutator."""
+        (lu, U), (lv, V) = scaled_ints(u), scaled_ints(v)
+        N, L = self._brackets(np.array([U, V]), [0], [1])
+        return unscaled(N[0], L * lu * lv)
 
     # -- Cartan involution --------------------------------------------------
 
@@ -215,12 +216,10 @@ class LieAlgebra:
         if self._theta_coord is None:
             if self.theta_conjugator is None:
                 raise ValueError(f"{self.name}: no Cartan involution attached")
-            g = self.theta_conjugator
-            cols = [
-                self._sparse_coords(fmatmul(fmatmul(g, b), g).reshape(-1))
-                for b in self.basis
-            ]
-            self._theta_coord = np.array(cols, dtype=object).T
+            lg, G = scaled_ints(self.theta_conjugator)
+            B = self._flat.reshape(self.dim, self.n, self.n)
+            N, L = self.read_coords(int_matmul(int_matmul(G, B), G))
+            self._theta_coord = unscaled(N.T, L * lg * lg)
         return self._theta_coord
 
     def theta_apply_matrix(self, X):
@@ -229,19 +228,16 @@ class LieAlgebra:
 
     def k_subspace(self) -> Subspace:
         """Fixed space of theta (maximal compact part), in coordinates."""
-        return self._theta_eigenspace(_F1)
+        return self._theta_eigenspace(1)
 
     def p_subspace(self) -> Subspace:
-        return self._theta_eigenspace(-_F1)
+        return self._theta_eigenspace(-1)
 
     def _theta_eigenspace(self, lam) -> Subspace:
-        d = self.dim
-        M = self.theta.copy()
-        for i in range(d):
-            M[i, i] = M[i, i] - lam
+        M = self.theta - lam * np.eye(self.dim, dtype=object)
         return Subspace.from_rows(
-            [primitive_vector(v) for v in kernel(M)], d
-        ) if d else Subspace(0, ())
+            [primitive_vector(v) for v in kernel(M)], self.dim
+        )
 
     def restricted_gram(self, sub: Subspace) -> np.ndarray:
         V = sub.matrix()
@@ -282,69 +278,39 @@ def validate_structure(alg: LieAlgebra) -> ValidationReport:
     rep.add("basis-independent", True, f"dim {d}")  # solver ctor enforces it
 
     try:
-        tensor = alg.tensor
-        rep.add("bracket-closure", True, f"{len(tensor)} nonzero pairs")
+        T = alg.tensor
+        pairs = np.count_nonzero(T.any(axis=1))
+        rep.add("bracket-closure", True, f"{pairs} nonzero pairs")
     except (InternalError, ValueError) as e:
         rep.add("bracket-closure", False, str(e))
         return rep
 
-    def c_of(u_sparse, j):
-        out = {}
-        for i, ui in u_sparse:
-            for k, v in tensor.get((i, j), ()):
-                out[k] = out.get(k, _F0) + ui * v
-        return [(k, v) for k, v in out.items() if v != 0]
-
+    # Jacobi as ad([b_i, b_j]) == [ad b_i, ad b_j]; column k of pair (i, j)
+    # is the Jacobi sum of the triple (i, j, k)
+    m = absmax(T)
+    check_int64(alg.name, "Jacobi", 3 * m * m * d)
     bad = 0
-    checked = 0
-    for (i, j, k) in itertools.combinations(range(d), 3):
-        acc = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = tensor.get((a, b), ())
-            for t, v in c_of(inner, c):
-                acc[t] = acc.get(t, _F0) + v
-        if any(v != 0 for v in acc.values()):
-            bad += 1
-        checked += 1
-    rep.add("jacobi", bad == 0, f"{checked} triples, {bad} violations")
+    for i in range(d):
+        D = np.tensordot(T[i], T, axes=(0, 0)) - (T[i] @ T - T @ T[i])
+        # triples i < j < k: row j - i - 1, column k
+        bad += np.count_nonzero(np.triu(D.any(axis=1)[i + 1 :], i + 2))
+    rep.add("jacobi", bad == 0, f"{d * (d - 1) * (d - 2) // 6} triples, {bad} violations")
 
     if alg.theta_conjugator is not None:
         th = alg.theta
-        sq = th @ th
-        ok = all(
-            sq[i, j] == (_F1 if i == j else _F0)
-            for i in range(d)
-            for j in range(d)
-        )
-        rep.add("theta-involution", ok)
+        rep.add("theta-involution", bool((th @ th == np.eye(d, dtype=object)).all()))
 
-        # automorphism: theta[c(i,j)] == c(theta i, theta j) on all pairs
-        auto_ok = True
-        thT = th.T  # rows = images of basis vectors
-        for i in range(d):
-            for j in range(i + 1, d):
-                lhs = {}
-                for k, v in tensor.get((i, j), ()):
-                    for t in range(d):
-                        if th[t, k] != 0:
-                            lhs[t] = lhs.get(t, _F0) + v * th[t, k]
-                rhs_vec = alg.bracket_coords(thT[i], thT[j])
-                for t in range(d):
-                    if lhs.get(t, _F0) != rhs_vec[t]:
-                        auto_ok = False
-                        break
-                if not auto_ok:
-                    break
-            if not auto_ok:
-                break
-        rep.add("theta-automorphism", auto_ok)
+        # automorphism: theta ad(b_i) == ad(theta b_i) theta for every i,
+        # on the integer matrix l * theta
+        lt, Th = scaled_ints(th)
+        mt = absmax(Th)
+        check_int64(alg.name, "theta", lt * mt * mt * m * d * d)
+        Th = Th.astype(np.int64)
+        auto = np.tensordot(Th, T, axes=(0, 0)) @ Th
+        rep.add("theta-automorphism", bool((lt * (Th @ T) == auto).all()))
 
         K = alg.killing_form
-        Kt = th.T @ K @ th
-        rep.add(
-            "killing-theta-invariant",
-            all(Kt[i, j] == K[i, j] for i in range(d) for j in range(d)),
-        )
+        rep.add("killing-theta-invariant", bool((th.T @ K @ th == K).all()))
 
         ksub, psub = alg.k_subspace(), alg.p_subspace()
         rep.add(
@@ -360,25 +326,25 @@ def validate_structure(alg: LieAlgebra) -> ValidationReport:
 
 
 def span_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
-    """Smallest Lie subalgebra containing the given coordinate subspace."""
+    """Smallest Lie subalgebra containing the given coordinate subspace.
+
+    Each round reads the brackets of all pairs of the current basis from
+    their matrix commutators in one batch."""
     if sub.ambient_dim != alg.dim:
         raise ValueError("subspace lives in a different coordinate space")
-    rows = [primitive_vector(v) for v in sub.basis]
-    cur = Subspace.from_rows(rows, alg.dim) if rows else Subspace(alg.dim, ())
-    while True:
-        new = []
-        base = list(cur.basis)
-        for a in range(len(base)):
-            for b in range(a + 1, len(base)):
-                w = alg.bracket_coords(base[a], base[b])
-                if any(x != 0 for x in w):
-                    new.append(primitive_vector(w))
+    cur = Subspace.from_rows([primitive_vector(v) for v in sub.basis], alg.dim)
+    while cur.dim > 1:
+        N, _L = alg._brackets(
+            scaled_ints(cur.matrix())[1], *np.triu_indices(cur.dim, 1)
+        )
+        new = [primitive_vector(w) for w in N if w.any()]
         if not new:
-            return cur
+            break
         grown = Subspace.from_rows(list(cur.basis) + new, alg.dim)
         if grown.dim == cur.dim:
-            return cur
+            break
         cur = grown
+    return cur
 
 
 def is_compactly_embedded(alg: LieAlgebra, sub: Subspace):
@@ -393,7 +359,8 @@ def is_compactly_embedded(alg: LieAlgebra, sub: Subspace):
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
-    """Block-diagonal direct sum; structure data is assembled blockwise."""
+    """Block-diagonal direct sum; the Killing form and theta are assembled
+    blockwise."""
     n1, n2 = a.n, b.n
     N = n1 + n2
     basis = [embed_block(m, N, 0) for m in a.basis]
@@ -411,15 +378,9 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     }
     out = LieAlgebra(name or f"{a.name}x{b.name}", basis, conj, meta)
 
-    # assemble structure data from the factors instead of recomputing
-    tensor = {}
-    for (i, j), ent in a.tensor.items():
-        tensor[(i, j)] = list(ent)
-    off = a.dim
-    for (i, j), ent in b.tensor.items():
-        tensor[(i + off, j + off)] = [(k + off, v) for k, v in ent]
-    out._tensor = tensor
-
+    # the Killing form and theta are block diagonal: set them from the
+    # factors; brackets are read from matrix commutators, so the product
+    # never needs a tensor of its own
     d = out.dim
     K = embed_block(a.killing_form, d, 0)
     K[a.dim :, a.dim :] = b.killing_form

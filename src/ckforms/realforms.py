@@ -368,19 +368,37 @@ def search_gammas(p: int, q: int, k: int):
     return None
 
 
+# (p - q) mod 8 -> 2 * clifford_module_k(p, q) - (p + q)
+_CLIFFORD_PERIOD = (0, -1, 0, 1, 2, 1, 2, 1)
+
+
+def clifford_module_k(p: int, q: int) -> int:
+    """Smallest k for which Cl(p, q), with p generators squaring to +1 and q
+    to -1, has a real module of dimension 2**k.
+
+    By (p - q) mod 8, Cl(p, q) is a full matrix algebra over R (0, 2), a sum
+    of two over R (1), over C (3, 7), over H (4, 6) or a sum of two over H
+    (5) (Lawson-Michelsohn, Spin Geometry, I.4); its smallest real module
+    has dimension 2**k with 2k - (p + q) given by ``_CLIFFORD_PERIOD``, and
+    every module is a sum of those."""
+    return (p + q + _CLIFFORD_PERIOD[(p - q) % 8]) // 2
+
+
 def clifford_candidates(p: int, q: int, kmax: int = 6):
     """Yield (gammas, eta_sign), smallest representation first.
 
     eta_sign=+1 means gamma_i^2 = eta_ii; eta_sign=-1 means the generators
-    realize the negated form (valid since so(eta) = so(-eta))."""
+    realize the negated form (valid since so(eta) = so(-eta)).  A word
+    search runs only for k at least ``clifford_module_k``: below it no
+    module exists and the exhaustive search would only fail, slowly."""
     if p + q == 1:
         yield [np.array([[1]], dtype=np.int64)], (1 if p == 1 else -1)
         return
     for k in range(1, kmax + 1):
-        words = search_gammas(p, q, k)
+        words = k >= clifford_module_k(p, q) and search_gammas(p, q, k)
         if words:
             yield [word_matrix(w) for w in words], 1
-        words = search_gammas(q, p, k)
+        words = k >= clifford_module_k(q, p) and search_gammas(q, p, k)
         if words:
             yield [word_matrix(w) for w in words[q:] + words[:q]], -1
 

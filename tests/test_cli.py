@@ -107,20 +107,20 @@ def test_closure_failure_exits_three(monkeypatch, capsys):
     from ckforms.exactlin import CoordinateSolver, InternalError
 
     assert not issubclass(InternalError, ValueError)
-    # fresh caches, and a solver whose coordinates reproduce no bracket
+    # fresh caches, and a batched read whose coordinates reproduce no bracket
     monkeypatch.setattr(realforms, "_form_cache", {})
     monkeypatch.setattr(embeddings, "_lookup_cache", {})
     monkeypatch.setattr(embeddings, "_product_cache", {})
     monkeypatch.setattr(
         CoordinateSolver, "solve",
-        lambda self, vec: (np.zeros(self.dim, dtype=object), 1),
+        lambda self, Y: (np.zeros((len(Y), self.dim), dtype=np.int64), 1),
     )
     code = main(["verify", "--triple", "so(4,4):so(3,4)@spin+so(1,4)@block"])
     assert code == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "error: internal error in liealg.LieAlgebra._sparse_coords: "
+        "error: internal error in liealg.LieAlgebra.read_coords: "
         "bracket left the span: algebra not closed\n"
     )
 

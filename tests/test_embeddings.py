@@ -222,3 +222,37 @@ def test_spin_keys_beyond_the_clifford_bound_are_refused_at_once(monkeypatch):
     for key in ("so(4,4):so(3,5):spin", "so(3,4):so(1,2):spin"):
         with pytest.raises(CatalogError):
             catalog_lookup(key)
+
+
+def test_spin_refusal_reads_the_clifford_table(monkeypatch):
+    import ckforms.realforms as realforms
+
+    def no_search(p, q):
+        raise AssertionError(f"spin frame searched for ({p},{q})")
+
+    monkeypatch.setattr(realforms, "spin_frame", no_search)
+    # so(2,5) and so(5,2) both need k = 4: a 16-dimensional module does not
+    # fit so(4,4), although 2**ceil((p+q-1)/2) = 8 would
+    with pytest.raises(CatalogError, match="dimension at least 16"):
+        catalog_lookup("so(4,4):so(2,5):spin")
+
+
+def test_spin_key_with_a_module_of_the_ambient_size_resolves_quickly():
+    import subprocess
+    import sys
+
+    # so(3,5) has no 16-dimensional module but so(5,3) does: the search for
+    # the first is skipped, so the lookup ends instead of searching on
+    code = (
+        "from ckforms.embeddings import catalog_lookup, validate_embedding\n"
+        "e = catalog_lookup('so(8,8):so(3,5):spin')\n"
+        "print(e.key, sorted(validate_embedding(e).items()))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (
+        "so(8,8):so(3,5):spin [('homomorphism', True), ('injective', True), "
+        "('theta_compatible', True)]\n"
+    )

@@ -1,8 +1,11 @@
 """Matrix Lie algebra layer: brackets, Killing forms, Cartan involutions."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckforms.exactlin import Subspace, fvec, signature
 from ckforms.liealg import (
@@ -136,14 +139,60 @@ def test_constructor_rejects_a_non_integral_basis():
 
 
 def test_int64_products_are_bounded_explicitly():
-    big = LieAlgebra("big", [2**32 * b for b in so_basis(1, 2)])
+    eta = np.diag([1, -1, -1]).astype(object)
+    big = LieAlgebra("big", [2**32 * b for b in so_basis(1, 2)], eta)
     with pytest.raises(ValueError, match="big: bracket entries"):
         big.killing_form
+    plain = LieAlgebra("plain", so_basis(1, 2), eta)
+    # the commutators of bracket_coords and span_closure, 2**64 [b_i, b_j],
+    # pass 2**63 and run on Python ints
+    for i in range(3):
+        for j in range(3):
+            got = big.bracket_coords(_unit(3, i), _unit(3, j))
+            assert list(got) == [2**32 * c for c in plain.tensor[i, :, j]]
+    line = Subspace.from_rows([_unit(3, 0), _unit(3, 1)])
+    assert span_closure(big, line).dim == 3
+    # theta reads the stack 2**32 * (g b g) with common denominator 2**32:
+    # the rebuild passes 2**63 and runs on Python ints
+    assert np.array_equal(big.theta, plain.theta)
     scaled = LieAlgebra("scaled", [2**20 * b for b in so_basis(1, 2)])
     K = scaled.killing_form
     # so(1,2): one rotation (tr = -2) and two boosts (tr = +2), times 2**40
     assert [K[i, i] for i in range(3)] == [2**41, 2**41, -(2**41)]
     assert all(K[i, j] == 0 for i in range(3) for j in range(3) if i != j)
+    # [2**20 b_i, 2**20 b_j] = 2**20 c_ij^k (2**20 b_k), read in int64
+    assert np.array_equal(scaled.tensor, 2**20 * plain.tensor)
+    for i in range(3):
+        for j in range(3):
+            got = scaled.bracket_coords(_unit(3, i), _unit(3, j))
+            assert list(got) == [2**20 * c for c in plain.tensor[i, :, j]]
+    assert span_closure(scaled, line).dim == 3
+
+
+def test_jacobi_check_counts_each_violated_triple():
+    g = LieAlgebra("so(2,3)", so_basis(2, 3))
+    d = g.dim
+    T = g.tensor.copy()
+    T[0, 1, 2] += 1  # c_02^1 and c_20^1 stay antisymmetric
+    T[2, 1, 0] -= 1
+    g._tensor = T
+
+    def bracket(u, v):
+        return np.einsum("i,ikj,j->k", u, T, v)
+
+    E = np.eye(d, dtype=np.int64)
+    bad = sum(
+        (
+            bracket(bracket(E[i], E[j]), E[k])
+            + bracket(bracket(E[j], E[k]), E[i])
+            + bracket(bracket(E[k], E[i]), E[j])
+        ).any()
+        for i, j, k in itertools.combinations(range(d), 3)
+    )
+    assert bad
+    jacobi = next(c for c in validate_structure(g).checks if c["name"] == "jacobi")
+    assert not jacobi["passed"]
+    assert jacobi["detail"] == f"120 triples, {bad} violations"
 
 
 def test_structure_validation_reports_a_basis_that_is_not_closed():
@@ -154,3 +203,69 @@ def test_structure_validation_reports_a_basis_that_is_not_closed():
     closure = [c for c in rep.checks if c["name"] == "bracket-closure"]
     assert [c["passed"] for c in closure] == [False]
     assert "bracket left the span" in closure[0]["detail"]
+
+
+_SMALL_FORMS = ("so(1,2)", "so(2,3)", "su(1,2)", "sp(1,1)", "g2(2)")
+
+
+@st.composite
+def _form_and_vectors(draw, count):
+    """A small real form and `count` sparse rational coordinate vectors."""
+    g = build_real_form(draw(st.sampled_from(_SMALL_FORMS)))
+    coeff = st.one_of(
+        st.just(0), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    )
+    vecs = [fvec(draw(st.lists(coeff, min_size=g.dim, max_size=g.dim)))
+            for _ in range(count)]
+    return g, vecs
+
+
+def _commutator(g, u, v):
+    A, B = g.matrix(u), g.matrix(v)
+    return A @ B - B @ A
+
+
+@given(_form_and_vectors(2))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_bracket_coords_are_the_coords_of_the_matrix_commutator(data):
+    g, (u, v) = data
+    assert list(g.bracket_coords(u, v)) == list(g.coords(_commutator(g, u, v)))
+
+
+def _naive_closure(g, sub):
+    """Bracket one pair of basis vectors at a time, through the single-matrix
+    solver, and keep each bracket that enlarges the span, until every pair
+    has been bracketed."""
+    basis = list(sub.basis)
+    mats = [g.matrix(u) for u in basis]
+    pairs = [(a, b) for a in range(len(basis)) for b in range(a)]
+    while pairs:
+        a, b = pairs.pop()
+        w = g.coords(mats[a] @ mats[b] - mats[b] @ mats[a])
+        if Subspace.from_rows(basis + [w], g.dim).dim > len(basis):
+            pairs += [(len(basis), c) for c in range(len(basis))]
+            basis.append(w)
+            mats.append(g.matrix(w))
+    return Subspace.from_rows(basis, g.dim)
+
+
+def _assert_same_closure(g, sub):
+    fast, slow = span_closure(g, sub), _naive_closure(g, sub)
+    assert fast.dim == slow.dim
+    assert all(slow.contains(v) for v in fast.basis)
+
+
+@given(_form_and_vectors(2))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_span_closure_agrees_with_a_naive_fixpoint(data):
+    g, vecs = data
+    _assert_same_closure(g, Subspace.from_rows(vecs, g.dim))
+
+
+def test_span_closure_brackets_outgrow_int64():
+    # the closure rows reach about 10**9 in g2(2), so their commutators
+    # pass the int64 bound and run on Python ints
+    g = build_real_form("g2(2)")
+    u, v = _unit(14, 10), fvec([0] * 14)
+    v[3], v[7], v[13] = Fraction(1, 2), Fraction(3), Fraction(1, 3)
+    _assert_same_closure(g, Subspace.from_rows([u, v], 14))

@@ -126,3 +126,68 @@ def test_spin_frame_for_so18_is_sixteen_dimensional():
     assert len(images) == 36
     so88 = build_real_form("so(8,8)")
     assert so88.contains_matrix(images[0])
+
+
+def test_clifford_table_gates_the_gamma_search(monkeypatch):
+    import ckforms.realforms as realforms
+    from ckforms.realforms import clifford_module_k, search_gammas
+
+    # where the (p - q) mod 8 table gives a module of dimension 2**k, the
+    # word search finds one; below it the exhaustive search finds none
+    # (checked up to p + q = 7, k = 3, where a failing search stays quick)
+    for n in range(10):
+        for p in range(n + 1):
+            k_min = clifford_module_k(p, n - p)
+            for k in range(k_min, 5):
+                assert search_gammas(p, n - p, k) is not None, (p, n - p, k)
+            for k in range(k_min if n <= 7 else 0):
+                assert search_gammas(p, n - p, k) is None, (p, n - p, k)
+
+    # below the table's k the candidate loop never searches
+    calls = []
+
+    def gated(p, q, k):
+        assert k >= clifford_module_k(p, q), ("searched below the table", p, q, k)
+        calls.append((p, q, k))
+        return search_gammas(p, q, k)
+
+    monkeypatch.setattr(realforms, "search_gammas", gated)
+    for n in range(2, 10):
+        for p in range(n + 1):
+            list(realforms.clifford_candidates(p, n - p, kmax=4))
+    assert set(calls) == {
+        (p, n - p, k)
+        for n in range(2, 10)
+        for p in range(n + 1)
+        for k in range(1, 5)
+        if k >= clifford_module_k(p, n - p)
+    }
+
+
+def _gamma_words(gammas):
+    """Each gamma matrix as its tensor word over I, X, Z, J."""
+    import itertools
+
+    from ckforms.realforms import word_matrix
+
+    k = gammas[0].shape[0].bit_length() - 1
+    words = ["".join(w) for w in itertools.product("IXZJ", repeat=k)]
+    return [
+        next(w for w in words if np.array_equal(word_matrix(w), g))
+        for g in gammas
+    ]
+
+
+@pytest.mark.parametrize(
+    "pq,words",
+    [
+        ((3, 4), ["IZJ", "XXJ", "ZXJ", "IIX", "IIZ", "IJJ", "JXJ"]),
+        ((1, 4), ["IIX", "IJZ", "IIJ", "JXZ", "JZZ"]),
+        ((1, 8), ["IIIX", "IIJZ", "IIIJ", "IJXZ", "JIZZ", "JXXZ", "JZXZ",
+                  "XJZZ", "ZJZZ"]),
+    ],
+)
+def test_spin_frames_keep_their_gamma_words(pq, words):
+    from ckforms.realforms import spin_frame
+
+    assert _gamma_words(spin_frame(*pq).gammas) == words
