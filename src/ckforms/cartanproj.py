@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import InternalError, Subspace, primitive_vector, rref
+from .exactlin import InternalError, Subspace, rref
 from .liealg import LieAlgebra
 from .embeddings import (
     Embedding,
@@ -232,9 +232,7 @@ def gap_union(space) -> list:
         R, _piv = rref(moved)
         key = tuple(tuple(x for x in row) for row in R)
         if key not in seen:
-            seen[key] = Subspace.from_rows(
-                [primitive_vector(r) for r in moved], sp.sd.rank
-            )
+            seen[key] = Subspace.from_rows(moved, sp.sd.rank)
     sp._union = list(seen.values())
     return sp._union
 

@@ -9,21 +9,11 @@ dimensions, and (when enumerable) the Weyl disjointness status.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import (
-    Subspace,
-    fmatmul,
-    fzeros,
-    intersect,
-    kernel,
-    primitive_vector,
-    rank,
-    rank_at_least_modp,
-)
+from .exactlin import intersect, primitive_rows, rank, rank_at_least_modp
 from .liealg import LieAlgebra, is_compactly_embedded, span_closure
 from .embeddings import Embedding, adapted_split_part
 from .rootweyl import (
@@ -86,7 +76,6 @@ class CompactCheck:
     dim: int
     signature: tuple
     closed: bool
-    basis: list = field(repr=False, default_factory=list)
 
     def to_json(self):
         return {
@@ -165,15 +154,11 @@ class Verdict:
 # the two algebraic criteria
 # ---------------------------------------------------------------------------
 
-def _stacked_rows(g: LieAlgebra, h: Embedding, l: Embedding):
-    rows = [primitive_vector(r) for r in h.coord_rows()]
-    rows += [primitive_vector(r) for r in l.coord_rows()]
-    return np.array([list(r) for r in rows], dtype=object)
-
-
 def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
-    """Exact test that the two images span g."""
-    M = _stacked_rows(g, h, l)
+    """Exact test that the two images span g.  Every image row, dependent
+    ones included, is stacked and made primitive, so the mod-p certificate
+    sees the same rows in the same order for every shape of side."""
+    M = primitive_rows(np.vstack([h.coord_rows(), l.coord_rows()]))
     d = g.dim
     for p in _CERT_PRIMES:
         if rank_at_least_modp(M, d, p=p):
@@ -182,115 +167,16 @@ def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
     return SumCheck(r == d, r, d, "fraction-free elimination")
 
 
-def _factorwise_subspaces(g: LieAlgebra, e: Embedding):
-    """Per-factor coordinate subspaces when the embedding respects the
-    product splitting; None for twisted diagonals and unstructured images."""
-    facs = g.factors
-    if len(facs) == 1:
-        return [e.subspace()]
-    if e.mode in ("factor", "product"):
-        out = [
-            Subspace.from_rows([], alg.dim) for alg, _c, _b in facs
-        ]
-        for idx, part in e.parts:
-            out[idx] = part.subspace()
-        return out
-    return None
-
-
-def _iota_matrix(e: Embedding):
-    # columns are first-factor coordinates of the twisted basis images
-    return np.array([list(r) for r in e.iota.coord_rows()], dtype=object).T
-
-
-def _lift_factor_vec(g: LieAlgebra, idx: int, v):
-    out = fzeros(g.dim)
-    off = g.factors[idx][1]
-    out[off : off + len(v)] = v
-    return out
-
-
-def _intersection_vectors(g: LieAlgebra, h: Embedding, l: Embedding):
-    """Exact basis (ambient coordinates) of the intersection of the images."""
-    fh = _factorwise_subspaces(g, h)
-    fl = _factorwise_subspaces(g, l)
-    if fh is not None and fl is not None:
-        vecs = []
-        for i, (a, b) in enumerate(zip(fh, fl)):
-            inter = intersect(a, b)
-            for v in inter.basis:
-                vecs.append(_lift_factor_vec(g, i, np.array(v, dtype=object)))
-        return vecs
-    if fh is None and fl is not None:
-        return _diag_meets_product(g, h, fl)
-    if fl is None and fh is not None:
-        return _diag_meets_product(g, l, fh)
-    if h.mode == "diagonal" and l.mode == "diagonal":
-        Mh = _iota_matrix(h)
-        Ml = _iota_matrix(l)
-        ker = kernel(Mh - Ml)
-        vecs = []
-        for t in ker:
-            c = np.array(t, dtype=object)
-            img1 = fmatmul(Mh, c)
-            vecs.append(_assemble_pair(g, img1, c))
-        return vecs
-    # unstructured fallback: stacked-kernel intersection in ambient coords
-    A = Subspace.from_rows(
-        [primitive_vector(r) for r in h.coord_rows()], g.dim
-    )
-    B = Subspace.from_rows(
-        [primitive_vector(r) for r in l.coord_rows()], g.dim
-    )
-    return [np.array(v, dtype=object) for v in intersect(A, B).basis]
-
-
-def _assemble_pair(g: LieAlgebra, v1, v2):
-    facs = g.factors
-    out = fzeros(g.dim)
-    off1, off2 = facs[0][1], facs[1][1]
-    out[off1 : off1 + len(v1)] = v1
-    out[off2 : off2 + len(v2)] = v2
-    return out
-
-
-def _diag_meets_product(g: LieAlgebra, diag: Embedding, fw):
-    """Intersection of a twisted diagonal (iota(c), c) with a factorwise
-    subspace pair: solve iota(c) in F1 for c ranging over F2."""
-    if diag.mode != "diagonal":
-        raise ValueError("unstructured embedding pair")
-    Mi = _iota_matrix(diag)
-    F1, F2 = fw[0], fw[1]
-    if F2.dim == 0 or F1.dim == 0:
-        return []
-    B2 = np.array([list(r) for r in F2.basis], dtype=object)  # dim2 x d2
-    B1 = np.array([list(r) for r in F1.basis], dtype=object)  # dim1 x d1
-    A = fmatmul(Mi, B2.T)  # d1 x dim2
-    M = np.concatenate([A, -B1.T], axis=1)
-    ker = kernel(M)
-    if not ker:
-        return []
-    # row k of C is c = B2.T @ t for the k-th kernel vector (t, s)
-    C = fmatmul(np.array([list(w[: F2.dim]) for w in ker], dtype=object), B2)
-    return [
-        _assemble_pair(g, img, c)
-        for img, c in zip(fmatmul(C, Mi.T), C)
-        if any(x != 0 for x in c)
-    ]
-
-
 def check_compact_intersection(
     g: LieAlgebra, h: Embedding, l: Embedding
 ) -> CompactCheck:
     """Exact intersection of the images plus the compactness test: the
-    restricted Killing form must be negative definite."""
-    vecs = _intersection_vectors(g, h, l)
-    if not vecs:
-        return CompactCheck(True, 0, (0, 0, 0), True, [])
-    sub = Subspace.from_rows([primitive_vector(v) for v in vecs], g.dim)
+    intersection must be a subalgebra on which the Killing form is negative
+    definite."""
+    sub = intersect(h.subspace(), l.subspace())
     closed = span_closure(g, sub).dim == sub.dim
     compact, sig = is_compactly_embedded(g, sub)
-    return CompactCheck(compact and closed, sub.dim, sig, closed, list(sub.basis))
+    return CompactCheck(compact and closed, sub.dim, sig, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -298,36 +184,13 @@ def check_compact_intersection(
 # ---------------------------------------------------------------------------
 
 def _proj_dims(g: LieAlgebra, e: Embedding):
-    """Dimensions of the two factor projections and factor intersections."""
-    facs = g.factors
-    rows = np.array([list(primitive_vector(r)) for r in e.coord_rows()], dtype=object)
-    out = []
-    for alg, off, _b in facs:
-        block = rows[:, off : off + alg.dim]
-        if not block.size or not any(x != 0 for x in block.flat):
-            out.append(0)
-        else:
-            out.append(rank(block))
-    meets = []
-    fw = _factorwise_subspaces(g, e)
-    if fw is not None:
-        meets = [s.dim for s in fw]
-    elif e.mode == "diagonal":
-        # the second projection is injective on a twisted graph
-        meets = [0, 0]
-    else:
-        amb = Subspace.from_rows(
-            [primitive_vector(r) for r in e.coord_rows()], g.dim
-        )
-        for alg, off, _b in facs:
-            cols = []
-            for j in range(alg.dim):
-                v = fzeros(g.dim)
-                v[off + j] = Fraction(1)
-                cols.append(v)
-            fac_sub = Subspace.from_rows(cols, g.dim)
-            meets.append(intersect(amb, fac_sub).dim)
-    return out, meets
+    """Ranks of the two factor projections of the image V, and its meets with
+    the factors by rank-nullity: dim(V cap g_i) = dim V - rank pi_j(V) for
+    the other factor j."""
+    N = e.coord_rows()
+    proj = [rank(N[:, off : off + alg.dim]) for alg, off, _b in g.factors]
+    dim = e.source.dim  # an embedding is injective
+    return proj, [dim - proj[1], dim - proj[0]]
 
 
 def _match_case(g: LieAlgebra, h: Embedding, l: Embedding, ev: dict):

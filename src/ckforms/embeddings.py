@@ -27,11 +27,9 @@ from .exactlin import (
     embed_block,
     fmatmul,
     fzeros,
-    primitive_vector,
     rank,
     rank_at_least_modp,
     scaled_ints,
-    unscaled,
 )
 from .liealg import LieAlgebra, direct_sum
 from . import realforms
@@ -79,32 +77,27 @@ class AdaptednessError(InternalError):
 class Embedding:
     """An injective Lie algebra homomorphism given by basis images.
 
-    modes: plain (single target), factor (into one ideal of a product),
-    product (blockwise into both ideals), diagonal (twisted graph over the
-    second ideal)."""
+    ``iota`` is the twist of a diagonal (``diagonal``), None otherwise."""
 
-    def __init__(self, key, source, target, images, mode="plain", parts=None, iota=None):
+    def __init__(self, key, source, target, images, iota=None):
         self.key = key
         self.source = source
         self.target = target
         self.images = images
-        self.mode = mode
-        self.parts = parts or []
         self.iota = iota
         self._coord_rows = None
 
-    def coord_rows(self):
-        """Target coordinates of the basis images (rows)."""
+    def coord_rows(self) -> np.ndarray:
+        """Target coordinates of the basis images, all scaled by one positive
+        int to integer rows (object array of Python ints): one batched read
+        of the images scaled to integers."""
         if self._coord_rows is None:
-            den, IM = scaled_ints(np.array(self.images, dtype=object))
-            N, L = self.target.read_coords(IM)
-            self._coord_rows = list(unscaled(N, L * den))
+            _den, IM = scaled_ints(np.array(self.images, dtype=object))
+            self._coord_rows = self.target.read_coords(IM)[0].astype(object)
         return self._coord_rows
 
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(
-            [primitive_vector(r) for r in self.coord_rows()], self.target.dim
-        )
+        return Subspace.from_rows(self.coord_rows(), self.target.dim)
 
     def apply(self, M):
         """Image of an arbitrary source matrix."""
@@ -394,9 +387,7 @@ def factor_embedding(g: LieAlgebra, factor_index: int, emb: Embedding) -> Embedd
         raise ValueError("embedding target is not the chosen factor")
     images = [_block_lift(g, factor_index, m) for m in emb.images]
     key = f"[{factor_index}]{emb.key}"
-    return Embedding(
-        key, emb.source, g, images, mode="factor", parts=[(factor_index, emb)]
-    )
+    return Embedding(key, emb.source, g, images)
 
 
 def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedding:
@@ -409,9 +400,7 @@ def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedd
         _block_lift(g, 1, m) for m in emb2.images
     ]
     key = f"{emb1.key} (+) {emb2.key}"
-    return Embedding(
-        key, src, g, images, mode="product", parts=[(0, emb1), (1, emb2)]
-    )
+    return Embedding(key, src, g, images)
 
 
 def diagonal(g: LieAlgebra, iota: Embedding | None = None) -> Embedding:
@@ -431,7 +420,7 @@ def diagonal(g: LieAlgebra, iota: Embedding | None = None) -> Embedding:
         M = _block_lift(g, 0, iota.images[i]) + _block_lift(g, 1, b)
         images.append(M)
     key = f"delta({alg2.name},{iota.key.split(':')[-1]})"
-    return Embedding(key, alg2, g, images, mode="diagonal", iota=iota)
+    return Embedding(key, alg2, g, images, iota=iota)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +539,7 @@ def adapted_split_part(emb: Embedding) -> Subspace:
     sd_src = split_data(emb.source)
     sd_tgt = split_data(emb.target)
     rows = a_map(emb)
-    sub = Subspace.from_rows([primitive_vector(r) for r in rows], sd_tgt.rank)
+    sub = Subspace.from_rows(rows, sd_tgt.rank)
     if sub.dim != len(sd_src.a_matrices):
         raise AdaptednessError(
             "embeddings.adapted_split_part",
@@ -571,7 +560,7 @@ def validate_embedding(emb: Embedding) -> dict:
     past it.
     """
     src, tgt = emb.source, emb.target
-    rows = np.array([list(r) for r in emb.coord_rows()], dtype=object)
+    rows = emb.coord_rows()
     inj = rank_at_least_modp(rows, src.dim) or rank(rows) == src.dim
 
     T = src.tensor

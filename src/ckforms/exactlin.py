@@ -1,10 +1,17 @@
 """Exact rational linear algebra: ranks, kernels, subspace intersections and
 signatures of symmetric forms.
 
-Matrices are 2-D numpy arrays with ``fractions.Fraction`` entries (dtype
-object).  Every verdict-facing computation here is tolerance-free; floating
-point never enters this module.  Elimination and products run on Python ints
-after scaling by common denominators (``scaled_ints``).
+Rational matrices are 2-D numpy arrays with ``fractions.Fraction`` entries
+(dtype object); integer ones hold Python ints (dtype object) or int64 under
+an explicit bound.  Every verdict-facing computation here is tolerance-free;
+floating point never enters this module.  Elimination and products run on
+Python ints after scaling by common denominators (``scaled_ints``).
+
+A ``Subspace`` is a tuple of independent primitive integer rows
+(``primitive_rows``: content divided out, leading entry positive), and
+``kernel`` returns primitive integer vectors read from the fraction-free
+elimination, so ``intersect`` runs on integers throughout: one kernel, one
+integer product and one ``from_rows``.
 
 The mod-p rank certificate has one eliminator, ``rank_modp``, which takes an
 int64 matrix or a stack of them (the Weyl-orbit scan certifies a whole chunk
@@ -46,6 +53,7 @@ __all__ = [
     "is_rational_square",
     "rational_sqrt",
     "primitive_vector",
+    "primitive_rows",
 ]
 
 # A RationalMatrix is simply an object-dtype numpy array of Fractions; the
@@ -53,7 +61,6 @@ __all__ = [
 RationalMatrix = np.ndarray
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 # default prime of the mod-p certificate; below 2**30, so a product of two
 # reduced entries stays below 2**60
@@ -126,8 +133,10 @@ def absmax(A) -> int:
 
 def int_matmul(A, B):
     """Exact ``A @ B`` for integer arrays: in int64 when max|A| * max|B| *
-    (inner dimension) < 2**63, on Python ints past it."""
-    if absmax(A) * absmax(B) * A.shape[-1] < 2**63:
+    (inner dimension) < 2**63 and each factor fits int64 (one may be empty
+    or zero), on Python ints past it."""
+    a, b = absmax(A), absmax(B)
+    if max(a * b * A.shape[-1], a, b) < 2**63:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     return A.astype(object) @ B.astype(object)
 
@@ -269,50 +278,70 @@ def rref(m):
 
 
 def kernel(m) -> list[np.ndarray]:
-    """Basis of the right kernel {x : m x = 0}, exact."""
+    """Basis of the right kernel {x : m x = 0}, exact: one primitive integer
+    vector (object array of Python ints) per free column, the positive
+    multiple of the RREF kernel vector whose free entry is 1.  It is read
+    from the fraction-free elimination: the free entry is the lcm of the
+    pivots, then the positive content is divided out."""
     A = _as_frac_array(m)
-    rows, cols = A.shape
-    R, piv_cols = rref(A)
-    free = [c for c in range(cols) if c not in piv_cols]
+    cols = A.shape[1]
+    M = [scaled_ints(row)[1] for row in A]
+    piv_cols = _rref_ints(M)
+    L = lcm(*[M[i][c] for i, c in enumerate(piv_cols)])
     out = []
-    for fc in free:
-        v = fzeros(cols)
-        v[fc] = _F1
+    for fc in (c for c in range(cols) if c not in piv_cols):
+        v = np.zeros(cols, dtype=object)
+        v[fc] = L
         for i, pc in enumerate(piv_cols):
-            v[pc] = -R[i, fc]
-        out.append(v)
+            v[pc] = -M[i][fc] * (L // M[i][pc])
+        out.append(v // gcd(*v))
     return out
+
+
+def primitive_rows(rows) -> np.ndarray:
+    """Each rational or integer row scaled to its primitive integer multiple
+    (denominators cleared, content divided out, leading entry positive; a
+    zero row stays zero), stacked as an object array of Python ints."""
+    out = []
+    for row in rows:
+        _l, ints = scaled_ints(row)
+        g = gcd(*ints)
+        if next((x for x in ints if x), 0) < 0:
+            g = -g
+        out.append(ints // g if g else ints)
+    return np.array(out, dtype=object)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim given by an independent basis (rows)."""
+    """A subspace of Q^ambient_dim given by an independent basis of primitive
+    integer rows (object arrays of Python ints); ``from_rows`` builds it."""
 
     ambient_dim: int
-    basis: tuple  # tuple of object-dtype vectors
+    basis: tuple  # tuple of primitive integer rows
 
     @staticmethod
     def from_rows(rows, ambient_dim: int | None = None) -> "Subspace":
-        rows = [fvec(r) for r in rows]
+        """The span of rational or integer rows: each row is made primitive
+        (``primitive_rows``) and the first-seen independent rows are kept."""
+        P = primitive_rows(rows)
         if ambient_dim is None:
-            if not rows:
+            if not len(P):
                 raise ValueError("ambient_dim required for empty basis")
-            ambient_dim = len(rows[0])
-        if rows:
-            # keep the first-seen independent rows: the pivot columns of
-            # the transpose
-            cols = np.array([list(r) for r in rows], dtype=object).T
-            rows = [rows[i] for i in _rref_ints([scaled_ints(c)[1] for c in cols])]
-        return Subspace(ambient_dim, tuple(rows))
+            ambient_dim = P.shape[1]
+        if not len(P):
+            return Subspace(ambient_dim, ())
+        # the first-seen independent rows are the pivot columns of the
+        # transpose
+        return Subspace(ambient_dim, tuple(P[_rref_ints(list(P.T))]))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrix(self) -> RationalMatrix:
-        if not self.basis:
-            return np.empty((0, self.ambient_dim), dtype=object)
-        return np.array([list(r) for r in self.basis], dtype=object)
+    def matrix(self) -> np.ndarray:
+        """The basis rows stacked: an integer object array (dim, ambient)."""
+        return np.array(self.basis, dtype=object).reshape(self.dim, self.ambient_dim)
 
     def contains(self, vec) -> bool:
         v = fvec(vec)
@@ -330,17 +359,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         )
     if a.dim == 0 or b.dim == 0:
         return Subspace(a.ambient_dim, ())
-    # x = c.A = d.B  =>  [A^T | -B^T] (c,d)^T = 0
-    M = np.hstack([a.matrix().T, -b.matrix().T])
-    vecs = []
-    for k in kernel(M):
-        coeffs = k[: a.dim]
-        x = np.zeros(a.ambient_dim, dtype=object)
-        for ci, row in zip(coeffs, a.basis):
-            if ci != 0:
-                x = x + ci * row
-        vecs.append(primitive_vector(x))
-    return Subspace.from_rows(vecs, a.ambient_dim) if vecs else Subspace(a.ambient_dim, ())
+    # x = c.A = d.B  <=>  [A^T | -B^T] (c, d)^T = 0; the c parts of the
+    # kernel meet A in one integer product
+    A = a.matrix()
+    ker = kernel(np.hstack([A.T, -b.matrix().T]))
+    C = np.array([k[: a.dim] for k in ker], dtype=object).reshape(len(ker), a.dim)
+    return Subspace.from_rows(int_matmul(C, A), a.ambient_dim)
 
 
 def signature(form) -> tuple[int, int, int]:
@@ -452,13 +476,8 @@ class CoordinateSolver:
 
 
 def primitive_vector(vec) -> np.ndarray:
-    """Clear denominators, divide by content, normalize leading sign."""
-    _l, ints = scaled_ints(list(vec))
-    g = gcd(*ints)
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        g = -g
-    return fvec(ints // g if g else ints)
+    """``primitive_rows`` of one vector, as Fractions."""
+    return fvec(primitive_rows([list(vec)])[0])
 
 
 def is_rational_square(x) -> bool:

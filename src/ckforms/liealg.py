@@ -39,12 +39,10 @@ from .exactlin import (
     absmax,
     check_int64,
     embed_block,
-    fmat,
     fmatmul,
     fzeros,
     int_matmul,
     kernel,
-    primitive_vector,
     scaled_ints,
     signature,
     unscaled,
@@ -199,7 +197,9 @@ class LieAlgebra:
             check_int64(self.name, "Killing form", m * m * d * d)
             A2 = AD.reshape(d, -1)
             B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)
-            self._killing = fmat((A2 @ B2.T).tolist())
+            # only the columns where both views are nonzero contribute
+            cols = np.flatnonzero(A2.any(axis=0) & B2.any(axis=0))
+            self._killing = unscaled(A2[:, cols] @ B2[:, cols].T, 1)
         return self._killing
 
     def bracket_coords(self, u, v) -> np.ndarray:
@@ -235,9 +235,7 @@ class LieAlgebra:
 
     def _theta_eigenspace(self, lam) -> Subspace:
         M = self.theta - lam * np.eye(self.dim, dtype=object)
-        return Subspace.from_rows(
-            [primitive_vector(v) for v in kernel(M)], self.dim
-        )
+        return Subspace.from_rows(kernel(M), self.dim)
 
     def restricted_gram(self, sub: Subspace) -> np.ndarray:
         V = sub.matrix()
@@ -332,15 +330,10 @@ def span_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
     their matrix commutators in one batch."""
     if sub.ambient_dim != alg.dim:
         raise ValueError("subspace lives in a different coordinate space")
-    cur = Subspace.from_rows([primitive_vector(v) for v in sub.basis], alg.dim)
+    cur = sub
     while cur.dim > 1:
-        N, _L = alg._brackets(
-            scaled_ints(cur.matrix())[1], *np.triu_indices(cur.dim, 1)
-        )
-        new = [primitive_vector(w) for w in N if w.any()]
-        if not new:
-            break
-        grown = Subspace.from_rows(list(cur.basis) + new, alg.dim)
+        N, _L = alg._brackets(cur.matrix(), *np.triu_indices(cur.dim, 1))
+        grown = Subspace.from_rows(list(cur.basis) + list(N), alg.dim)
         if grown.dim == cur.dim:
             break
         cur = grown

@@ -403,7 +403,7 @@ def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
     if len(normal_kernel) != 1:
         raise ValueError("scan needs a corank-one subspace")
     nvec = [int(x) for x in primitive_vector(normal_kernel[0])]
-    v = [int(x) for x in primitive_vector(line.basis[0])]
+    v = list(line.basis[0])
     bound = max(map(abs, nvec)) * max(map(abs, v)) * k
     dtype = np.int64 if bound < 2**63 else object
     nvec, v = np.array(nvec, dtype=dtype), np.array(v, dtype=dtype)
@@ -509,7 +509,7 @@ def weyl_disjoint(
             wh = fmatmul(Hm, w.T)
             if rank(np.vstack([wh, Lm])) == V_h.dim + V_l.dim:
                 continue  # full rank over Q, deficient only mod p
-            moved = Subspace.from_rows([primitive_vector(row) for row in wh], r)
+            moved = Subspace.from_rows(wh, r)
             return False, (w, intersect(moved, V_l).basis[0])
     return True, None
 

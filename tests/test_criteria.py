@@ -228,3 +228,72 @@ def test_sum_check_counts_independent_rows(so44):
     assert chk.holds and chk.rank == 28
     chk2 = check_sum(so44, l, l)
     assert not chk2.holds and chk2.rank == 10
+
+
+# ---------------------------------------------------------------------------
+# one intersection path for every shape of side
+# ---------------------------------------------------------------------------
+
+def _factor_vs_product(g):
+    h = factor_embedding(g, 0, _lk("so(4,4):so(3,4):spin"))
+    l = product_embedding(
+        g, _lk("so(4,4):so(1,4):block"), _lk("so(2,4):so(1,4):block")
+    )
+    return h, l
+
+
+def _product_vs_product(g):
+    h = product_embedding(
+        g, _lk("so(4,4):so(3,4):spin"), _lk("so(2,4):so(1,4):block")
+    )
+    l = product_embedding(
+        g, _lk("so(4,4):so(1,4):block"), _lk("so(2,4):su(1,2):complexstruct")
+    )
+    return h, l
+
+
+def _diagonal_vs_product(g):
+    h = diagonal(g, _lk("so(4,4):so(2,4):block"))
+    l = product_embedding(
+        g, _lk("so(4,4):so(3,4):spin"), _lk("so(2,4):so(1,4):block")
+    )
+    return h, l
+
+
+def _projections(p1h, p2h, p1l, p2l, h_dec, l_dec):
+    return {
+        "pi1_h": p1h, "pi2_h": p2h, "pi1_l": p1l, "pi2_l": p2l,
+        "h_decomposable": h_dec, "l_decomposable": l_dec,
+    }
+
+
+@pytest.mark.parametrize(
+    "ambient, sides, meet, sig, projections, case",
+    [
+        (("so(4,4)", "so(2,4)"), _factor_vs_product, 3, (0, 3, 0),
+         _projections(21, 0, 10, 10, True, True), "Reject"),
+        (("so(4,4)", "so(2,4)"), _product_vs_product, 6, (0, 6, 0),
+         _projections(21, 10, 10, 8, True, True), "Case3"),
+        (("so(4,4)", "so(2,4)"), _diagonal_vs_product, 3, (0, 3, 0),
+         _projections(15, 15, 21, 10, False, True), "Case5"),
+        (("so(4,4)", "so(2,4)"), lambda g: _diagonal_vs_product(g)[::-1],
+         3, (0, 3, 0), _projections(21, 10, 15, 15, True, False), "Case5"),
+        (("so(2,4)", "so(2,4)"), lambda g: (diagonal(g), diagonal(g)), 15,
+         (8, 7, 0), _projections(15, 15, 15, 15, False, False), "Reject"),
+    ],
+    ids=[
+        "factor-vs-product", "product-vs-product", "diagonal-vs-product",
+        "product-vs-diagonal", "double-diagonal",
+    ],
+)
+def test_generic_intersection_keeps_each_side_shape(
+    ambient, sides, meet, sig, projections, case
+):
+    # values of the structure-specific intersections this path replaced
+    g = product_algebra(*ambient)
+    h, l = sides(g)
+    v = classify_triple(g, h, l, with_weyl=False)
+    assert v.dims["intersection"] == meet
+    assert tuple(v.compact_check.signature) == sig
+    assert v.projections == projections
+    assert v.case_label == case

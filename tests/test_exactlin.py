@@ -12,6 +12,7 @@ from ckforms.exactlin import (
     fmat,
     fmatmul,
     fvec,
+    int_matmul,
     intersect,
     is_rational_square,
     kernel,
@@ -181,6 +182,30 @@ def test_subspace_containment_and_dims():
     assert v.dim == 1
     assert v.contains(fvec([3, 3]))
     assert not v.contains(fvec([1, 0]))
+
+
+def test_int_matmul_with_a_zero_factor_keeps_big_entries_exact():
+    big = np.array([[2**70, 1]], dtype=object)
+    assert int_matmul(np.empty((0, 1), dtype=object), big).shape == (0, 2)
+    assert list(int_matmul(np.zeros((1, 1), dtype=object), big)[0]) == [0, 0]
+    assert list(int_matmul(np.ones((1, 1), dtype=object), big)[0]) == [2**70, 1]
+
+
+def test_from_rows_keeps_the_first_seen_rows_made_primitive():
+    rows = [
+        [0, 0, 0],
+        [Fraction(-2, 3), Fraction(4, 3), 0],
+        [4, -8, 0],
+        [0, 6, 9],
+        [2, 0, 6],
+        [0, 0, -5],
+    ]
+    v = Subspace.from_rows(rows)
+    assert [list(r) for r in v.basis] == [[1, -2, 0], [0, 2, 3], [0, 0, 1]]
+    assert all(type(x) is int for r in v.basis for x in r)
+    # a dependent row seen first is kept in place of its later multiples
+    w = Subspace.from_rows([[0, -4, -6], [1, -2, 0], [0, 2, 3]], 3)
+    assert [list(r) for r in w.basis] == [[0, 2, 3], [1, -2, 0]]
 
 
 @given(

@@ -1,5 +1,6 @@
 """Differential tests of the exact kernel against sympy's exact ``Matrix``."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,50 @@ def test_kernel_spans_the_sympy_nullspace(rows):
         assert all(x == 0 for x in _sym(rows) * _sym(ours).T)
         stacked = _sym(ours).col_join(sympy.Matrix.hstack(*theirs).T)
         assert stacked.rank() == len(theirs)
+
+
+def _rref_kernel(rows):
+    """Reference kernel: plain Fraction Gauss-Jordan, one vector per free
+    column with free entry 1."""
+    R = [[Fraction(x) for x in r] for r in rows]
+    n = len(R[0])
+    piv = []
+    for c in range(n):
+        r = len(piv)
+        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        R[r] = [x / R[r][c] for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        piv.append(c)
+    out = []
+    for fc in (c for c in range(n) if c not in piv):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv):
+            v[pc] = -R[i][fc]
+        out.append(v)
+    return out
+
+
+@given(_matrices())
+@_FEW
+def test_kernel_vectors_are_primitive_positive_multiples_of_the_rref_kernel(rows):
+    ours = kernel(fmat(rows))
+    ref = _rref_kernel(rows)
+    # the reference is sympy's nullspace, vector for vector
+    assert [list(v) for v in ref] == [list(v) for v in _sym(rows).nullspace()]
+    assert len(ours) == len(ref)
+    for v, w in zip(ours, ref):
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+        t = next(Fraction(a) / b for a, b in zip(v, w) if b)
+        assert t > 0
+        assert all(a == t * b for a, b in zip(v, w))
 
 
 @given(_matrices(), _matrices())

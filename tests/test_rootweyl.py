@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckforms.exactlin import Subspace, fmat, fvec, intersect, kernel, primitive_vector
+from ckforms.exactlin import Subspace, fmat, fvec, intersect, kernel
 from ckforms.embeddings import adapted_split_part, catalog_lookup, product_algebra
 from ckforms.realforms import build_real_form
 from ckforms.rootweyl import (
@@ -151,9 +151,7 @@ def _reference_scan(sd, V_h, V_l):
     """The first Weyl element w (in enumeration order) with w(V_h) meeting
     V_l, by exact intersection for every element."""
     for w in weyl_elements(sd):
-        moved = Subspace.from_rows(
-            [primitive_vector(row) for row in V_h.matrix() @ w.T], sd.rank
-        )
+        moved = Subspace.from_rows(V_h.matrix() @ w.T, sd.rank)
         inter = intersect(moved, V_l)
         if inter.dim:
             return False, (w, inter.basis[0])
@@ -238,9 +236,7 @@ def _assert_witness(V_h, V_l, witness):
     w, x = witness
     assert any(c != 0 for c in x)
     assert V_l.contains(x)
-    moved = Subspace.from_rows(
-        [primitive_vector(row) for row in V_h.matrix() @ w.T], V_h.ambient_dim
-    )
+    moved = Subspace.from_rows(V_h.matrix() @ w.T, V_h.ambient_dim)
     assert moved.contains(x)
 
 
