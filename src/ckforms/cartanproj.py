@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import InternalError, Subspace, rref
+from .exactlin import (
+    InternalError, Subspace, echelon_rows, int_matmul, scaled_ints,
+)
 from .liealg import LieAlgebra
 from .embeddings import (
     Embedding,
@@ -224,13 +226,12 @@ def gap_union(space) -> list:
     sp = _get_space(space) if isinstance(space, str) else space
     if getattr(sp, "_union", None) is not None:
         return sp._union
-    V = adapted_split_part(sp.target)
-    rows = np.array([list(r) for r in V.basis], dtype=object)
+    rows = adapted_split_part(sp.target).matrix()
     seen = {}
     for W in weyl_elements(sp.sd):
-        moved = rows @ np.array(W, dtype=object).T
-        R, _piv = rref(moved)
-        key = tuple(tuple(x for x in row) for row in R)
+        # integer rows of w(V), keyed by their canonical echelon basis
+        moved = rows @ scaled_ints(W)[1].T
+        key = tuple(map(tuple, echelon_rows(moved)))
         if key not in seen:
             seen[key] = Subspace.from_rows(moved, sp.sd.rank)
     sp._union = list(seen.values())
@@ -275,6 +276,11 @@ def _union_distances(sp: GapSpace, mus: np.ndarray) -> np.ndarray:
 # sampling
 # ---------------------------------------------------------------------------
 
+def _floats(N, L):
+    """The exact quotients N / L, each rounded once to the nearest float."""
+    return (np.asarray(N, dtype=object) / L).astype(float)
+
+
 def _part_data(sp: GapSpace):
     """Per sampled factor: float boost map into ambient a, boost matrices and
     compact-part matrices in the ambient realization."""
@@ -282,20 +288,16 @@ def _part_data(sp: GapSpace):
         return sp._parts_data
     out = []
     for e in sp.parts:
-        Amap = np.array([[float(x) for x in row] for row in a_map(e)])
         src = e.source
-        sd_src = split_data(src)
-        a_imgs = [
-            np.array([[float(x) for x in row] for row in e.apply(A)])
-            for A in sd_src.a_matrices
-        ]
-        k_imgs = []
-        for row in src.k_subspace().basis:
-            M = src.matrix(np.array(row, dtype=object))
-            k_imgs.append(
-                np.array([[float(x) for x in row2] for row2 in e.apply(M)])
-            )
-        out.append({"a_map": Amap, "a_imgs": a_imgs, "k_imgs": k_imgs})
+        la, A = split_data(src).boosts
+        Ya, sa = e.apply_ints(A)
+        K = int_matmul(src.k_subspace().matrix(), src.stack.reshape(src.dim, -1))
+        Yk, sk = e.apply_ints(K.reshape(-1, src.n, src.n))
+        out.append({
+            "a_map": _floats(a_map(e), 1),
+            "a_imgs": _floats(Ya, sa * la),
+            "k_imgs": _floats(Yk, sk),
+        })
     sp._parts_data = out
     return out
 

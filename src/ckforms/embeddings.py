@@ -16,20 +16,20 @@ from __future__ import annotations
 
 import difflib
 import re
+from math import lcm
 
 import numpy as np
 
 from .exactlin import (
-    CoordinateSolver,
     InternalError,
     Subspace,
     absmax,
-    embed_block,
-    fmatmul,
-    fzeros,
+    fit_int64,
+    int_matmul,
     rank,
     rank_at_least_modp,
     scaled_ints,
+    unscaled,
 )
 from .liealg import LieAlgebra, direct_sum
 from . import realforms
@@ -75,38 +75,54 @@ class AdaptednessError(InternalError):
 
 
 class Embedding:
-    """An injective Lie algebra homomorphism given by basis images.
-
+    """An injective Lie algebra homomorphism given by its basis images: one
+    integer stack ``IM`` (k, n, n), int64 when it fits, over one positive
+    ``den`` (image i is IM[i] / den), passed as rational matrices or as the
+    pair (den, IM).  ``images`` is the rational view, built on first read.
     ``iota`` is the twist of a diagonal (``diagonal``), None otherwise."""
 
     def __init__(self, key, source, target, images, iota=None):
-        self.key = key
-        self.source = source
-        self.target = target
-        self.images = images
-        self.iota = iota
-        self._coord_rows = None
+        self.key, self.source, self.target, self.iota = key, source, target, iota
+        if not isinstance(images, tuple):
+            images = scaled_ints(np.array(images, dtype=object))
+        self.den, self.IM = images[0], fit_int64(images[1])
+        self._images = self._coord_rows = None
+
+    @property
+    def images(self) -> list:
+        """The basis images as Fraction matrices."""
+        if self._images is None:
+            self._images = list(unscaled(self.IM, self.den))
+        return self._images
 
     def coord_rows(self) -> np.ndarray:
         """Target coordinates of the basis images, all scaled by one positive
         int to integer rows (object array of Python ints): one batched read
-        of the images scaled to integers."""
+        of the stack."""
         if self._coord_rows is None:
-            _den, IM = scaled_ints(np.array(self.images, dtype=object))
-            self._coord_rows = self.target.read_coords(IM)[0].astype(object)
+            self._coord_rows = self.target.read_coords(self.IM)[0].astype(object)
         return self._coord_rows
 
     def subspace(self) -> Subspace:
         return Subspace.from_rows(self.coord_rows(), self.target.dim)
 
+    def apply_ints(self, X):
+        """(Y, s) with Y / s the images of a stack X (m, n, n) of integer
+        source matrices: one batched coordinate read, one product with the
+        stack.  ValueError if a matrix lies outside the source."""
+        got = self.source.try_read_coords(X)
+        if got is None:
+            raise ValueError(f"{self.key}: matrix outside {self.source.name}")
+        N, L = got
+        Y = int_matmul(N, self.IM.reshape(len(self.IM), -1))
+        return Y.reshape(len(X), self.target.n, self.target.n), L * self.den
+
     def apply(self, M):
-        """Image of an arbitrary source matrix."""
-        c = self.source.coords(M)
-        out = fzeros((self.target.n, self.target.n))
-        for ci, img in zip(c, self.images):
-            if ci != 0:
-                out = out + ci * img
-        return out
+        """Image of one rational source matrix; ValueError if it lies
+        outside the source."""
+        lm, X = scaled_ints(M)
+        Y, s = self.apply_ints(X[None])
+        return unscaled(Y[0], s * lm)
 
     def __repr__(self):
         return f"Embedding({self.key}: {self.source.name} -> {self.target.name})"
@@ -136,9 +152,10 @@ def normalize_algebra_key(tok: str) -> str:
 _ATOM_AHEAD = re.compile(r"(?:so|su|sp|g2|delta)[\d(]|0(?:x|$)")
 
 
-def _split_top(s: str, sep: str) -> list:
-    """Split on a one-character separator at paren depth zero; raises
-    ValueError on unbalanced parentheses."""
+def _split_at(s: str, cut) -> list:
+    """Split s at paren depth zero on each index i where cut(i, start) holds
+    (start: the first index of the current part); raises ValueError on
+    unbalanced parentheses."""
     parts, depth, start = [], 0, 0
     for i, c in enumerate(s):
         if c == "(":
@@ -147,13 +164,18 @@ def _split_top(s: str, sep: str) -> list:
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {s!r}")
-        elif c == sep and depth == 0:
+        elif depth == 0 and cut(i, start):
             parts.append(s[start:i])
             start = i + 1
     if depth:
         raise ValueError(f"unbalanced parentheses in {s!r}")
     parts.append(s[start:])
     return parts
+
+
+def _split_top(s: str, sep: str) -> list:
+    """Split on a one-character separator at paren depth zero."""
+    return _split_at(s, lambda i, _start: s[i] == sep)
 
 
 def split_product(s: str) -> list:
@@ -161,26 +183,10 @@ def split_product(s: str) -> list:
     part and is followed by an algebra atom, so variant names containing x
     (complexstruct) need no escaping; raises ValueError on unbalanced
     parentheses."""
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(s):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {s!r}")
-        elif (
-            c == "x"
-            and depth == 0
-            and i > start
-            and _ATOM_AHEAD.match(s, i + 1)
-        ):
-            parts.append(s[start:i])
-            start = i + 1
-    if depth:
-        raise ValueError(f"unbalanced parentheses in {s!r}")
-    parts.append(s[start:])
-    return parts
+    return _split_at(
+        s,
+        lambda i, start: s[i] == "x" and i > start and _ATOM_AHEAD.match(s, i + 1),
+    )
 
 
 def parse_space_key(tok: str):
@@ -201,17 +207,12 @@ def parse_space_key(tok: str):
 # ---------------------------------------------------------------------------
 
 def identity_embedding(alg: LieAlgebra) -> Embedding:
-    return Embedding(
-        f"{alg.name}:{alg.name}:id", alg, alg, [m.copy() for m in alg.basis]
-    )
-
-
-def _keep_first_indices(p1, q1, p, q):
-    return [i for i in range(p1)] + [p + j for j in range(q1)]
+    return Embedding(f"{alg.name}:{alg.name}:id", alg, alg, (1, alg.stack))
 
 
 def block_embedding(amb_key: str, sub_key: str) -> Embedding:
-    """Keep-first block inclusion so(p',q') -> so(p,q) or su(p',q') -> su(p,q)."""
+    """Keep-first block inclusion so(p',q') -> so(p,q) or su(p',q') -> su(p,q)
+    (complex coordinate j of su is real coordinates 2j, 2j+1)."""
     amb = build_real_form(amb_key)
     sub = build_real_form(sub_key)
     fa, p, q = amb.meta["family"], amb.meta["p"], amb.meta["q"]
@@ -220,22 +221,13 @@ def block_embedding(amb_key: str, sub_key: str) -> Embedding:
         raise CatalogError(
             f"no block inclusion {sub_key} -> {amb_key}"
         )
-    if fa == "so":
-        idx = _keep_first_indices(p1, q1, p, q)
-        images = []
-        for M in sub.basis:
-            out = fzeros((amb.n, amb.n))
-            for a in range(sub.n):
-                for b in range(sub.n):
-                    if M[a, b] != 0:
-                        out[idx[a], idx[b]] = M[a, b]
-            images.append(out)
-    else:
-        cidx = {i: i for i in range(p1)}
-        cidx.update({p1 + j: p + j for j in range(q1)})
-        images = realforms.su_real_basis(p1, q1, idxmap=cidx, total=p + q)
-    key = f"{amb.name}:{sub.name}:block"
-    return Embedding(key, sub, amb, images)
+    idx = [*range(p1), *range(p, p + q1)]
+    if fa == "su":
+        idx = [2 * i + u for i in idx for u in (0, 1)]
+    idx = np.array(idx)
+    IM = np.zeros((sub.dim, amb.n, amb.n), dtype=sub.stack.dtype)
+    IM[:, idx[:, None], idx] = sub.stack
+    return Embedding(f"{amb.name}:{sub.name}:block", sub, amb, (1, IM))
 
 
 def complexstruct_embedding(amb_key: str, sub_key: str) -> Embedding:
@@ -251,8 +243,9 @@ def complexstruct_embedding(amb_key: str, sub_key: str) -> Embedding:
         raise CatalogError(
             f"no complex-structure inclusion {sub_key} -> {amb_key}"
         )
-    images = [m.copy() for m in sub.basis]
-    return Embedding(f"{amb.name}:{sub.name}:complexstruct", sub, amb, images)
+    return Embedding(
+        f"{amb.name}:{sub.name}:complexstruct", sub, amb, (1, sub.stack)
+    )
 
 
 def quaternionic_embedding(amb_key: str, sub_key: str) -> Embedding:
@@ -265,7 +258,7 @@ def quaternionic_embedding(amb_key: str, sub_key: str) -> Embedding:
     if amb.meta["family"] == "su" and (amb.meta["p"], amb.meta["q"]) == (2 * a, 2 * b):
         images = realforms.sp_real_basis_c2(a, b)
     elif amb.meta["family"] == "so" and (amb.meta["p"], amb.meta["q"]) == (4 * a, 4 * b):
-        images = [m.copy() for m in sub.basis]
+        images = (1, sub.stack)
     else:
         raise CatalogError(f"no quaternionic inclusion {sub_key} -> {amb_key}")
     return Embedding(f"{amb.name}:{sub.name}:quaternionic", sub, amb, images)
@@ -304,16 +297,16 @@ def g2in7_embedding(amb_key: str, sub_key: str) -> Embedding:
     sub = build_real_form(sub_key)
     if sub.meta["family"] != "g2" or (amb.meta["family"], amb.meta["p"], amb.meta["q"]) != ("so", 3, 4):
         raise CatalogError(f"no 7-dimensional g2 inclusion {sub_key} -> {amb_key}")
-    images = [m.copy() for m in sub.basis]
-    return Embedding(f"{amb.name}:{sub.name}:g2in7", sub, amb, images)
+    return Embedding(f"{amb.name}:{sub.name}:g2in7", sub, amb, (1, sub.stack))
 
 
 def compose(outer: Embedding, inner: Embedding) -> Embedding:
     if inner.target is not outer.source:
         raise ValueError("embeddings do not compose")
-    images = [outer.apply(m) for m in inner.images]
+    Y, s = outer.apply_ints(inner.IM)
     return Embedding(
-        f"{outer.key}*{inner.key}", inner.source, outer.target, images
+        f"{outer.key}*{inner.key}", inner.source, outer.target,
+        (s * inner.den, Y),
     )
 
 
@@ -363,29 +356,46 @@ def canonical_iota(g1_key: str, g2_key: str) -> str:
 # products and diagonals
 # ---------------------------------------------------------------------------
 
+# direct sums by the pair of factor algebras, shared by ambients and sources
 _product_cache = {}
 
 
+def _direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    if (a, b) not in _product_cache:
+        _product_cache[a, b] = direct_sum(a, b)
+    return _product_cache[a, b]
+
+
 def product_algebra(k1: str, k2: str) -> LieAlgebra:
-    k1 = normalize_algebra_key(k1)
-    k2 = normalize_algebra_key(k2)
-    key = (k1, k2)
-    if key not in _product_cache:
-        _product_cache[key] = direct_sum(
-            build_real_form(k1), build_real_form(k2)
-        )
-    return _product_cache[key]
+    return _direct_sum(
+        build_real_form(normalize_algebra_key(k1)),
+        build_real_form(normalize_algebra_key(k2)),
+    )
 
 
-def _block_lift(g: LieAlgebra, factor_index: int, M):
-    return embed_block(M, g.n, g.factors[factor_index][2])
+def _scaled(S, f):
+    """The integer stack f * S, in int64 when it fits."""
+    fits = f == 1 or S.dtype != object and absmax(S) * f < 2**63
+    return S * f if fits else S.astype(object) * f
+
+
+def _placed(g: LieAlgebra, k: int, parts) -> tuple:
+    """(den, IM) of k images in the product g: each part (rows, factor
+    index, den, stack) puts stack / den into that factor's block."""
+    den = lcm(*(d for _r, _i, d, _S in parts))
+    stacks = [_scaled(S, den // d) for _r, _i, d, S in parts]
+    IM = np.zeros((k, g.n, g.n), dtype=np.result_type(*stacks))
+    for (rows, i, _d, _S), S in zip(parts, stacks):
+        off, m = g.factors[i][2], S.shape[-1]
+        IM[rows, off : off + m, off : off + m] = S
+    return den, IM
 
 
 def factor_embedding(g: LieAlgebra, factor_index: int, emb: Embedding) -> Embedding:
     """Place an embedding into one ideal of a product (the other gets 0)."""
     if emb.target is not g.factors[factor_index][0]:
         raise ValueError("embedding target is not the chosen factor")
-    images = [_block_lift(g, factor_index, m) for m in emb.images]
+    images = _placed(g, len(emb.IM), [(slice(None), factor_index, emb.den, emb.IM)])
     key = f"[{factor_index}]{emb.key}"
     return Embedding(key, emb.source, g, images)
 
@@ -395,12 +405,13 @@ def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedd
     (alg1, _c1, _b1), (alg2, _c2, _b2) = g.factors
     if emb1.target is not alg1 or emb2.target is not alg2:
         raise ValueError("part targets do not match the product factors")
-    src = direct_sum(emb1.source, emb2.source)
-    images = [_block_lift(g, 0, m) for m in emb1.images] + [
-        _block_lift(g, 1, m) for m in emb2.images
-    ]
+    k1 = len(emb1.IM)
+    images = _placed(g, k1 + len(emb2.IM), [
+        (slice(None, k1), 0, emb1.den, emb1.IM),
+        (slice(k1, None), 1, emb2.den, emb2.IM),
+    ])
     key = f"{emb1.key} (+) {emb2.key}"
-    return Embedding(key, src, g, images)
+    return Embedding(key, _direct_sum(emb1.source, emb2.source), g, images)
 
 
 def diagonal(g: LieAlgebra, iota: Embedding | None = None) -> Embedding:
@@ -415,10 +426,8 @@ def diagonal(g: LieAlgebra, iota: Embedding | None = None) -> Embedding:
         iota = identity_embedding(alg1)
     if iota.source.name != alg2.name or iota.target is not alg1:
         raise ValueError("twist must embed the second factor into the first")
-    images = []
-    for i, b in enumerate(alg2.basis):
-        M = _block_lift(g, 0, iota.images[i]) + _block_lift(g, 1, b)
-        images.append(M)
+    parts = [(slice(None), 0, iota.den, iota.IM), (slice(None), 1, 1, alg2.stack)]
+    images = _placed(g, alg2.dim, parts)
     key = f"delta({alg2.name},{iota.key.split(':')[-1]})"
     return Embedding(key, alg2, g, images, iota=iota)
 
@@ -511,26 +520,21 @@ def _pair_lookup(amb: str, sub: str, variant: str) -> Embedding:
 
 def a_map(emb: Embedding) -> np.ndarray:
     """Exact matrix (source rank x ambient rank) sending boost coordinates of
-    the source split part to ambient boost coordinates."""
-    sd_src = split_data(emb.source)
-    sd_tgt = split_data(emb.target)
-    flat = np.array(
-        [np.asarray(A, dtype=object).reshape(-1) for A in sd_tgt.a_matrices],
-        dtype=object,
-    )
-    solver = CoordinateSolver(flat)
-    rows = []
-    for A in sd_src.a_matrices:
-        img = emb.apply(A)
-        c = solver.try_coords(np.asarray(img, dtype=object).reshape(-1))
-        if c is None:
-            raise AdaptednessError(
-                "embeddings.a_map",
-                f"{emb.key}: image of a split generator leaves the ambient "
-                "split part",
-            )
-        rows.append(c)
-    return np.array([list(r) for r in rows], dtype=object)
+    the source split part to ambient boost coordinates: one batched
+    ``apply_ints`` of the source boosts, one checked solve."""
+    la, A = split_data(emb.source).boosts
+    sd = split_data(emb.target)
+    Y, s = emb.apply_ints(A)
+    got = sd.solver.solve_checked(Y.reshape(len(Y), -1))
+    if got is None:
+        raise AdaptednessError(
+            "embeddings.a_map",
+            f"{emb.key}: image of a split generator leaves the ambient "
+            "split part",
+        )
+    N, L = got
+    # N / L are coordinates in the target stack, boosts[0] times the boosts
+    return unscaled(N.astype(object) * sd.boosts[0], L * s * la)
 
 
 def adapted_split_part(emb: Embedding) -> Subspace:
@@ -565,13 +569,11 @@ def validate_embedding(emb: Embedding) -> dict:
 
     T = src.tensor
     d = src.dim
-    den, IM = scaled_ints(np.array(emb.images, dtype=object))
+    den, IM = emb.den, emb.IM
     m = absmax(IM)
     # [img_i, img_j], batched over j, against den * sum_k c_ij^k img_k
-    if max(2 * m * m * tgt.n, den * absmax(T) * m * d, den) < 2**63:
-        IM = IM.astype(np.int64)
-    else:
-        T = T.astype(object)
+    if max(2 * m * m * tgt.n, den * absmax(T) * m * d, den) >= 2**63:
+        IM, T = IM.astype(object), T.astype(object)
     flat = IM.reshape(d, -1)
     hom = all(
         ((IM[i] @ IM - IM @ IM[i]).reshape(d, -1) == den * (T[i].T @ flat)).all()
@@ -580,9 +582,11 @@ def validate_embedding(emb: Embedding) -> dict:
 
     theta_ok = True
     if src.theta_conjugator is not None and tgt.theta_conjugator is not None:
-        lhs = [tgt.theta_apply_matrix(x).reshape(-1) for x in emb.images]
-        rhs = fmatmul(src.theta.T, np.array(emb.images, dtype=object).reshape(d, -1))
-        theta_ok = bool((np.array(lhs) == rhs).all())
+        # lt * (g img g) == lg**2 * (theta^T img) on the integer stack
+        (lg, G), (lt, Th) = scaled_ints(tgt.theta_conjugator), scaled_ints(src.theta)
+        lhs = int_matmul(int_matmul(G, IM), G).reshape(d, -1).astype(object)
+        rhs = int_matmul(Th.T, flat).astype(object)
+        theta_ok = bool((lt * lhs == lg * lg * rhs).all())
     return {
         "injective": bool(inj),
         "homomorphism": bool(hom),

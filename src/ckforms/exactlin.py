@@ -49,11 +49,13 @@ __all__ = [
     "unscaled",
     "absmax",
     "int_matmul",
+    "fit_int64",
     "embed_block",
     "is_rational_square",
     "rational_sqrt",
     "primitive_vector",
     "primitive_rows",
+    "echelon_rows",
 ]
 
 # A RationalMatrix is simply an object-dtype numpy array of Fractions; the
@@ -139,6 +141,11 @@ def int_matmul(A, B):
     if max(a * b * A.shape[-1], a, b) < 2**63:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     return A.astype(object) @ B.astype(object)
+
+
+def fit_int64(A):
+    """An integer array in int64 when its entries fit, else as is."""
+    return A.astype(np.int64) if A.dtype == object and absmax(A) < 2**63 else A
 
 
 def fmatmul(A, B):
@@ -312,6 +319,13 @@ def primitive_rows(rows) -> np.ndarray:
     return np.array(out, dtype=object)
 
 
+def echelon_rows(rows) -> np.ndarray:
+    """The primitive rows of the reduced row echelon form of integer rows,
+    each pivot positive: one canonical integer basis per row space."""
+    M = list(np.asarray(rows, dtype=object))
+    return primitive_rows(M[: len(_rref_ints(M))])
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^ambient_dim given by an independent basis of primitive
@@ -344,11 +358,7 @@ class Subspace:
         return np.array(self.basis, dtype=object).reshape(self.dim, self.ambient_dim)
 
     def contains(self, vec) -> bool:
-        v = fvec(vec)
-        if self.dim == 0:
-            return all(x == 0 for x in v)
-        stacked = np.vstack([self.matrix(), v.reshape(1, -1)])
-        return rank(stacked) == self.dim
+        return rank(np.vstack([self.matrix(), primitive_rows([vec])])) == self.dim
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -434,14 +444,14 @@ class CoordinateSolver:
             raise ValueError("basis rows are dependent")
         self.pivots = piv
         self.dim = d
-        self.ambient = n
         # C = transform / transform_den, kept in int64 when it fits
         self._transform_den = lcm(*[M[i][c] for i, c in enumerate(piv)])
         T = np.array(
             [M[i][n:] * (self._transform_den // M[i][c])
              for i, c in enumerate(piv)], dtype=object,
         ).reshape(d, d)
-        self._transform = T.astype(np.int64) if absmax(T) < 2**63 else T
+        self._transform = fit_int64(T)
+        self._basis_int = fit_int64(self._basis_int)
 
     def solve(self, Y):
         """(N, L): integer numerators (m, dim) and common denominator of the
@@ -452,21 +462,23 @@ class CoordinateSolver:
             self._transform_den,
         )
 
+    def solve_checked(self, Y):
+        """``solve``, None if a row of Y leaves the span: the rebuild runs on
+        ``int_matmul``, Y * L * basis_den in int64 below 2**63."""
+        Y = np.asarray(Y)
+        N, L = self.solve(Y)
+        s = L * self._basis_den
+        if s * max(absmax(Y), 1) >= 2**63:
+            Y = Y.astype(object)
+        return (N, L) if (int_matmul(N, self._basis_int) == s * Y).all() else None
+
     def coords(self, vec) -> np.ndarray:
         """Coordinates of one vector; ValueError if it is not in the span."""
         lv, vn = scaled_ints(vec)
-        xn, lx = self.solve(vn.reshape(1, -1))
-        xn = xn[0].astype(object)
-        # x @ basis == v with x = xn / (lx * lv)  <=>
-        # xn @ basis_int == vn * lx * basis_den
-        recon = np.zeros(self.ambient, dtype=object)
-        for xi, row in zip(xn, self._basis_int):
-            if xi:
-                recon = recon + xi * row
-        s = lx * self._basis_den
-        if not all(a == b * s for a, b in zip(recon, vn)):
+        got = self.solve_checked(vn.reshape(1, -1))
+        if got is None:
             raise ValueError("vector not in span")
-        return unscaled(xn, lx * lv)
+        return unscaled(got[0][0], got[1] * lv)
 
     def try_coords(self, vec):
         try:

@@ -1,7 +1,9 @@
 """Matrix Lie algebras over Q with exact structure constants.
 
-A ``LieAlgebra`` owns an independent basis of integer matrices (stored as
-Fractions); the constructor raises ValueError on any non-integral entry.
+A ``LieAlgebra`` owns an independent basis of integer matrices, held as one
+integer stack (int64 when it fits, Python ints past it); the constructor
+takes a list of matrices or an integer stack and raises ValueError on any
+non-integral entry.  ``basis`` is the Fraction view, built on first read.
 
 There is one coordinate path: ``LieAlgebra.read_coords`` reads the
 coordinates of a whole stack of integer matrices at once (it gathers the
@@ -28,8 +30,6 @@ its coordinate matrix on the chosen basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
 import numpy as np
 
 from .exactlin import (
@@ -38,9 +38,10 @@ from .exactlin import (
     Subspace,
     absmax,
     check_int64,
+    echelon_rows,
     embed_block,
+    fit_int64,
     fmatmul,
-    fzeros,
     int_matmul,
     kernel,
     scaled_ints,
@@ -63,21 +64,19 @@ class LieAlgebra:
 
     def __init__(self, name, basis, theta_conjugator=None, meta=None):
         self.name = name
-        self.basis = [np.asarray(b, dtype=object) for b in basis]
-        self.dim = len(self.basis)
-        self.n = self.basis[0].shape[0] if self.basis else 0
+        B = np.asarray(basis)
+        self.dim = len(B)
+        self.n = B.shape[1] if self.dim else 0
         self.meta = dict(meta or {})
         # one integer copy of the flattened basis (int64 when it fits)
         # serves the solver, the coordinate read and the structure constants
-        ints = [
-            [int(x) if getattr(x, "denominator", None) == 1 else None
-             for x in b.flat]
-            for b in self.basis
-        ]
-        if any(None in row for row in ints):
-            raise ValueError(f"{name}: basis matrices must be integral")
-        flat = np.array(ints, dtype=object).reshape(self.dim, self.n**2)
-        self._flat = flat.astype(np.int64) if absmax(flat) < 2**63 else flat
+        if B.dtype.kind not in "iu":
+            ints = [int(x) if getattr(x, "denominator", None) == 1 else None
+                    for x in B.flat]
+            if None in ints:
+                raise ValueError(f"{name}: basis matrices must be integral")
+            B = np.array(ints, dtype=object)
+        self._flat = fit_int64(B.reshape(self.dim, self.n**2))
         self._solver = CoordinateSolver(self._flat)
         # the nonzero basis entries grouped by column: every coordinate read
         # rebuilds its matrices from them
@@ -95,9 +94,22 @@ class LieAlgebra:
             if theta_conjugator is not None
             else None
         )
+        self._basis = None
         self._tensor = None
         self._killing = None
         self._theta_coord = None
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The basis as one integer array (dim, n, n)."""
+        return self._flat.reshape(self.dim, self.n, self.n)
+
+    @property
+    def basis(self) -> list:
+        """The basis as Fraction matrices."""
+        if self._basis is None:
+            self._basis = list(unscaled(self.stack, 1))
+        return self._basis
 
     # -- coordinates ------------------------------------------------------
 
@@ -105,18 +117,13 @@ class LieAlgebra:
         """Coordinates of a matrix in the basis; raises if not in the span."""
         return self._solver.coords(np.asarray(X, dtype=object).reshape(-1))
 
-    def try_coords(self, X):
-        return self._solver.try_coords(np.asarray(X, dtype=object).reshape(-1))
-
     def matrix(self, u) -> np.ndarray:
-        out = fzeros((self.n, self.n))
-        for c, b in zip(u, self.basis):
-            if c != 0:
-                out = out + Fraction(c) * b
-        return out
+        """The rational matrix with coordinates u."""
+        lu, U = scaled_ints(u)
+        return unscaled(int_matmul(U, self._flat).reshape(self.n, self.n), lu)
 
     def contains_matrix(self, X) -> bool:
-        return self.try_coords(X) is not None
+        return self.try_read_coords(scaled_ints(X)[1][None]) is not None
 
     @property
     def factors(self) -> list:
@@ -134,12 +141,20 @@ class LieAlgebra:
 
         X is an integer array (m, n, n) or (m, n*n).  Returns (N, L): an
         integer array N (m, dim) and a positive int L with
-        X[r] = sum_k N[r, k] / L * basis[k].  Every matrix is rebuilt from
-        the nonzero basis entries and compared entrywise; InternalError if
-        one leaves the span.  The rebuild runs in int64 under the bound
-        max(max|N| * rebuild_bound, L * max|X|) < 2**63, on Python ints
-        past it.
-        """
+        X[r] = sum_k N[r, k] / L * basis[k].  InternalError if a matrix
+        leaves the span."""
+        got = self.try_read_coords(X)
+        if got is None:
+            raise InternalError(
+                "liealg.LieAlgebra.read_coords",
+                "bracket left the span: algebra not closed",
+            )
+        return got
+
+    def try_read_coords(self, X):
+        """``read_coords``, None if a matrix leaves the span: each is rebuilt
+        from the nonzero basis entries, in int64 under the bound max(max|N| *
+        rebuild_bound, L * max|X|) < 2**63, on Python ints past it."""
         X = np.asarray(X).reshape(len(X), -1)
         N, L = self._solver.solve(X)
         bound = max(absmax(N), 1) * self._rebuild_bound
@@ -149,10 +164,7 @@ class LieAlgebra:
             N[:, self._nz_rows] * self._nz_vals, self._nz_starts, axis=1
         )
         if X[:, self._off_support].any() or (R != L * X[:, self._nz_cols]).any():
-            raise InternalError(
-                "liealg.LieAlgebra.read_coords",
-                "bracket left the span: algebra not closed",
-            )
+            return None
         return N, L
 
     def _brackets(self, rows, a, b):
@@ -217,14 +229,9 @@ class LieAlgebra:
             if self.theta_conjugator is None:
                 raise ValueError(f"{self.name}: no Cartan involution attached")
             lg, G = scaled_ints(self.theta_conjugator)
-            B = self._flat.reshape(self.dim, self.n, self.n)
-            N, L = self.read_coords(int_matmul(int_matmul(G, B), G))
+            N, L = self.read_coords(int_matmul(int_matmul(G, self.stack), G))
             self._theta_coord = unscaled(N.T, L * lg * lg)
         return self._theta_coord
-
-    def theta_apply_matrix(self, X):
-        g = self.theta_conjugator
-        return g @ np.asarray(X, dtype=object) @ g
 
     def k_subspace(self) -> Subspace:
         """Fixed space of theta (maximal compact part), in coordinates."""
@@ -327,7 +334,8 @@ def span_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
     """Smallest Lie subalgebra containing the given coordinate subspace.
 
     Each round reads the brackets of all pairs of the current basis from
-    their matrix commutators in one batch."""
+    their matrix commutators in one batch; a grown basis is kept in reduced
+    echelon form (``echelon_rows``), so its entries stay small."""
     if sub.ambient_dim != alg.dim:
         raise ValueError("subspace lives in a different coordinate space")
     cur = sub
@@ -336,7 +344,7 @@ def span_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
         grown = Subspace.from_rows(list(cur.basis) + list(N), alg.dim)
         if grown.dim == cur.dim:
             break
-        cur = grown
+        cur = Subspace(alg.dim, tuple(echelon_rows(grown.matrix())))
     return cur
 
 
@@ -352,12 +360,12 @@ def is_compactly_embedded(alg: LieAlgebra, sub: Subspace):
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
-    """Block-diagonal direct sum; the Killing form and theta are assembled
-    blockwise."""
-    n1, n2 = a.n, b.n
-    N = n1 + n2
-    basis = [embed_block(m, N, 0) for m in a.basis]
-    basis += [embed_block(m, N, n1) for m in b.basis]
+    """Block-diagonal direct sum of the two basis stacks; the Killing form
+    and theta are assembled blockwise."""
+    n1, N = a.n, a.n + b.n
+    B = np.zeros((a.dim + b.dim, N, N), dtype=np.result_type(a._flat, b._flat))
+    B[: a.dim, :n1, :n1] = a.stack
+    B[a.dim :, n1:, n1:] = b.stack
     conj = None
     if a.theta_conjugator is not None and b.theta_conjugator is not None:
         conj = embed_block(a.theta_conjugator, N, 0)
@@ -369,7 +377,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
         ],
         "family": "product",
     }
-    out = LieAlgebra(name or f"{a.name}x{b.name}", basis, conj, meta)
+    out = LieAlgebra(name or f"{a.name}x{b.name}", B, conj, meta)
 
     # the Killing form and theta are block diagonal: set them from the
     # factors; brackets are read from matrix commutators, so the product

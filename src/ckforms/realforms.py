@@ -102,20 +102,9 @@ def su_entries(p: int, q: int):
     return out
 
 
-def _map_entries(entries, idxmap):
-    return {(idxmap[a], idxmap[b]): v for (a, b), v in entries.items()}
-
-
-def su_real_basis(p: int, q: int, idxmap=None, total=None):
-    """Realified su(p,q); idxmap/total place it on a subset of the complex
-    coordinates of a larger space (used for block embeddings)."""
-    n = total if total else p + q
-    out = []
-    for e in su_entries(p, q):
-        if idxmap:
-            e = _map_entries(e, idxmap)
-        out.append(complex_to_real(e, n))
-    return out
+def su_real_basis(p: int, q: int):
+    """Realified su(p,q)."""
+    return [complex_to_real(e, p + q) for e in su_entries(p, q)]
 
 
 def sp_entries(p: int, q: int):

@@ -37,6 +37,7 @@ from .exactlin import (
     rank,
     rank_modp,
     reduce_modp,
+    scaled_ints,
 )
 from .liealg import LieAlgebra
 
@@ -83,6 +84,8 @@ class SplitData:
     a_matrices: list  # ambient matrices spanning a, factor blocks concatenated
     factors: list
     gram: np.ndarray  # exact Killing Gram of the a-basis (diagonal)
+    boosts: tuple  # (den, A): the a-basis as one integer stack A / den
+    solver: CoordinateSolver  # coordinates in the flattened rows of A
 
     @property
     def rank(self) -> int:
@@ -129,9 +132,10 @@ def split_data(g: LieAlgebra) -> SplitData:
         coord += len(fam_a)
     r = len(a_mats)
     gram = fzeros((r, r))
-    for i, s in enumerate(gram_diag):
-        gram[i, i] = s
-    sd = SplitData(g, a_mats, factors, gram)
+    np.fill_diagonal(gram, gram_diag)
+    den, A = scaled_ints(np.array(a_mats, dtype=object))
+    solver = CoordinateSolver(A.reshape(r, -1))
+    sd = SplitData(g, a_mats, factors, gram, (den, A), solver)
     g.meta["_split_data"] = sd
     return sd
 

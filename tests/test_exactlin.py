@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ckforms.exactlin import (
     CoordinateSolver,
     Subspace,
+    echelon_rows,
     fmat,
     fmatmul,
     fvec,
@@ -189,6 +190,21 @@ def test_int_matmul_with_a_zero_factor_keeps_big_entries_exact():
     assert int_matmul(np.empty((0, 1), dtype=object), big).shape == (0, 2)
     assert list(int_matmul(np.zeros((1, 1), dtype=object), big)[0]) == [0, 0]
     assert list(int_matmul(np.ones((1, 1), dtype=object), big)[0]) == [2**70, 1]
+
+
+def test_echelon_rows_are_one_basis_per_row_space():
+    # two spanning sets of one plane, one with a dependent and a zero row
+    a = np.array([[0, 3, -6, 3], [2, 1, 0, 5]], dtype=object)
+    b = np.array([[2, 4, -6, 8], [0, 0, 0, 0], [-4, -5, 6, -13], [0, -1, 2, -1]],
+                 dtype=object)
+    want = [[1, 0, 1, 2], [0, 1, -2, 1]]
+    for rows in (a, b):
+        got = echelon_rows(rows)
+        assert [list(r) for r in got] == want
+        assert all(type(x) is int for r in got for x in r)
+    # rational RREF rows are scaled to primitive integers, pivots positive
+    c = np.array([[-3, 0, 1], [0, -2, 1]], dtype=object)
+    assert [list(r) for r in echelon_rows(c)] == [[3, 0, -1], [0, 2, -1]]
 
 
 def test_from_rows_keeps_the_first_seen_rows_made_primitive():

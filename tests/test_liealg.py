@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckforms.exactlin import Subspace, fvec, signature
+from ckforms.exactlin import Subspace, echelon_rows, fvec, signature
 from ckforms.liealg import (
     LieAlgebra,
     direct_sum,
@@ -262,10 +262,34 @@ def test_span_closure_agrees_with_a_naive_fixpoint(data):
     _assert_same_closure(g, Subspace.from_rows(vecs, g.dim))
 
 
-def test_span_closure_brackets_outgrow_int64():
-    # the closure rows reach about 10**9 in g2(2), so their commutators
-    # pass the int64 bound and run on Python ints
-    g = build_real_form("g2(2)")
+def _g2_closure_input():
+    # two small vectors whose closure is all of g2(2)
     u, v = _unit(14, 10), fvec([0] * 14)
     v[3], v[7], v[13] = Fraction(1, 2), Fraction(3), Fraction(1, 3)
-    _assert_same_closure(g, Subspace.from_rows([u, v], 14))
+    return Subspace.from_rows([u, v], 14)
+
+
+def test_span_closure_brackets_outgrow_int64():
+    # kept first-seen rows of this closure once reached about 10**9 and
+    # pushed their commutators past the int64 bound
+    _assert_same_closure(build_real_form("g2(2)"), _g2_closure_input())
+
+
+def test_span_closure_keeps_each_round_reduced(monkeypatch):
+    # every grown basis is bracketed in reduced echelon form, and the closure
+    # of all of g2(2) ends on the identity instead of rows of about 10**9
+    g = build_real_form("g2(2)")
+    rounds = []
+    brackets = g._brackets
+
+    def spy(rows, a, b):
+        rounds.append(np.asarray(rows))
+        return brackets(rows, a, b)
+
+    monkeypatch.setattr(g, "_brackets", spy)
+    closure = span_closure(g, _g2_closure_input())
+    assert len(rounds) > 2
+    for rows in rounds[1:]:
+        assert (echelon_rows(rows) == rows).all()
+    assert max(abs(x) for r in closure.basis for x in r) < 2**16
+    assert [list(r) for r in closure.basis] == np.eye(14, dtype=int).tolist()
