@@ -17,13 +17,16 @@ in a fixed order: the direction, the log-radius and, for a cross-checked
 sample, the compact coefficients of each part, left then right.  Phase 2
 does the arithmetic on whole arrays: row norms, the boost maps, a row-wise
 chamber sort (only B, C, BC and D factors occur: ``gap_experiment`` refuses
-any ambient that is not indefinite-orthogonal), and the cross-check with
-stacked ``expm``, ``eigvalsh`` and ``det``.  Distances to the translate
-union are taken over bounded chunks of samples.  Every float operation is
-the per-sample one applied row-wise, so a report is bit-identical to that of
-a loop over samples.  ``test_batched_shard_matches_the_per_sample_loop``
-compares shards with that loop and ``test_gap_reports_are_pinned`` holds
-reports it gave; SciPy is imported only by the cross-check.
+any ambient that is not indefinite-orthogonal), and the cross-check.  It
+builds each checked group element one ambient factor block at a time, from
+closed-form exponentials: the boost images are symmetric and the compact
+images skew (checked exactly), so each ``exp`` is one stacked ``eigh``, of
+the boost or of -i times the compact part; ``eigvalsh`` and ``det`` then
+read mu off each block.  Distances to the translate union are taken over
+bounded chunks of samples.  Every float operation is the per-sample one
+applied row-wise, so a report is bit-identical to that of a loop over
+samples.  ``test_batched_shard_matches_the_per_sample_loop`` compares shards
+with that loop and ``test_gap_reports_are_pinned`` holds reports it gave.
 """
 from __future__ import annotations
 
@@ -282,10 +285,20 @@ def _floats(N, L):
 
 
 def _part_data(sp: GapSpace):
-    """Per sampled factor: float boost map into ambient a, boost matrices and
-    compact-part matrices in the ambient realization."""
+    """Per sampled factor: float boost map into ambient a, and the boost and
+    compact-part images cut into the ambient's factor blocks, as
+    ``(block, boosts, compacts)`` for each block the part does not vanish on.
+
+    The closed-form exponentials of the cross-check need symmetric boost
+    images, skew compact images and nothing off the factor blocks; all three
+    are checked exactly on the integer images."""
     if getattr(sp, "_parts_data", None) is not None:
         return sp._parts_data
+    n = sp.algebra.n
+    spans = [(o, o + a.n) for a, _c, o in sp.algebra.factors]
+    off_block = np.ones((n, n), dtype=bool)
+    for lo, hi in spans:
+        off_block[lo:hi, lo:hi] = False
     out = []
     for e in sp.parts:
         src = e.source
@@ -293,10 +306,25 @@ def _part_data(sp: GapSpace):
         Ya, sa = e.apply_ints(A)
         K = int_matmul(src.k_subspace().matrix(), src.stack.reshape(src.dim, -1))
         Yk, sk = e.apply_ints(K.reshape(-1, src.n, src.n))
+        sym = np.array_equal(Ya, np.swapaxes(Ya, 1, 2))
+        skew = np.array_equal(Yk, -np.swapaxes(Yk, 1, 2))
+        blockwise = not (Ya[:, off_block].any() or Yk[:, off_block].any())
+        if not (sym and skew and blockwise):
+            raise InternalError(
+                "cartanproj._part_data",
+                f"{e.key}: images unfit for the closed-form exponentials "
+                f"(boosts symmetric: {sym}, compacts skew: {skew}, "
+                f"within the factor blocks: {blockwise})",
+            )
+        a_imgs, k_imgs = _floats(Ya, sa * la), _floats(Yk, sk)
         out.append({
             "a_map": _floats(a_map(e), 1),
-            "a_imgs": _floats(Ya, sa * la),
-            "k_imgs": _floats(Yk, sk),
+            "kdim": len(Yk),
+            "blocks": [
+                (f, a_imgs[:, lo:hi, lo:hi], k_imgs[:, lo:hi, lo:hi])
+                for f, (lo, hi) in enumerate(spans)
+                if Ya[:, lo:hi, lo:hi].any() or Yk[:, lo:hi, lo:hi].any()
+            ],
         })
     sp._parts_data = out
     return out
@@ -309,7 +337,7 @@ def _run_shard(sp: GapSpace, seed_seq, count: int):
     rng = np.random.default_rng(seed_seq)
     parts = _part_data(sp)
     ranks = [p["a_map"].shape[0] for p in parts]
-    ksizes = [len(p["k_imgs"]) for p in parts]
+    ksizes = [p["kdim"] for p in parts]
     U = np.empty((count, sum(ranks)))
     radius = np.empty(count)
     kdraws = []  # per checked sample: left, right coefficients per part
@@ -365,28 +393,47 @@ def _combine(C, mats):
     return out
 
 
-def _consistency_error(sp, parts, ranks, X, kdraws, mu_exact):
-    """Build the group elements k1 exp(X) k2 of the checked samples and
-    return the worst distance between their eigenvalue route and mu_exact."""
-    from scipy.linalg import expm  # the only use of scipy
+def _sym_expm(S):
+    """exp of each symmetric matrix of a stack: V diag(e^w) V^T."""
+    w, V = np.linalg.eigh(S)
+    return (V * np.exp(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
-    n = sp.algebra.n
-    total_mat = np.tile(np.eye(n), (len(X), 1, 1))
+
+def _skew_expm(K):
+    """exp of each skew matrix of a stack: Re(U diag(e^iw) U^H), where
+    U diag(w) U^H is the Hermitian matrix -iK."""
+    w, U = np.linalg.eigh(-1j * K)
+    Uh = np.conj(np.swapaxes(U, -1, -2))
+    return ((U * np.exp(1j * w)[..., None, :]) @ Uh).real
+
+
+def _group_blocks(sp, parts, ranks, X, kdraws):
+    """The group elements k1 exp(X) k2 of the checked samples, one stack per
+    ambient factor block (the representation of ``GroupElement``)."""
+    blocks = [
+        np.tile(np.eye(a.n), (len(X), 1, 1)) for a, _c, _o in sp.algebra.factors
+    ]
     off = 0
     for j, (p, r) in enumerate(zip(parts, ranks)):
-        def cmat(side):
-            co = np.array([d[2 * j + side] for d in kdraws])
-            return expm(_combine(co / _row_norms(co)[:, None], p["k_imgs"]))
-        boost = expm(_combine(X[:, off : off + r], p["a_imgs"]))
-        total_mat = total_mat @ (cmat(0) @ boost @ cmat(1))
+        left, right = (
+            np.array([d[2 * j + side] for d in kdraws]) for side in (0, 1)
+        )
+        left /= _row_norms(left)[:, None]
+        right /= _row_norms(right)[:, None]
+        for f, A, K in p["blocks"]:
+            boost = _sym_expm(_combine(X[:, off : off + r], A))
+            k1, k2 = _skew_expm(_combine(left, K)), _skew_expm(_combine(right, K))
+            blocks[f] = blocks[f] @ (k1 @ boost @ k2)
         off += r
+    return blocks
+
+
+def _consistency_error(sp, parts, ranks, X, kdraws, mu_exact):
+    """The worst distance between the eigenvalue route on the checked
+    samples' group elements and mu_exact."""
+    blocks = _group_blocks(sp, parts, ranks, X, kdraws)
     mu_num = np.concatenate(
-        [
-            _factor_mu(total_mat[:, o : o + a.n, o : o + a.n], p, q)
-            for (p, q), (a, _c, o) in zip(
-                _so_infos(sp.algebra), sp.algebra.factors
-            )
-        ],
+        [_factor_mu(M, p, q) for (p, q), M in zip(_so_infos(sp.algebra), blocks)],
         axis=1,
     )
     return float(np.abs(mu_num - mu_exact).max())

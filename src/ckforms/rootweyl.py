@@ -93,21 +93,26 @@ class SplitData:
 
 
 def split_data(g: LieAlgebra) -> SplitData:
-    """Assemble the standard split part of g (product-aware) together with
-    the exact Killing Gram of its boost basis."""
+    """Assemble the standard split part of g together with the exact Killing
+    Gram of its boost basis; a product places its factors' own (cached)
+    split data block by block."""
     cached = g.meta.get("_split_data")
     if cached is not None:
         return cached
-    factors = []
-    a_mats = []
-    gram_diag = []
-    coord = 0
-    for alg, _coff, boff in g.factors:
-        fam_a = list(alg.meta.get("a_basis") or ())
-        if not fam_a:
-            raise ValueError(f"{alg.name}: no split part data attached")
-        K = alg.killing_form
-        cs = [alg.coords(A) for A in fam_a]
+    if len(g.factors) == 2:
+        factors, a_mats, gram_diag = [], [], []
+        for alg, _coff, boff in g.factors:
+            sd = split_data(alg)
+            (f,) = sd.factors
+            factors.append(FactorSplit(alg, f.root_type, f.rank, len(a_mats)))
+            a_mats.extend(embed_block(A, g.n, boff) for A in sd.a_matrices)
+            gram_diag.extend(np.diagonal(sd.gram))
+    else:
+        a_mats = list(g.meta.get("a_basis") or ())
+        if not a_mats:
+            raise ValueError(f"{g.name}: no split part data attached")
+        K = g.killing_form
+        cs = [g.coords(A) for A in a_mats]
         G = _gram(cs, K)
         # orthogonalize exactly when needed (the exceptional factor); the
         # classical boost bases are already Killing-orthogonal
@@ -119,17 +124,13 @@ def split_data(g: LieAlgebra) -> SplitData:
                     if cij != 0:
                         cs[i] = cs[i] - (cij / (cs[j] @ K @ cs[j])) * cs[j]
                 cs[i] = primitive_vector(cs[i])
-            fam_a = [alg.matrix(c) for c in cs]
+            a_mats = [g.matrix(c) for c in cs]
             G = _gram(cs, K)
-        scales = [G[i, i] for i in range(r)]
-        rt = alg.meta.get("root_type", "?")
-        if rt != "G" and any(s != scales[0] for s in scales):
-            raise ValueError(f"{alg.name}: boost norms differ")
-        factors.append(FactorSplit(alg, rt, len(fam_a), coord))
-        for A in fam_a:
-            a_mats.append(embed_block(A, g.n, boff) if boff or alg.n != g.n else A)
-        gram_diag.extend(scales)
-        coord += len(fam_a)
+        gram_diag = [G[i, i] for i in range(r)]
+        rt = g.meta.get("root_type", "?")
+        if rt != "G" and any(s != gram_diag[0] for s in gram_diag):
+            raise ValueError(f"{g.name}: boost norms differ")
+        factors = [FactorSplit(g, rt, r, 0)]
     r = len(a_mats)
     gram = fzeros((r, r))
     np.fill_diagonal(gram, gram_diag)

@@ -22,7 +22,8 @@ from ckforms.cartanproj import (
     union_distance,
 )
 from ckforms.cli import main
-from ckforms.embeddings import product_algebra
+from ckforms.embeddings import Embedding, product_algebra
+from ckforms.exactlin import int_matmul
 from ckforms.realforms import build_real_form
 from ckforms.rootweyl import chamber_sort, split_data
 
@@ -185,15 +186,22 @@ def test_control_space_has_no_gap():
 # Reports of the per-sample sampler (one Python iteration per sample) that
 # the batched sampler replaced, floats exactly as ``repr`` printed them.  The
 # batched sampler must reproduce them bit for bit: a changed draw order or
-# summation order moves these digits.
+# summation order moves these digits.  The check errors are those of the
+# cross-check on factor blocks with closed-form exponentials; with SciPy's
+# ``expm`` on the whole ambient they were 1.1368683772161603e-13,
+# 7.069900220812997e-13 and 5.702105454474804e-13.
 _PINNED_GAP_REPORTS = [
-    ("so44xso24-delta", 7, 0.3175301032753859, 47, 1.1368683772161603e-13),
-    ("so34xso24-delta", 11, 0.34371891714561387, 59, 7.069900220812997e-13),
-    ("so44xso24-delta-control", 3, 0.0, 66, 5.702105454474804e-13),
+    ("so44xso24-delta", 7, 0.3175301032753859, 47, 1.0769163338863902e-14),
+    ("so34xso24-delta", 11, 0.34371891714561387, 59, 8.453793221008254e-13),
+    ("so44xso24-delta-control", 3, 0.0, 66, 2.3203661214665232e-14),
 ]
 
 
-@pytest.mark.parametrize("space,seed,eps,checked,err", _PINNED_GAP_REPORTS)
+@pytest.mark.parametrize(
+    "space,seed,eps,checked,err",
+    _PINNED_GAP_REPORTS,
+    ids=[f"{space}-{seed}" for space, seed, *_ in _PINNED_GAP_REPORTS],
+)
 def test_gap_reports_are_pinned(space, seed, eps, checked, err, capsys):
     want = GapReport(space, 2000, seed, eps, 0.0, 0.0, checked, err)
     assert repr(gap_experiment(space, 2000, seed)) == repr(want)
@@ -209,13 +217,26 @@ def test_gap_reports_are_pinned(space, seed, eps, checked, err, capsys):
     )
 
 
+# exp of one symmetric matrix, and of one skew matrix through the Hermitian
+# -iK; columns scaled by broadcasting (a product with a complex diagonal
+# matrix rounds differently)
+def _exp_sym(S):
+    w, V = np.linalg.eigh(S)
+    return (V * np.exp(w)) @ V.T
+
+
+def _exp_skew(K):
+    w, U = np.linalg.eigh(-1j * K)
+    return ((U * np.exp(1j * w)) @ U.conj().T).real
+
+
 def _per_sample_shard(sp, seed_seq, count):
-    """The sampler as one Python iteration per sample: the reference that
-    the batched ``_run_shard`` must match bit for bit."""
+    """The sampler as one Python iteration per sample, each group element
+    built block by block from one closed-form exponential per matrix: the
+    reference that the batched ``_run_shard`` must match bit for bit."""
     rng = np.random.default_rng(seed_seq)
     parts = cartanproj._part_data(sp)
     ranks = [p["a_map"].shape[0] for p in parts]
-    n = sp.algebra.n
     mus = np.empty((count, sp.sd.rank))
     checked, worst = 0, 0.0
     for i in range(count):
@@ -232,26 +253,25 @@ def _per_sample_shard(sp, seed_seq, count):
         if radius > 5.0:
             continue
 
-        def cmat(k_imgs):
-            co = rng.normal(size=len(k_imgs))
-            co /= np.linalg.norm(co)
-            Y = np.zeros((n, n))
-            for c, K in zip(co, k_imgs):
-                Y += c * K
-            return expm(Y)
+        def combine(co, mats):
+            Y = np.zeros(mats[0].shape)
+            for c, M in zip(co, mats):
+                Y += c * M
+            return Y
 
-        total = np.eye(n)
+        total = [np.eye(a.n) for a, _c, _o in sp.algebra.factors]
         off = 0
         for p, r in zip(parts, ranks):
-            X = np.zeros((n, n))
-            for c, A in zip(x[off : off + r], p["a_imgs"]):
-                X += c * A
-            total = total @ (cmat(p["k_imgs"]) @ expm(X) @ cmat(p["k_imgs"]))
+            left, right = rng.normal(size=p["kdim"]), rng.normal(size=p["kdim"])
+            left /= np.linalg.norm(left)
+            right /= np.linalg.norm(right)
+            for f, A, K in p["blocks"]:
+                boost = _exp_sym(combine(x[off : off + r], A))
+                k1, k2 = _exp_skew(combine(left, K)), _exp_skew(combine(right, K))
+                total[f] = total[f] @ (k1 @ boost @ k2)
             off += r
-        factors = tuple(
-            total[o : o + a.n, o : o + a.n] for a, _c, o in sp.algebra.factors
-        )
-        mu_num = cartan_projection(GroupElement(sp.algebra, factors)).coords
+        g = GroupElement(sp.algebra, tuple(total))
+        mu_num = cartan_projection(g).coords
         worst = max(worst, float(np.abs(mu_num - mus[i]).max()))
         checked += 1
     return mus, checked, worst
@@ -318,3 +338,137 @@ def test_the_sampler_never_sees_a_g2_factor(monkeypatch):
     monkeypatch.setitem(cartanproj._SPACE_BUILDERS, "so34xg2", lambda: space)
     with pytest.raises(ValueError, match="indefinite-orthogonal"):
         gap_experiment("so34xg2", 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form exponentials of the cross-check against SciPy's expm
+# ---------------------------------------------------------------------------
+
+
+def _assert_close_to_expm(got, mats):
+    want = np.array([expm(M) for M in mats])
+    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_closed_form_exponentials_match_expm(n):
+    rng = np.random.default_rng(100 + n)
+    M = rng.normal(size=(40, n, n))
+    # spectral radii up to 6-9, as far as the cross-check's images reach
+    M *= rng.uniform(0.0, 5.0 / (2 * math.sqrt(n)), size=(40, 1, 1))
+    S, K = M + M.transpose(0, 2, 1), M - M.transpose(0, 2, 1)
+    _assert_close_to_expm(cartanproj._sym_expm(S), S)
+    _assert_close_to_expm(cartanproj._skew_expm(K), K)
+
+
+def _draws(sp, count, seed):
+    """Boost coordinates of radius at most 5 and compact coefficients, in
+    the layout of ``_run_shard``'s cross-checked samples."""
+    rng = np.random.default_rng(seed)
+    parts = cartanproj._part_data(sp)
+    ranks = [p["a_map"].shape[0] for p in parts]
+    U = rng.normal(size=(count, sum(ranks)))
+    X = U / np.linalg.norm(U, axis=1)[:, None] * rng.uniform(0, 5, (count, 1))
+    kdraws = [
+        [rng.normal(size=p["kdim"]) for p in parts for _ in "lr"]
+        for _ in range(count)
+    ]
+    return parts, ranks, X, kdraws
+
+
+@pytest.mark.parametrize("space", gap_space_keys())
+def test_closed_form_exponentials_match_expm_on_the_part_images(space):
+    # against a 40-digit expm: SciPy's own expm is off by up to 1.1e-12
+    # relative on the g2(2) boosts, whose spectral radius reaches 8
+    mpmath = pytest.importorskip("mpmath")
+
+    def assert_exact_to_1e12(got, mats):
+        for G, M in zip(got, mats):
+            with mpmath.workdps(40):
+                E = mpmath.expm(mpmath.matrix(M.tolist()))
+            want = np.array(E.tolist(), dtype=float)
+            assert np.abs(G - want).max() <= 1e-12 * np.abs(want).max()
+
+    sp = cartanproj._get_space(space)
+    parts, ranks, X, kdraws = _draws(sp, 5, 7)
+    off = 0
+    for j, (p, r) in enumerate(zip(parts, ranks)):
+        co = np.array([d[2 * j] for d in kdraws])
+        co /= np.linalg.norm(co, axis=1)[:, None]
+        for _f, A, K in p["blocks"]:
+            boosts = cartanproj._combine(X[:, off : off + r], A)
+            compacts = cartanproj._combine(co, K)
+            assert_exact_to_1e12(cartanproj._sym_expm(boosts), boosts)
+            assert_exact_to_1e12(cartanproj._skew_expm(compacts), compacts)
+        off += r
+
+
+def _ambient_images(e):
+    """A part's boost and compact images as float matrices on the whole
+    ambient, as the cross-check once built them."""
+    src = e.source
+    la, A = split_data(src).boosts
+    Ya, sa = e.apply_ints(A)
+    K = int_matmul(src.k_subspace().matrix(), src.stack.reshape(src.dim, -1))
+    Yk, sk = e.apply_ints(K.reshape(-1, src.n, src.n))
+    return [np.array(Ya / (sa * la), dtype=float),
+            np.array(Yk / sk, dtype=float)]
+
+
+@pytest.mark.parametrize("space", gap_space_keys())
+def test_group_blocks_equal_the_ambient_expm_product(space):
+    sp = cartanproj._get_space(space)
+    parts, ranks, X, kdraws = _draws(sp, 25, 11)
+    blocks = cartanproj._group_blocks(sp, parts, ranks, X, kdraws)
+    n = sp.algebra.n
+    images = [_ambient_images(e) for e in sp.parts]
+    for i, x in enumerate(X):
+        total = np.eye(n)
+        off = 0
+        for j, ((A, K), r) in enumerate(zip(images, ranks)):
+            cl, cr = (kdraws[i][2 * j + side] for side in (0, 1))
+            k1 = expm(np.tensordot(cl / np.linalg.norm(cl), K, 1))
+            k2 = expm(np.tensordot(cr / np.linalg.norm(cr), K, 1))
+            total = total @ (k1 @ expm(np.tensordot(x[off : off + r], A, 1)) @ k2)
+            off += r
+        placed = np.zeros((n, n))
+        for M, (a, _c, o) in zip(blocks, sp.algebra.factors):
+            placed[o : o + a.n, o : o + a.n] = M[i]
+        # 3e-12, not 1e-12: SciPy's expm of the g2(2) boosts is itself off
+        # by up to 1.1e-12 relative (see the test above)
+        assert np.abs(placed - total).max() <= 3e-12 * np.abs(total).max()
+
+
+@pytest.mark.parametrize("tamper,flag", [
+    ("boost", "boosts symmetric: False"),
+    ("compact", "compacts skew: False"),
+    ("block", "within the factor blocks: False"),
+])
+def test_images_unfit_for_the_closed_form_exit_3(tamper, flag, monkeypatch,
+                                                   capsys):
+    sp = cartanproj._get_space("so44xso24-delta")
+    cartanproj._union_tensor(sp)
+    monkeypatch.setattr(sp, "_parts_data", None)
+    apply_ints = Embedding.apply_ints
+
+    def tampered(self, X):
+        # boost sources are symmetric, compact ones skew; "block" keeps that
+        # symmetry and puts one entry off the factor blocks
+        Y, s = apply_ints(self, X)
+        Y = Y.astype(object)
+        boosts = np.array_equal(X, np.swapaxes(X, 1, 2))
+        if tamper == "block":
+            Y[:, 0, -1] += s
+            Y[:, -1, 0] += s if boosts else -s
+        elif boosts == (tamper == "boost"):
+            Y[:, 0, 1] += s
+        return Y, s
+
+    monkeypatch.setattr(Embedding, "apply_ints", tampered)
+    argv = ["gap", "--space", "so44xso24-delta", "--samples", "10"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal error in cartanproj._part_data: ")
+    assert flag in err and err.count("False") == 1

@@ -131,6 +131,18 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert r.returncode == 0, r.stderr.decode()
 
 
+def test_gap_leaves_scipy_unloaded():
+    code = (
+        "import sys, ckforms.cli\n"
+        "argv = ['gap', '--space', 'so44xso24-delta', '--samples', '2000']\n"
+        "assert ckforms.cli.main(argv) == 0\n"
+        "sys.exit('scipy' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+    assert b"fitted_epsilon" in r.stdout
+
+
 def test_verify_json_output_and_out_file(tmp_path):
     triple = "so(3,4):g2(2)+so(1,4)@block"
     r = run("verify", "--triple", triple, "--format", "json")

@@ -3,9 +3,11 @@
 The reference functions below are the Fraction constructions as they stood
 before embeddings held one integer stack: catalog images from the basis
 builders, block lifts with ``embed_block``, ``apply`` as a sum of images
-weighted by source coordinates, and ``a_map`` as one coordinate solve per
-source boost.  Every new result must equal its reference exactly, and no
-``Fraction`` may hold a numpy integer.
+weighted by source coordinates, ``a_map`` as one coordinate solve per
+source boost, and the split data of a product with each factor's boost
+coordinates, Killing Gram and orthogonalization recomputed in place.  Every
+new result must equal its reference exactly, and no ``Fraction`` may hold a
+numpy integer.
 """
 from fractions import Fraction
 
@@ -25,8 +27,11 @@ from ckforms.embeddings import (
     product_embedding,
 )
 from ckforms.enumerate import GenerationSpec, generate
-from ckforms.exactlin import CoordinateSolver, InternalError, embed_block, fzeros
-from ckforms.rootweyl import split_data
+from ckforms.exactlin import (
+    CoordinateSolver, InternalError, embed_block, fzeros, primitive_vector,
+    scaled_ints,
+)
+from ckforms.rootweyl import FactorSplit, _gram, split_data
 from test_embeddings import CATALOG_KEYS
 
 # ---------------------------------------------------------------------------
@@ -92,6 +97,34 @@ def _ref_a_map(emb, images):
         assert c is not None
         rows.append(c)
     return np.array([list(r) for r in rows], dtype=object)
+
+
+def _ref_split_data(g):
+    """(a_matrices, factors, gram, boosts) of g, each factor's boost
+    coordinates, Killing Gram and orthogonalization recomputed in place."""
+    factors, a_mats, gram_diag = [], [], []
+    for alg, _coff, boff in g.factors:
+        fam_a = list(alg.meta["a_basis"])
+        K = alg.killing_form
+        cs = [alg.coords(A) for A in fam_a]
+        G = _gram(cs, K)
+        r = len(cs)
+        if any(G[i, j] != 0 for i in range(r) for j in range(i + 1, r)):
+            for i in range(r):
+                for j in range(i):
+                    cij = cs[j] @ K @ cs[i]
+                    if cij != 0:
+                        cs[i] = cs[i] - (cij / (cs[j] @ K @ cs[j])) * cs[j]
+                cs[i] = primitive_vector(cs[i])
+            fam_a = [alg.matrix(c) for c in cs]
+            G = _gram(cs, K)
+        factors.append(FactorSplit(alg, alg.meta["root_type"], r, len(a_mats)))
+        for A in fam_a:
+            a_mats.append(embed_block(A, g.n, boff) if boff or alg.n != g.n else A)
+        gram_diag.extend(G[i, i] for i in range(r))
+    gram = fzeros((len(a_mats), len(a_mats)))
+    np.fill_diagonal(gram, gram_diag)
+    return a_mats, factors, gram, scaled_ints(np.array(a_mats, dtype=object))
 
 
 @pytest.fixture
@@ -213,6 +246,29 @@ def test_product_sides_match_the_fraction_reference(product_keys, recorded):
                 _assert_sum_basis(alg)
         for side in (h, l):
             _assert_matches_reference(side, recorded(side))
+
+
+def test_product_split_data_matches_the_reference(product_keys):
+    algebras = {}
+    for key in product_keys:
+        g, h, l, _key = cli.parse_triple(key)
+        for alg in (g, h.source, l.source):
+            algebras[id(alg)] = alg
+    for space in cartanproj.gap_space_keys():
+        sp = cartanproj._get_space(space)
+        for alg in [sp.algebra] + [e.source for e in sp.parts]:
+            algebras[id(alg)] = alg
+    products = [g for g in algebras.values() if len(g.factors) == 2]
+    assert len(products) > 20
+    for g in products:
+        sd = split_data(g)
+        a_mats, factors, gram, (den, A) = _ref_split_data(g)
+        _assert_equal(sd.a_matrices, a_mats)
+        _assert_plain_fractions(np.array(sd.a_matrices))
+        assert sd.factors == factors
+        _assert_equal(sd.gram, gram)
+        _assert_plain_fractions(sd.gram)
+        assert sd.boosts[0] == den and np.array_equal(sd.boosts[1], A)
 
 
 @pytest.mark.parametrize("space", cartanproj.gap_space_keys())
