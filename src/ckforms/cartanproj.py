@@ -14,17 +14,22 @@ analytic value.
 The sampler works in shards of 1,024 samples, each with its own spawned
 seed, in two phases.  Phase 1 makes only the RNG draws, one sample at a time
 in a fixed order: the direction, the log-radius and, for a cross-checked
-sample, the compact coefficients of each part, left then right.  Phase 2
-does the arithmetic on whole arrays: row norms, the boost maps, a row-wise
-chamber sort (only B, C, BC and D factors occur: ``gap_experiment`` refuses
-any ambient that is not indefinite-orthogonal), and the cross-check.  It
-builds each checked group element one ambient factor block at a time, from
-closed-form exponentials: the boost images are symmetric and the compact
-images skew (checked exactly), so each ``exp`` is one stacked ``eigh``, of
-the boost or of -i times the compact part; ``eigvalsh`` and ``det`` then
-read mu off each block.  Distances to the translate union are taken over
-bounded chunks of samples.  Every float operation is the per-sample one
-applied row-wise, so a report is bit-identical to that of a loop over
+sample, the compact coefficients of each part, left then right.  It calls
+``standard_normal`` and ``random``, the bit-generator calls of
+``normal(size=...)`` and ``uniform(0, 50)``; those compute 0.0 + 1.0 * z and
+0.0 + 50.0 * u, so after one ``+ 0.0`` (a -0.0 becomes +0.0) the floats are
+theirs too.  Phase 2 does the arithmetic on whole arrays: row norms, the
+boost maps, a row-wise chamber sort (only B, C, BC and D factors occur:
+``gap_experiment`` refuses any ambient that is not indefinite-orthogonal),
+and the cross-check.  It builds each checked group element one ambient
+factor block at a time, from closed-form exponentials: the boost images are
+symmetric and the compact images skew (checked exactly), so each ``exp`` is
+one stacked ``eigh``, of the boost or of -i times the compact part;
+``eigvalsh`` and ``det`` then read mu off each block.  Distances to the
+translate union are taken over bounded chunks of samples, the projections
+summed in the order of the ``einsum`` they replace (not by BLAS, whose
+blocked sums round differently).  Every float operation is the per-sample
+one applied row-wise, so a report is bit-identical to that of a loop over
 samples.  ``test_batched_shard_matches_the_per_sample_loop`` compares shards
 with that loop and ``test_gap_reports_are_pinned`` holds reports it gave.
 """
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlin import (
-    InternalError, Subspace, echelon_rows, int_matmul, scaled_ints,
+    InternalError, Subspace, echelon_rows, int_matmul,
 )
 from .liealg import LieAlgebra
 from .embeddings import (
@@ -47,7 +52,7 @@ from .embeddings import (
     factor_embedding,
     product_algebra,
 )
-from .rootweyl import SplitData, split_data, weyl_elements
+from .rootweyl import SplitData, signed_permutations, split_data
 
 __all__ = [
     "GroupElement",
@@ -231,9 +236,10 @@ def gap_union(space) -> list:
         return sp._union
     rows = adapted_split_part(sp.target).matrix()
     seen = {}
-    for W in weyl_elements(sp.sd):
-        # integer rows of w(V), keyed by their canonical echelon basis
-        moved = rows @ scaled_ints(W)[1].T
+    for perm, signs in signed_permutations(sp.sd):
+        # integer rows of w(V), a column gather and a sign, keyed by their
+        # canonical echelon basis
+        moved = rows[:, perm] * signs.astype(object)
         key = tuple(map(tuple, echelon_rows(moved)))
         if key not in seen:
             seen[key] = Subspace.from_rows(moved, sp.sd.rank)
@@ -265,14 +271,36 @@ def union_distance(space, coords) -> float:
 def _union_distances(sp: GapSpace, mus: np.ndarray) -> np.ndarray:
     Qs, scale = _union_tensor(sp)
     out = np.empty(len(mus))
-    # bounded chunks keep the (translates, samples, k) projection small
+    # bounded chunks keep the (translates, samples) temporaries small
     for s in range(0, len(mus), _DIST_CHUNK):
         Y = mus[s : s + _DIST_CHUNK] * scale[None, :]
+        # cheap, and no other NumPy sum of the squares rounds like it
         norms2 = np.einsum("nr,nr->n", Y, Y)
-        proj = np.einsum("mrk,rn->mnk", Qs, np.ascontiguousarray(Y.T))
-        best = np.max(np.einsum("mnk,mnk->mn", proj, proj), axis=0)
+        best = np.max(_projected_norms2(Qs, np.ascontiguousarray(Y.T)), axis=0)
         out[s : s + len(Y)] = np.sqrt(np.maximum(norms2 - best, 0.0))
     return out
+
+
+def _projected_norms2(Qs, YT):
+    """Squared norm of the projection of each column of YT on each
+    translate, as a (translates, samples) array.
+
+    For each basis column k the split coordinates r are summed in order,
+    then the squares are added in order of k: the products and the order of
+    ``einsum("mrk,rn->mnk")`` followed by ``einsum("mnk,mnk->mn")``, so the
+    result is bit-equal to theirs, without their slow generic loops (and
+    without BLAS, whose blocked sums round differently)."""
+    m, rank, kdim = Qs.shape
+    proj, tmp = np.empty((2, m, YT.shape[1]))
+    total = np.zeros_like(proj)
+    for k in range(kdim):
+        np.multiply(Qs[:, 0, k, None], YT[0], out=proj)
+        for r in range(1, rank):
+            np.multiply(Qs[:, r, k, None], YT[r], out=tmp)
+            proj += tmp
+        proj *= proj
+        total += proj
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +370,13 @@ def _run_shard(sp: GapSpace, seed_seq, count: int):
     radius = np.empty(count)
     kdraws = []  # per checked sample: left, right coefficients per part
     for i in range(count):
-        U[i] = rng.normal(size=U.shape[1])
-        radius[i] = r = math.exp(rng.uniform(0.0, 50.0))
+        rng.standard_normal(out=U[i])
+        radius[i] = r = math.exp(50.0 * rng.random())
         if r <= _CONSISTENCY_RADIUS:
-            kdraws.append([rng.normal(size=k) for k in ksizes for _ in "lr"])
+            kdraws.append(
+                [rng.standard_normal(k) + 0.0 for k in ksizes for _ in "lr"]
+            )
+    U += 0.0  # a -0.0 draw becomes the +0.0 that ``normal`` returns
     U /= _row_norms(U)[:, None]
     X = radius[:, None] * U
     mus = _chamber_rows(sp.sd, _boost_coords(parts, ranks, X))

@@ -19,8 +19,10 @@ c_ij^k`` (``tensor[i]`` is ad(b_i)), computed one basis element at a time.
 Their commutators run in int64 under an explicit bound, with ValueError
 past it; the commutators of ``bracket_coords`` and ``span_closure`` and the
 coordinate read fall back to Python ints past theirs.  The Killing
-form is computed from structure constants (trace of ad-composites), never
-from the matrix trace form, so it is correct for any faithful realization;
+form is an int64 array computed from structure constants (trace of
+ad-composites), never from the matrix trace form, so it is correct for any
+faithful realization; Gram matrices contract it on integer rows, and
+``killing_form`` is its Fraction view, built on first read;
 the proportionality of the two forms on simple algebras is exploited only
 as a cross-check in the test suite.
 
@@ -41,7 +43,6 @@ from .exactlin import (
     echelon_rows,
     embed_block,
     fit_int64,
-    fmatmul,
     int_matmul,
     kernel,
     scaled_ints,
@@ -96,6 +97,7 @@ class LieAlgebra:
         )
         self._basis = None
         self._tensor = None
+        self._killing_ints = None
         self._killing = None
         self._theta_coord = None
 
@@ -200,9 +202,10 @@ class LieAlgebra:
         return self._tensor
 
     @property
-    def killing_form(self) -> np.ndarray:
-        """Killing form Gram matrix on the basis, B(x,y) = tr(ad x ad y)."""
-        if self._killing is None:
+    def killing_ints(self) -> np.ndarray:
+        """Killing form Gram matrix on the basis, B(x,y) = tr(ad x ad y), as
+        an int64 array."""
+        if self._killing_ints is None:
             d = self.dim
             AD = self.tensor
             m = absmax(AD)
@@ -211,7 +214,14 @@ class LieAlgebra:
             B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)
             # only the columns where both views are nonzero contribute
             cols = np.flatnonzero(A2.any(axis=0) & B2.any(axis=0))
-            self._killing = unscaled(A2[:, cols] @ B2[:, cols].T, 1)
+            self._killing_ints = A2[:, cols] @ B2[:, cols].T
+        return self._killing_ints
+
+    @property
+    def killing_form(self) -> np.ndarray:
+        """The Killing form as a Fraction matrix, built on first read."""
+        if self._killing is None:
+            self._killing = unscaled(self.killing_ints, 1)
         return self._killing
 
     def bracket_coords(self, u, v) -> np.ndarray:
@@ -245,9 +255,9 @@ class LieAlgebra:
         return Subspace.from_rows(kernel(M), self.dim)
 
     def restricted_gram(self, sub: Subspace) -> np.ndarray:
+        """Integer Gram matrix of the Killing form on the subspace basis."""
         V = sub.matrix()
-        K = self.killing_form
-        return fmatmul(fmatmul(V, K), V.T)
+        return int_matmul(int_matmul(V, self.killing_ints), V.T)
 
     def __repr__(self):
         return f"LieAlgebra({self.name}, dim={self.dim}, n={self.n})"
@@ -383,9 +393,10 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     # factors; brackets are read from matrix commutators, so the product
     # never needs a tensor of its own
     d = out.dim
-    K = embed_block(a.killing_form, d, 0)
-    K[a.dim :, a.dim :] = b.killing_form
-    out._killing = K
+    K = np.zeros((d, d), dtype=np.int64)
+    K[: a.dim, : a.dim] = a.killing_ints
+    K[a.dim :, a.dim :] = b.killing_ints
+    out._killing_ints = K
 
     if conj is not None:
         th = embed_block(a.theta, d, 0)

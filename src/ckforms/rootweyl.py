@@ -31,6 +31,7 @@ from .exactlin import (
     fmat,
     fmatmul,
     fzeros,
+    int_matmul,
     intersect,
     kernel,
     primitive_vector,
@@ -38,6 +39,7 @@ from .exactlin import (
     rank_modp,
     reduce_modp,
     scaled_ints,
+    unscaled,
 )
 from .liealg import LieAlgebra
 
@@ -46,6 +48,7 @@ __all__ = [
     "split_data",
     "weyl_order",
     "weyl_elements",
+    "signed_permutations",
     "weyl_disjoint",
     "WeylCutoffError",
     "chamber_sort",
@@ -111,7 +114,7 @@ def split_data(g: LieAlgebra) -> SplitData:
         a_mats = list(g.meta.get("a_basis") or ())
         if not a_mats:
             raise ValueError(f"{g.name}: no split part data attached")
-        K = g.killing_form
+        K = g.killing_ints
         cs = [g.coords(A) for A in a_mats]
         G = _gram(cs, K)
         # orthogonalize exactly when needed (the exceptional factor); the
@@ -120,9 +123,9 @@ def split_data(g: LieAlgebra) -> SplitData:
         if any(G[i, j] != 0 for i in range(r) for j in range(i + 1, r)):
             for i in range(len(cs)):
                 for j in range(i):
-                    cij = cs[j] @ K @ cs[i]
-                    if cij != 0:
-                        cs[i] = cs[i] - (cij / (cs[j] @ K @ cs[j])) * cs[j]
+                    Gji = _gram([cs[j], cs[i]], K)
+                    if Gji[0, 1] != 0:
+                        cs[i] = cs[i] - (Gji[0, 1] / Gji[0, 0]) * cs[j]
                 cs[i] = primitive_vector(cs[i])
             a_mats = [g.matrix(c) for c in cs]
             G = _gram(cs, K)
@@ -211,9 +214,7 @@ def _g2_weyl_matrices(alg: LieAlgebra):
     short = sorted(set(roots))
     if len(short) != 6:
         raise ValueError(f"expected 6 short restricted roots, got {short}")
-    G = _gram(
-        [alg.coords(a) for a in alg.meta["a_basis"]], alg.killing_form
-    )
+    G = _gram([alg.coords(a) for a in alg.meta["a_basis"]], alg.killing_ints)
     Ginv = _inv2(G)
 
     def nrm2(lam):
@@ -265,9 +266,10 @@ def _g2_weyl_matrices(alg: LieAlgebra):
 
 
 def _gram(cs, K):
-    """Gram matrix of the coordinate vectors cs under the form K."""
-    C = np.array([list(c) for c in cs], dtype=object)
-    return fmatmul(fmatmul(C, K), C.T)
+    """Gram matrix of the rational coordinate vectors cs under the integer
+    form K, as Fractions."""
+    lc, C = scaled_ints(np.array([list(c) for c in cs], dtype=object))
+    return unscaled(int_matmul(int_matmul(C, K), C.T), lc * lc)
 
 
 def _inv2(G):
@@ -382,6 +384,28 @@ def _weyl_element_iter(sd: SplitData):
     sizes = [g.size for g in groups]
     for flat in range(weyl_order(sd)):
         yield _element_matrix(sd.rank, groups, np.unravel_index(flat, sizes))
+
+
+def signed_permutations(sd: SplitData):
+    """Iterate the little Weyl group of a split part without a g2 factor as
+    signed permutations of the a-coordinates: pairs (perm, signs) of int
+    arrays with (w x)_i = signs[i] * x[perm[i]], in the order of
+    ``weyl_elements``.  The default cutoff is checked eagerly, as there."""
+    if any(f.root_type == "G" for f in sd.factors):
+        raise ValueError("a g2 Weyl group is not made of signed permutations")
+    order = weyl_order(sd)
+    if order > DEFAULT_WEYL_CUTOFF:
+        raise WeylCutoffError(order, DEFAULT_WEYL_CUTOFF)
+    # per factor, every (perm, signs) on the ambient coordinates, in the
+    # factor's enumeration order; the product runs the last factor fastest
+    elements = []
+    for f in sd.factors:
+        g = _FactorGroup(f)
+        elements.append([(f.offset + p, s) for p in g.perms for s in g.signs])
+    return (
+        tuple(map(np.concatenate, zip(*combo)))
+        for combo in itertools.product(*elements)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ from ckforms.cartanproj import (
     union_distance,
 )
 from ckforms.cli import main
-from ckforms.embeddings import Embedding, product_algebra
-from ckforms.exactlin import int_matmul
+from ckforms.embeddings import Embedding, adapted_split_part, product_algebra
+from ckforms.exactlin import Subspace, echelon_rows, int_matmul, scaled_ints
 from ckforms.realforms import build_real_form
-from ckforms.rootweyl import chamber_sort, split_data
+from ckforms.rootweyl import chamber_sort, split_data, weyl_elements
 
 
 def _floats(m):
@@ -186,10 +186,14 @@ def test_control_space_has_no_gap():
 # Reports of the per-sample sampler (one Python iteration per sample) that
 # the batched sampler replaced, floats exactly as ``repr`` printed them.  The
 # batched sampler must reproduce them bit for bit: a changed draw order or
-# summation order moves these digits.  The check errors are those of the
-# cross-check on factor blocks with closed-form exponentials; with SciPy's
-# ``expm`` on the whole ambient they were 1.1368683772161603e-13,
-# 7.069900220812997e-13 and 5.702105454474804e-13.
+# summation order moves these digits.  They held unchanged when the sampler
+# moved from ``normal``/``uniform`` to ``standard_normal``/``random`` draws
+# and from ``einsum`` to its own sums of the distance projections (see
+# ``test_lean_draws_equal_normal_and_uniform`` and
+# ``test_union_distances_equal_the_einsum_formula``).  The check errors are
+# those of the cross-check on factor blocks with closed-form exponentials;
+# with SciPy's ``expm`` on the whole ambient they were
+# 1.1368683772161603e-13, 7.069900220812997e-13 and 5.702105454474804e-13.
 _PINNED_GAP_REPORTS = [
     ("so44xso24-delta", 7, 0.3175301032753859, 47, 1.0769163338863902e-14),
     ("so34xso24-delta", 11, 0.34371891714561387, 59, 8.453793221008254e-13),
@@ -296,6 +300,100 @@ def test_batched_shard_matches_the_per_sample_loop(space, monkeypatch):
     whole = np.sqrt(np.maximum(np.einsum("nr,nr->n", Y, Y) - best, 0.0))
     monkeypatch.setattr(cartanproj, "_DIST_CHUNK", 999)
     assert cartanproj._union_distances(sp, mus).tobytes() == whole.tobytes()
+
+
+# PCG64 steps its 128-bit state s to s * mult + inc and draws from the new
+# state; a new state below 2**64 is drawn as itself (XSL-RR: no high word
+# to fold in, no rotation)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _rng_drawing(raw):
+    """A generator whose next raw 64-bit draw is ``raw``."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    inverse = pow(_PCG64_MULT, -1, 2**128)
+    state["state"]["state"] = (raw - inc) * inverse % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 901, 2024])
+def test_lean_draws_equal_normal_and_uniform(seed):
+    # the sampler's draws against the calls they replace (still those of
+    # the per-sample reference): the same stream, the same bytes
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    row = np.empty(5)
+    for _ in range(200):
+        want = old.normal(size=5)
+        new.standard_normal(out=row)
+        assert (row + 0.0).tobytes() == want.tobytes()
+        r = old.uniform(0.0, 50.0)
+        assert (50.0 * new.random()).hex() == r.hex()
+        if r < 2.0:
+            for k in (21, 10):
+                got = new.standard_normal(k) + 0.0
+                assert got.tobytes() == old.normal(size=k).tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+    # ziggurat word 0x100: table 0, sign bit set, magnitude 0, so -0.0;
+    # normal returns 0.0 + 1.0 * -0.0, the +0.0 that "+ 0.0" gives
+    z = _rng_drawing(0x100).standard_normal(1)
+    assert np.signbit(z[0])
+    want = _rng_drawing(0x100).normal(size=1)
+    assert (z + 0.0).tobytes() == want.tobytes() == (0.0 + 1.0 * z).tobytes()
+    assert (50.0 * _rng_drawing(0).random()).hex() == (
+        _rng_drawing(0).uniform(0.0, 50.0).hex()
+    )
+
+
+def _einsum_distances(sp, mus):
+    """Distances to the translate union by the einsum formula the sampler
+    used before it summed the projections itself."""
+    Qs, scale = cartanproj._union_tensor(sp)
+    Y = mus * scale[None, :]
+    proj = np.einsum("mrk,rn->mnk", Qs, np.ascontiguousarray(Y.T))
+    best = np.max(np.einsum("mnk,mnk->mn", proj, proj), axis=0)
+    return np.sqrt(np.maximum(np.einsum("nr,nr->n", Y, Y) - best, 0.0))
+
+
+@pytest.mark.parametrize("space", gap_space_keys())
+def test_union_distances_equal_the_einsum_formula(space, monkeypatch):
+    sp = cartanproj._get_space(space)
+    seqs = np.random.SeedSequence(31).spawn(3)
+    mus = [cartanproj._run_shard(sp, sq, 1500)[0] for sq in seqs]
+    # a zero row, rows near e^50 and a translate at e^50 (distance 0 up to
+    # cancellation)
+    big = math.exp(50)
+    edge = np.zeros((4, sp.sd.rank))
+    edge[1] = big
+    edge[2, 0], edge[2, -1] = big, -big * (1 - 2**-40)
+    edge[3] = big * np.array([float(x) for x in gap_union(sp)[5].basis[0]])
+    mus = np.concatenate(mus[:2] + [edge] + mus[2:])
+    want = _einsum_distances(sp, mus)
+    assert want[3000] == 0.0 and want[3001] > 0.0
+    # chunks of one sample, of 999 and of 4096 (4,504 rows: a short last one)
+    for chunk in (1, 999, 4096):
+        monkeypatch.setattr(cartanproj, "_DIST_CHUNK", chunk)
+        assert cartanproj._union_distances(sp, mus).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("space", gap_space_keys())
+def test_translate_union_matches_the_weyl_matrices(space):
+    # signed permutations against the exact Weyl matrices: the same
+    # translates with the same integer bases, in the same first-seen order
+    sp = cartanproj._get_space(space)
+    rows = adapted_split_part(sp.target).matrix()
+    seen = {}
+    for W in weyl_elements(sp.sd):
+        moved = rows @ scaled_ints(W)[1].T
+        key = tuple(map(tuple, echelon_rows(moved)))
+        seen.setdefault(key, Subspace.from_rows(moved, sp.sd.rank))
+    got = gap_union(sp)
+    assert [S.matrix().tolist() for S in got] == [
+        S.matrix().tolist() for S in seen.values()
+    ]
+    assert all(type(x) is int for S in got for row in S.basis for x in row)
 
 
 _GAP_AMBIENTS = ("so44xso24-delta", "so34xso24-delta")

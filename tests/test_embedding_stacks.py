@@ -107,7 +107,7 @@ def _ref_split_data(g):
         fam_a = list(alg.meta["a_basis"])
         K = alg.killing_form
         cs = [alg.coords(A) for A in fam_a]
-        G = _gram(cs, K)
+        G = _gram(cs, alg.killing_ints)
         r = len(cs)
         if any(G[i, j] != 0 for i in range(r) for j in range(i + 1, r)):
             for i in range(r):
@@ -117,7 +117,7 @@ def _ref_split_data(g):
                         cs[i] = cs[i] - (cij / (cs[j] @ K @ cs[j])) * cs[j]
                 cs[i] = primitive_vector(cs[i])
             fam_a = [alg.matrix(c) for c in cs]
-            G = _gram(cs, K)
+            G = _gram(cs, alg.killing_ints)
         factors.append(FactorSplit(alg, alg.meta["root_type"], r, len(a_mats)))
         for A in fam_a:
             a_mats.append(embed_block(A, g.n, boff) if boff or alg.n != g.n else A)

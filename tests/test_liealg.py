@@ -92,6 +92,25 @@ def test_direct_sum_dimensions_and_block_killing(so23, su22):
     assert np.array_equal(K[d1:, d1:], su22.killing_form)
 
 
+def test_killing_form_is_one_integer_array(so23, su22):
+    g = direct_sum(so23, su22)
+    for alg in (so23, su22, g):
+        assert alg.killing_ints.dtype == np.int64
+        K = alg.killing_form
+        assert all(type(x) is Fraction for x in K.flat)
+        assert np.array_equal(K, alg.killing_ints)
+    d1 = so23.dim
+    assert np.array_equal(g.killing_ints[:d1, :d1], so23.killing_ints)
+    assert np.array_equal(g.killing_ints[d1:, d1:], su22.killing_ints)
+    assert not g.killing_ints[:d1, d1:].any()
+    # the integer Gram of a subspace is the Fraction product
+    for alg in (so23, g):
+        for sub in (alg.k_subspace(), alg.p_subspace()):
+            V = sub.matrix()
+            want = V @ alg.killing_form @ V.T
+            assert np.array_equal(alg.restricted_gram(sub), want)
+
+
 def test_direct_sum_brackets_do_not_mix_factors(so23, su22):
     g = direct_sum(so23, su22)
     d = g.dim

@@ -13,6 +13,7 @@ from ckforms.rootweyl import (
     WeylCutoffError,
     _d_line_scan,
     chamber_sort,
+    signed_permutations,
     split_data,
     weyl_disjoint,
     weyl_elements,
@@ -55,6 +56,27 @@ def test_weyl_elements_respect_the_cutoff():
     assert weyl_order(sd) == 5160960 ** 2
     with pytest.raises(WeylCutoffError):
         weyl_elements(sd, cutoff=10 ** 7)
+
+
+@pytest.mark.parametrize("left,right", [("so(4,4)", "so(2,4)"),
+                                        ("so(3,4)", "so(2,3)")])
+def test_signed_permutations_are_the_weyl_elements(left, right):
+    sd = split_data(product_algebra(left, right))
+    got = list(signed_permutations(sd))
+    mats = list(weyl_elements(sd))
+    assert len(got) == len(mats) == weyl_order(sd)
+    for (perm, signs), W in zip(got, mats):
+        M = np.zeros((sd.rank, sd.rank), dtype=np.int64)
+        M[np.arange(sd.rank), perm] = signs
+        assert np.array_equal(M, W)
+
+
+def test_signed_permutations_refuse_early():
+    sd = split_data(product_algebra("so(8,8)", "so(8,8)"))
+    with pytest.raises(WeylCutoffError):
+        signed_permutations(sd)
+    with pytest.raises(ValueError, match="g2"):
+        signed_permutations(split_data(build_real_form("g2(2)")))
 
 
 def test_g2_weyl_group_is_dihedral_of_order_twelve():
