@@ -5,7 +5,10 @@ Rational matrices are 2-D numpy arrays with ``fractions.Fraction`` entries
 (dtype object); integer ones hold Python ints (dtype object) or int64 under
 an explicit bound.  Every verdict-facing computation here is tolerance-free;
 floating point never enters this module.  Elimination and products run on
-Python ints after scaling by common denominators (``scaled_ints``).
+Python ints after scaling by common denominators (``scaled_ints``); the
+eliminations (``rank``, ``kernel``, ``rref``, ``reduce_modp``) take an
+integer matrix as one copy to Python ints and scale a rational one row by
+row (``_int_rows``).
 
 A ``Subspace`` is a tuple of independent primitive integer rows
 (``primitive_rows``: content divided out, leading entry positive), and
@@ -101,13 +104,19 @@ def _frac(x) -> Fraction:
     return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
 
 
+def _all_int(M) -> bool:
+    """True when every entry of an array is a Python int (one C-level pass
+    over the entry types)."""
+    return set(map(type, M.flat)) <= {int}
+
+
 def scaled_ints(M):
     """(L, N) with N an object array of Python ints and M = N / L exactly;
     L is the lcm of the entry denominators."""
     M = np.asarray(M)
     if M.dtype.kind in "iu":
         return 1, M.astype(object)
-    if all(type(x) is int for x in M.flat):
+    if _all_int(M):
         return 1, M.copy()
     fr = [x if type(x) in (int, Fraction) else _frac(x) for x in M.flat]
     L = lcm(*[x.denominator for x in fr])
@@ -188,16 +197,30 @@ def _as_frac_array(m) -> RationalMatrix:
     return fmat(m)
 
 
+def _as_array(m) -> np.ndarray:
+    """An ndarray as is; any other nested iterable through ``fmat``."""
+    return m if isinstance(m, np.ndarray) else fmat(m)
+
+
+def _int_rows(A) -> list:
+    """The rows of a 2-D rational array as Python-int object rows, made once
+    per matrix: an integer dtype or an all-int object array (one ``_all_int``
+    for the whole matrix) is copied to Python ints; any other matrix scales
+    each row by the lcm of its own denominators (``scaled_ints``)."""
+    if A.dtype.kind in "iu" or _all_int(A):
+        return list(A.astype(object))
+    return [scaled_ints(row)[1] for row in A]
+
+
 def rank(m) -> int:
     """Exact rank over the rationals (``_rref_ints`` on integer rows)."""
-    rows = [scaled_ints(row)[1] for row in _as_frac_array(m)]
-    return len(_rref_ints(rows))
+    return len(_rref_ints(_int_rows(_as_array(m))))
 
 
 def reduce_modp(m, p: int = MODP_PRIME) -> np.ndarray:
-    """Scale each row of a rational matrix to integers (per-row lcm) and
-    reduce mod p on Python ints; returns an int64 array for ``rank_modp``."""
-    rows = [scaled_ints(row)[1] for row in _as_frac_array(m)]
+    """The integer rows of a rational matrix (``_int_rows``) reduced mod p on
+    Python ints; returns an int64 array for ``rank_modp``."""
+    rows = _int_rows(_as_array(m))
     return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
 
 
@@ -275,8 +298,8 @@ def rref(m):
 
     The elimination runs on rows scaled to integers (``_rref_ints``); the
     RREF is unique, so R is the exact one."""
-    A = _as_frac_array(m)
-    M = [scaled_ints(row)[1] for row in A]
+    A = _as_array(m)
+    M = _int_rows(A)
     piv_cols = _rref_ints(M)
     R = fzeros(A.shape)
     for i, c in enumerate(piv_cols):
@@ -290,9 +313,9 @@ def kernel(m) -> list[np.ndarray]:
     multiple of the RREF kernel vector whose free entry is 1.  It is read
     from the fraction-free elimination: the free entry is the lcm of the
     pivots, then the positive content is divided out."""
-    A = _as_frac_array(m)
+    A = _as_array(m)
     cols = A.shape[1]
-    M = [scaled_ints(row)[1] for row in A]
+    M = _int_rows(A)
     piv_cols = _rref_ints(M)
     L = lcm(*[M[i][c] for i, c in enumerate(piv_cols)])
     out = []

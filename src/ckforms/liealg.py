@@ -18,13 +18,22 @@ The structure constants are one dense int64 array ``tensor[i, k, j] =
 c_ij^k`` (``tensor[i]`` is ad(b_i)), computed one basis element at a time.
 Their commutators run in int64 under an explicit bound, with ValueError
 past it; the commutators of ``bracket_coords`` and ``span_closure`` and the
-coordinate read fall back to Python ints past theirs.  The Killing
-form is an int64 array computed from structure constants (trace of
-ad-composites), never from the matrix trace form, so it is correct for any
-faithful realization; Gram matrices contract it on integer rows, and
-``killing_form`` is its Fraction view, built on first read;
-the proportionality of the two forms on simple algebras is exploited only
-as a cross-check in the test suite.
+coordinate read fall back to Python ints past theirs.
+
+The Killing form is an int64 array.  When the ``realforms`` metadata names
+an absolutely simple real form (su, sp, g2, so(p,q) with p + q != 4), it is
+the trace form Tr(x, y) = tr(xy) of the matrix basis times an exact
+constant: every invariant symmetric form on such an algebra is a multiple
+of the Killing form (Schur's lemma on the adjoint module).  The constant is
+read from one entry, tr(ad b_i ad b_j), with the one or two coordinate
+reads of [b_i, B] and [b_j, B], and a constant that does not scale Tr to an
+integral form raises InternalError.  Every other algebra (so(2,2) = sl2 +
+sl2, so(1,3) = sl(2,C), any algebra without that metadata) contracts its
+structure tensor (trace of ad-composites), which is correct for any
+faithful realization; a direct sum places its factors' blocks.  The tensor
+is also what ``validate_structure`` and ``embeddings.validate_embedding``
+check.  Gram matrices contract the Killing form on integer rows, and
+``killing_form`` is its Fraction view, built on first read.
 
 The Cartan involution theta is stored both as a matrix-level conjugator and as
 its coordinate matrix on the chosen basis.
@@ -32,6 +41,8 @@ its coordinate matrix on the chosen basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+
 import numpy as np
 
 from .exactlin import (
@@ -181,20 +192,27 @@ class LieAlgebra:
 
     # -- structure constants ----------------------------------------------
 
+    def _ad_reads(self, idx):
+        """(N, L) of ``read_coords`` for the brackets [b_i, b_l] over all l,
+        one batched read per i in idx (row l of N / L holds the coordinates
+        of [b_i, b_l]).  The commutators run in int64 under the bound
+        2 * max|entry|**2 * n < 2**63, with ValueError past it."""
+        d, n = self.dim, self.n
+        m = absmax(self._flat)
+        check_int64(self.name, "bracket", 2 * m * m * n)
+        B = self._flat.astype(np.int64).reshape(d, n, n)
+        for i in idx:
+            yield self.read_coords(B[i] @ B - B @ B[i])
+
     @property
     def tensor(self) -> np.ndarray:
         """Structure constants as an int64 array (d, d, d) with
         tensor[i, k, j] = c_ij^k, i.e. tensor[i] is ad(b_i); ValueError if
         they are not integral."""
         if self._tensor is None:
-            d, n = self.dim, self.n
-            m = absmax(self._flat)
-            check_int64(self.name, "bracket", 2 * m * m * n)
-            B = self._flat.astype(np.int64).reshape(d, n, n)
+            d = self.dim
             tensor = np.zeros((d, d, d), dtype=np.int64)
-            for i in range(d):
-                # all brackets [b_i, b_j] in one batched product and read
-                N, L = self.read_coords(B[i] @ B - B @ B[i])
+            for i, (N, L) in enumerate(self._ad_reads(range(d))):
                 if (N % L).any():
                     raise ValueError(f"{self.name}: structure constants not integral")
                 tensor[i] = (N // L).T
@@ -202,20 +220,62 @@ class LieAlgebra:
         return self._tensor
 
     @property
+    def absolutely_simple(self) -> bool:
+        """True when the ``realforms`` metadata names an absolutely simple
+        real form: su, sp, g2, and so(p,q) with p + q != 4 (so(2,2) is
+        sl2 + sl2, so(1,3) is sl(2,C) and so(0,4) is su2 + su2)."""
+        fam = self.meta.get("family")
+        if fam == "so":
+            return self.meta["p"] + self.meta["q"] != 4
+        return fam in ("su", "sp", "g2")
+
+    @property
     def killing_ints(self) -> np.ndarray:
         """Killing form Gram matrix on the basis, B(x,y) = tr(ad x ad y), as
-        an int64 array."""
+        an int64 array: c * Tr on an absolutely simple algebra, the tensor
+        contraction on any other."""
         if self._killing_ints is None:
-            d = self.dim
-            AD = self.tensor
-            m = absmax(AD)
-            check_int64(self.name, "Killing form", m * m * d * d)
-            A2 = AD.reshape(d, -1)
-            B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)
-            # only the columns where both views are nonzero contribute
-            cols = np.flatnonzero(A2.any(axis=0) & B2.any(axis=0))
-            self._killing_ints = A2[:, cols] @ B2[:, cols].T
+            if self.absolutely_simple:
+                self._killing_ints = self._killing_from_trace()
+            else:
+                self._killing_ints = self._killing_from_tensor()
         return self._killing_ints
+
+    def _killing_from_trace(self) -> np.ndarray:
+        """K = num * Tr / den, with c = num / den read exactly from one entry
+        (i, j) where Tr[i, j] != 0 (a diagonal one when there is one):
+        K_ij = tr(ad b_i ad b_j) = sum_kl N_i[l, k] N_j[k, l] / L**2 on the
+        Python-int reads of [b_i, B] and [b_j, B].  InternalError if c is 0
+        or den does not divide Tr; ValueError past the int64 bound."""
+        d, n = self.dim, self.n
+        T = self._flat.reshape(d, n, n).transpose(0, 2, 1).reshape(d, -1)
+        Tr = int_matmul(self._flat, T.T)
+        diag = np.flatnonzero(np.diagonal(Tr))
+        i, j = (diag[0], diag[0]) if len(diag) else np.argwhere(Tr)[0]
+        reads = list(self._ad_reads(dict.fromkeys((i, j))))
+        (Ni, Li), (Nj, Lj) = reads[0], reads[-1]
+        K_ij = int((Ni.astype(object) * Nj.T.astype(object)).sum())
+        c = Fraction(K_ij, Li * Lj * int(Tr[i, j]))
+        if not c or (Tr % c.denominator).any():
+            raise InternalError(
+                "liealg.LieAlgebra.killing_ints",
+                f"{self.name}: K = {c} * Tr is not a nonzero integral form",
+            )
+        Tr = Tr // c.denominator
+        check_int64(self.name, "Killing form", absmax(Tr) * abs(c.numerator))
+        return Tr.astype(np.int64) * c.numerator
+
+    def _killing_from_tensor(self) -> np.ndarray:
+        """The trace of ad-composites, contracted on the structure tensor."""
+        d = self.dim
+        AD = self.tensor
+        m = absmax(AD)
+        check_int64(self.name, "Killing form", m * m * d * d)
+        A2 = AD.reshape(d, -1)
+        B2 = np.transpose(AD, (0, 2, 1)).reshape(d, -1)
+        # only the columns where both views are nonzero contribute
+        cols = np.flatnonzero(A2.any(axis=0) & B2.any(axis=0))
+        return A2[:, cols] @ B2[:, cols].T
 
     @property
     def killing_form(self) -> np.ndarray:

@@ -22,6 +22,7 @@ from ckforms.exactlin import (
     rank_at_least_modp,
     rank_modp,
     rational_sqrt,
+    reduce_modp,
     rref,
     signature,
 )
@@ -101,6 +102,29 @@ def test_modular_rank_certificate_matches_exact_rank():
     r = rank(m)
     assert rank_at_least_modp(m, r)
     assert not rank_at_least_modp(fmat([[1, 2], [2, 4]]), 2)
+
+
+def test_integer_and_fraction_inputs_give_the_same_results():
+    rng = np.random.default_rng(23)
+    m = rng.integers(-5, 6, size=(6, 9))
+    m[4] = 2 * m[1] - m[3]  # rank 5, kernel of dimension 4
+    as_object = m.astype(object)
+    assert all(type(x) is int for x in as_object.flat)
+    fracs = fmat(m)
+    # the same rows with denominators: rank and kernel see the same row space
+    scaled = fracs / np.array([Fraction(k + 1, 3) for k in range(6)])[:, None]
+    want_kernel = [list(v) for v in kernel(fracs)]
+    assert len(want_kernel) == 4
+    R0, piv0 = rref(fracs)
+    for M in (m, as_object, fracs, scaled):
+        assert rank(M) == 5
+        assert [list(v) for v in kernel(M)] == want_kernel
+        assert all(type(x) is int for v in kernel(M) for x in v)
+        R, piv = rref(M)
+        assert piv == piv0 and np.array_equal(R, R0)
+        assert all(type(x) is Fraction for x in R.flat)
+    for M in (m, as_object, fracs):
+        assert np.array_equal(reduce_modp(M), reduce_modp(fracs))
 
 
 def test_modular_rank_certificate_accepts_entries_beyond_int64():
