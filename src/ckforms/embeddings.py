@@ -256,7 +256,7 @@ def quaternionic_embedding(amb_key: str, sub_key: str) -> Embedding:
         raise CatalogError(f"quaternionic variant needs an sp source, got {sub_key}")
     a, b = sub.meta["p"], sub.meta["q"]
     if amb.meta["family"] == "su" and (amb.meta["p"], amb.meta["q"]) == (2 * a, 2 * b):
-        images = realforms.sp_real_basis_c2(a, b)
+        images = (1, np.array(realforms.sp_real_basis_c2(a, b)))
     elif amb.meta["family"] == "so" and (amb.meta["p"], amb.meta["q"]) == (4 * a, 4 * b):
         images = (1, sub.stack)
     else:

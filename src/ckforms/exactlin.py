@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -54,8 +54,6 @@ __all__ = [
     "int_matmul",
     "fit_int64",
     "embed_block",
-    "is_rational_square",
-    "rational_sqrt",
     "primitive_vector",
     "primitive_rows",
     "echelon_rows",
@@ -513,20 +511,3 @@ class CoordinateSolver:
 def primitive_vector(vec) -> np.ndarray:
     """``primitive_rows`` of one vector, as Fractions."""
     return fvec(primitive_rows([list(vec)])[0])
-
-
-def is_rational_square(x) -> bool:
-    x = Fraction(x)
-    if x < 0:
-        return False
-    return (
-        isqrt(x.numerator) ** 2 == x.numerator
-        and isqrt(x.denominator) ** 2 == x.denominator
-    )
-
-
-def rational_sqrt(x) -> Fraction:
-    x = Fraction(x)
-    if not is_rational_square(x):
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(isqrt(x.numerator), isqrt(x.denominator))

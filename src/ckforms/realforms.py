@@ -7,28 +7,20 @@ that normalizes a spin representation into a standard so(r,r).  The spin map
 sends the rotation generator on coordinates (a,b) to one half the product of
 the corresponding gammas.
 
-Everything here is exact rational arithmetic.
+Everything here is exact integer arithmetic: the bases are int64 matrices
+with small entries, and the spin frame runs on Python ints and on
+``int_matmul``, which falls back to them past int64.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .exactlin import (
-    fmat,
-    fmatmul,
-    fzeros,
-    is_rational_square,
-    kernel,
-    primitive_vector,
-    rank,
-    rational_sqrt,
-    scaled_ints,
-)
+from .exactlin import int_matmul, kernel, primitive_rows, rank
 from .liealg import LieAlgebra
 
 __all__ = [
@@ -44,38 +36,31 @@ __all__ = [
     "g2_basis",
 ]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_FH = Fraction(1, 2)
-
-
 # ---------------------------------------------------------------------------
 # classical matrix bases
 # ---------------------------------------------------------------------------
 
 def so_basis(p: int, q: int):
-    """Basis of so(p,q) w.r.t. diag(+1 x p, -1 x q): rotations E_ab - E_ba on
-    same-sign pairs, boosts E_ab + E_ba on mixed pairs, ordered by (a,b) lex."""
+    """Basis of so(p,q) w.r.t. diag(+1 x p, -1 x q) as int64 matrices:
+    rotations E_ab - E_ba on same-sign pairs, boosts E_ab + E_ba on mixed
+    pairs, ordered by (a,b) lex."""
     n = p + q
     eta = [1] * p + [-1] * q
     out = []
     for a in range(n):
         for b in range(a + 1, n):
-            M = fzeros((n, n))
-            if eta[a] == eta[b]:
-                M[a, b] = _F1
-                M[b, a] = -_F1
-            else:
-                M[a, b] = _F1
-                M[b, a] = _F1
+            M = np.zeros((n, n), dtype=np.int64)
+            M[a, b] = 1
+            M[b, a] = -1 if eta[a] == eta[b] else 1
             out.append(M)
     return out
 
 
 def complex_to_real(entries, n: int):
-    """Realify a complex matrix given as {(a,b): (re, im)}; complex coordinate
-    j occupies real coordinates (2j, 2j+1), a+bi -> [[a,-b],[b,a]]."""
-    M = fzeros((2 * n, 2 * n))
+    """Realify a complex integer matrix given as {(a,b): (re, im)} to an
+    int64 matrix; complex coordinate j occupies real coordinates (2j, 2j+1),
+    a+bi -> [[a,-b],[b,a]]."""
+    M = np.zeros((2 * n, 2 * n), dtype=np.int64)
     for (a, b), (re, im) in entries.items():
         M[2 * a, 2 * b] += re
         M[2 * a, 2 * b + 1] += -im
@@ -92,13 +77,13 @@ def su_entries(p: int, q: int):
     for a in range(n):
         for b in range(a + 1, n):
             if eta[a] == eta[b]:
-                out.append({(a, b): (_F1, _F0), (b, a): (-_F1, _F0)})
-                out.append({(a, b): (_F0, _F1), (b, a): (_F0, _F1)})
+                out.append({(a, b): (1, 0), (b, a): (-1, 0)})
+                out.append({(a, b): (0, 1), (b, a): (0, 1)})
             else:
-                out.append({(a, b): (_F1, _F0), (b, a): (_F1, _F0)})
-                out.append({(a, b): (_F0, _F1), (b, a): (_F0, -_F1)})
+                out.append({(a, b): (1, 0), (b, a): (1, 0)})
+                out.append({(a, b): (0, 1), (b, a): (0, -1)})
     for a in range(n - 1):
-        out.append({(a, a): (_F0, _F1), (a + 1, a + 1): (_F0, -_F1)})
+        out.append({(a, a): (0, 1), (a + 1, a + 1): (0, -1)})
     return out
 
 
@@ -111,10 +96,10 @@ def sp_entries(p: int, q: int):
     """Basis of sp(p,q) as quaternion entry dicts {(a,b): (a,b,c,d)}."""
     n = p + q
     eta = [1] * p + [-1] * q
-    one = (_F1, _F0, _F0, _F0)
-    qi = (_F0, _F1, _F0, _F0)
-    qj = (_F0, _F0, _F1, _F0)
-    qk = (_F0, _F0, _F0, _F1)
+    one = (1, 0, 0, 0)
+    qi = (0, 1, 0, 0)
+    qj = (0, 0, 1, 0)
+    qk = (0, 0, 0, 1)
 
     def neg(u):
         return tuple(-x for x in u)
@@ -169,7 +154,7 @@ def _qmat(co):
             [c, d, a, -b],
             [d, -c, b, a],
         ],
-        dtype=object,
+        dtype=np.int64,
     )
 
 
@@ -179,12 +164,9 @@ def sp_real_basis_r4(p: int, q: int):
     n = p + q
     out = []
     for e in sp_entries(p, q):
-        M = fzeros((4 * n, 4 * n))
+        M = np.zeros((4 * n, 4 * n), dtype=np.int64)
         for (aa, bb), co in e.items():
-            Q = _qmat(co)
-            for u in range(4):
-                for v in range(4):
-                    M[4 * aa + u, 4 * bb + v] += Q[u, v]
+            M[4 * aa : 4 * aa + 4, 4 * bb : 4 * bb + 4] += _qmat(co)
         out.append(M)
     return out
 
@@ -275,19 +257,11 @@ def g2_basis():
                     row[r * 8 + p] -= OT[r, q, c]
                     row[r * 8 + q] -= OT[p, r, c]
                 rows.append(row)
-    ker = kernel(np.array(rows, dtype=object))
+    ker = primitive_rows(kernel(np.array(rows, dtype=object)))
     ordr = [1, 2, 3, 5, 6, 7, 4]
-    out = []
-    for v in ker:
-        v = primitive_vector(v)
-        D = np.array(v, dtype=object).reshape(8, 8)
-        D7 = np.empty((7, 7), dtype=object)
-        for a in range(7):
-            for b in range(7):
-                D7[a, b] = D[ordr[a], ordr[b]]
-        out.append(D7)
-    _g2_cache = [m.copy() for m in out]
-    return out
+    D = ker.astype(np.int64).reshape(-1, 8, 8)[:, ordr][:, :, ordr]
+    _g2_cache = list(D)
+    return [m.copy() for m in _g2_cache]
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +366,24 @@ def clifford_candidates(p: int, q: int, kmax: int = 6):
             yield [word_matrix(w) for w in words[q:] + words[:q]], -1
 
 
-def make_phi(gam, eps: int, p: int, q: int):
-    """Spin images of the rotation generators: (a,b) -> eps/2 gamma_a gamma_b."""
-    phi = {}
-    for a in range(p + q):
-        for b in range(a + 1, p + q):
-            phi[(a, b)] = fmat(gam[a] @ gam[b]) * Fraction(eps, 2)
-    return phi
+def gamma_products(gam, p: int, q: int) -> np.ndarray:
+    """G_ab = gamma_a gamma_b for a < b in so_basis order, as one int64
+    stack.  Every gamma word is a signed permutation matrix, so every
+    product is one too: its entries are 0 and +-1, with no int64 bound to
+    check.  The spin image of the rotation generator (a, b) is eps/2 G_ab."""
+    n = p + q
+    return np.array(
+        [gam[a] @ gam[b] for a in range(n) for b in range(a + 1, n)]
+    )
 
 
-def symmetric_monomial_form(gam, phi):
+def symmetric_monomial_form(gam, G):
     """First symmetric gamma-subset product S with x^T S = -S x for all spin
     images x, or None.
 
-    The condition is homogeneous in x, so each image is scaled to integers
-    and the test runs in int64 (entries stay below nn * max|x|)."""
-    spin = [scaled_ints(m)[1].astype(np.int64) for m in phi.values()]
+    The condition is homogeneous in x, so it is tested on the integer
+    products G (``gamma_products``); S and G are signed permutations, so
+    the int64 products have entries 0 and +-1."""
     nn = gam[0].shape[0]
     for rr in range(len(gam) + 1):
         for idx in itertools.combinations(range(len(gam)), rr):
@@ -416,8 +392,8 @@ def symmetric_monomial_form(gam, phi):
                 M = M @ gam[i]
             if not np.array_equal(M, M.T):
                 continue
-            if all(not (x.T @ M + M @ x).any() for x in spin):
-                return fmat(M)
+            if all(not (x.T @ M + M @ x).any() for x in G):
+                return M
     return None
 
 
@@ -425,82 +401,70 @@ def symmetric_monomial_form(gam, phi):
 # exact congruence frame for the spin representation
 # ---------------------------------------------------------------------------
 
-def _eig_split(space, X, lam):
-    """Basis of ker(X - lam) intersected with span(space), exact."""
-    cols = []
-    n = len(space[0])
-    for v in space:
-        v = np.array(v, dtype=object)
-        w = X @ v - lam * v
-        cols.append(list(w))
-    A = np.array(cols, dtype=object).T
-    out = []
-    for c in kernel(A):
-        vec = np.zeros(n, dtype=object)
-        for ci, v in zip(c, space):
-            vec = vec + ci * np.array(v, dtype=object)
-        out.append([Fraction(x) for x in vec])
-    return out
+def _eig_split(space, Y, s):
+    """Integer basis of ker(Y - s) within the row span of ``space``
+    (Python-int rows): the primitive kernel of the columns Y v - s v, mapped
+    back to the space."""
+    C = kernel(Y @ space.T - s * space.T)
+    return np.array(C, dtype=object).reshape(len(C), len(space)) @ space
 
 
 @dataclass
 class SpinFrame:
-    """Normalized spin embedding data for so(p,q) into so(r,r), r = dim/2.
+    """Normalized spin embedding data for so(p,q) into so(r,r), r = dim/2,
+    on integers.
 
-    T congruence-normalizes the spinor form to diag(+1 x r, -1 x r); since
-    T^t T is scalar, conjugation by T also intertwines the Cartan involutions.
-    phi maps generator coordinates (a,b) to pre-frame spin matrices; use
-    image(a,b) for the normalized so(r,r) matrices.
-    """
+    T / scale congruence-normalizes the spinor form to diag(+1 x r, -1 x r);
+    since T^t T is scalar, conjugation by T also intertwines the Cartan
+    involutions.  IM / den stacks the normalized so(r,r) images of the
+    so_basis(p,q) elements, in that order."""
 
     p: int
     q: int
-    T: np.ndarray
-    Tinv: np.ndarray
-    phi: dict
     gammas: list
+    T: np.ndarray
+    scale: int
+    den: int
+    IM: np.ndarray
 
     @property
     def half_dim(self) -> int:
         return int(self.T.shape[0]) // 2
 
-    def image(self, a: int, b: int) -> np.ndarray:
-        if a > b:
-            return -self.image(b, a)
-        M = fmatmul(fmatmul(self.Tinv, self.phi[(a, b)]), self.T)
-        # phi represents eta_bb E_ab - eta_aa E_ba; the standard basis element
-        # (E_ab - E_ba or E_ab + E_ba) differs by a sign unless a, b are both
-        # plus coordinates
-        return M if b < self.p else -M
 
-    def all_images(self):
-        n = self.p + self.q
-        return [
-            self.image(a, b) for a in range(n) for b in range(a + 1, n)
-        ]
+def _build_frame_from(gam, eps, S, p, q):
+    """(T, scale, den, IM) of ``SpinFrame`` for this ordering of the
+    gammas, or None.
 
-
-def _build_frame_from(gam, eps, Smat, p, q):
-    """(T, Tinv, phi) for this ordering of the gammas, or None."""
+    With G_ab = gamma_a gamma_b, the boost image X_i = -eps/2 G_{i,p+i} is
+    Y_i / 2 for the integer Y_i = -eps G_{i,p+i}, so its joint +-1/2
+    eigenspaces are those of the Y_i for +-1.  Each frame column is
+    (v +- S v) / m with m**2 = 2|v|^2, and T = T_int / scale for the lcm
+    ``scale`` of the m, so every check runs on T_int: T_int^t S T_int =
+    scale**2 eta, T_int^t T_int = c I, each boost image lies in the standard
+    split part, and every Z_ab = T_int^t G_ab T_int is eta-antisymmetric.
+    The image of (a, b) is +-eps Z_ab / (2c), reduced to lowest terms over
+    the whole stack.  Vectors are Python ints and the products run on
+    ``int_matmul``; no float enters."""
     n = gam[0].shape[0]
-    r = min(p, q)
-    phi = make_phi(gam, eps, p, q)
-    X = [-phi[(i, p + i)] for i in range(r)]
-    basis0 = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
-    weights = [(tuple(), basis0)]
-    for Xi in X:
-        Xi = np.array(Xi, dtype=object)
+    h, r = n // 2, min(p, q)
+    G = gamma_products(gam, p, q)
+    pairs = [(a, b) for a in range(p + q) for b in range(a + 1, p + q)]
+    boosts = [pairs.index((i, p + i)) for i in range(r)]
+    Y = [-eps * G[k].astype(object) for k in boosts]
+    weights = [((), np.eye(n, dtype=object))]
+    for Yi in Y:
         new = []
-        for lam_prefix, segs in weights:
-            for lam in (_FH, -_FH):
-                sub = _eig_split(segs, Xi, lam)
-                if sub:
-                    new.append((lam_prefix + (lam,), sub))
+        for prefix, space in weights:
+            for s in (1, -1):
+                sub = _eig_split(space, Yi, s)
+                if len(sub):
+                    new.append((prefix + (s,), sub))
         weights = new
-    if sum(len(s) for _, s in weights) != n:
+    if sum(len(space) for _, space in weights) != n:
         return None
-    wd = {lam: segs for lam, segs in weights}
-    pos_cols, neg_cols = [], []
+    wd = dict(weights)
+    pos_cols, neg_cols, norms = [], [], []
     used = set()
     for lam in sorted(wd.keys(), reverse=True):
         if lam in used:
@@ -508,42 +472,46 @@ def _build_frame_from(gam, eps, Smat, p, q):
         mlam = tuple(-x for x in lam)
         if mlam not in wd or mlam == lam:
             return None
-        used.add(lam)
-        used.add(mlam)
+        used.update((lam, mlam))
+        # Gram-Schmidt on integers: v <- (u.u) v - (v.u) u is a positive
+        # multiple of the rational projection, so the primitive rows agree
         vs = []
         for v in wd[lam]:
-            v = np.array(v, dtype=object)
             for u in vs:
-                v = v - (v @ u) / (u @ u) * u
-            vs.append(v)
+                v = (u @ u) * v - (v @ u) * u
+            vs.append(primitive_rows([v])[0])
         for v in vs:
-            v = np.array(primitive_vector(list(v)), dtype=object)
-            a = v @ v
-            if not is_rational_square(2 * a):
+            two_a = 2 * (v @ v)
+            m = isqrt(two_a)
+            if m * m != two_a:
                 return None
-            w = Smat @ v
-            alpha = _F1 / rational_sqrt(2 * a)
-            pos_cols.append(alpha * (v + w))
-            neg_cols.append(alpha * (v - w))
-    T = np.array(pos_cols + neg_cols, dtype=object).T
-    eta_t = np.diag([_F1] * (n // 2) + [-_F1] * (n // 2)).astype(object)
-    if not (fmatmul(fmatmul(T.T, Smat), T) == eta_t).all():
+            w = S @ v
+            pos_cols.append(v + w)
+            neg_cols.append(v - w)
+            norms.append(m)
+    scale = lcm(*norms)
+    cols = [scale // m * col for col, m in zip(pos_cols + neg_cols, norms * 2)]
+    T = np.array(cols, dtype=object).T
+    eta = np.array([1] * h + [-1] * h, dtype=object)
+    if not (int_matmul(int_matmul(T.T, S), T) == scale**2 * np.diag(eta)).all():
         return None
-    TTt = fmatmul(T.T, T)
-    c = TTt[0, 0]
-    if not (TTt == c * np.eye(n, dtype=object)).all():
+    TT = int_matmul(T.T, T)
+    c = int(TT[0, 0])
+    if not (TT == c * np.eye(n, dtype=object)).all():
         return None
-    Tinv = T.T / c
-    arows = [list(M.reshape(-1)) for M in _boost_basis(n // 2, n // 2, 1)]
-    for i in range(r):
-        XT = fmatmul(fmatmul(Tinv, X[i]), T)
-        if rank(np.array(arows + [list(XT.reshape(-1))], dtype=object)) != n // 2:
+    Z = int_matmul(int_matmul(T.T, G), T)
+    arows = np.array([M.reshape(-1) for M in _boost_basis(h, h, 1)])
+    for k in boosts:
+        if rank(np.vstack([arows, Z[k].reshape(1, -1)])) != h:
             return None
-    for M in phi.values():
-        Y = fmatmul(fmatmul(Tinv, M), T)
-        if not ((fmatmul(Y.T, eta_t) + fmatmul(eta_t, Y)) == 0).all():
-            return None
-    return T, Tinv, phi
+    if (np.swapaxes(Z, 1, 2) * eta + eta[:, None] * Z).any():
+        return None
+    # so_basis holds E_ab - E_ba (both plus) or E_ab +- E_ba, and eps/2 G_ab
+    # represents eta_bb E_ab - eta_aa E_ba: the signs differ unless b < p
+    signs = np.array([eps if b < p else -eps for _a, b in pairs])
+    IM = signs[:, None, None] * Z
+    g = gcd(2 * c, *map(int, IM.flat))
+    return T, scale, 2 * c // g, IM // g
 
 
 _frame_cache = {}
@@ -559,9 +527,8 @@ def spin_frame(p: int, q: int) -> SpinFrame:
     if r < 1 or p + q < 3:
         raise ValueError(f"spin frame needs a boost and dim >= 3, got ({p},{q})")
     for gam0, eps in clifford_candidates(p, q):
-        phi0 = make_phi(gam0, eps, p, q)
-        Smat = symmetric_monomial_form(gam0, phi0)
-        if Smat is None:
+        S = symmetric_monomial_form(gam0, gamma_products(gam0, p, q))
+        if S is None:
             continue
         plus_idx = list(range(p))
         minus_idx = list(range(p, p + q))
@@ -571,9 +538,9 @@ def spin_frame(p: int, q: int) -> SpinFrame:
                 mrest = [i for i in minus_idx if i not in msel]
                 order = list(psel) + prest + list(msel) + mrest
                 gam = [gam0[i] for i in order]
-                res = _build_frame_from(gam, eps, Smat, p, q)
+                res = _build_frame_from(gam, eps, S, p, q)
                 if res:
-                    frame = SpinFrame(p, q, *res, gam)
+                    frame = SpinFrame(p, q, gam, *res)
                     _frame_cache[key] = frame
                     return frame
     raise ValueError(f"no normalized spin frame found for ({p},{q})")
@@ -582,9 +549,9 @@ def spin_frame(p: int, q: int) -> SpinFrame:
 def spin_embedding(p: int, q: int):
     """Images of the so(p,q) basis (so_basis order) inside standard so(r,r).
 
-    Returns (frame, images); images[i] corresponds to so_basis(p,q)[i]."""
+    Returns (frame, (den, IM)): image i is IM[i] / den."""
     frame = spin_frame(p, q)
-    return frame, frame.all_images()
+    return frame, (frame.den, frame.IM)
 
 
 # ---------------------------------------------------------------------------
@@ -631,46 +598,33 @@ def _root_type(family: str, p: int, q: int) -> str:
 def _boost_basis(p, q, width):
     """Symmetric boosts pairing plus-coordinate i with minus-coordinate i,
     i < p, where each coordinate is a block of ``width`` real ones (1 for
-    so, 2 for realified su, 4 for realified sp)."""
+    so, 2 for realified su, 4 for realified sp), as int64 matrices."""
     n = width * (p + q)
     out = []
     for i in range(p):
-        M = fzeros((n, n))
+        M = np.zeros((n, n), dtype=np.int64)
         for t in range(width):
-            M[width * i + t, width * (p + i) + t] = _F1
-            M[width * (p + i) + t, width * i + t] = _F1
+            M[width * i + t, width * (p + i) + t] = 1
+            M[width * (p + i) + t, width * i + t] = 1
         out.append(M)
     return out
 
 
 def _g2_split_part():
-    """Intersection of g2 with the standard split part of so(3,4)."""
-    g2 = g2_basis()
-    astd = _boost_basis(3, 4, 1)
-    rows_h = [list(M.reshape(-1)) for M in g2]
-    rows_l = [[-x for x in M.reshape(-1)] for M in astd]
-    A = np.array(rows_h + rows_l, dtype=object).T
-    out = []
-    for c in kernel(A):
-        M = fzeros((7, 7))
-        for ci, B in zip(c[: len(g2)], g2):
-            if ci != 0:
-                M = M + ci * B
-        out.append(M)
-    # primitive integer representatives, deterministic order
-    prim = []
-    for M in out:
-        v = primitive_vector(list(M.reshape(-1)))
-        prim.append(np.array(v, dtype=object).reshape(7, 7))
-    return prim
+    """Intersection of g2 with the standard split part of so(3,4), as
+    primitive int64 matrices in the order of the kernel."""
+    g2 = np.array(g2_basis()).reshape(14, -1)
+    astd = np.array(_boost_basis(3, 4, 1)).reshape(3, -1)
+    C = np.array(kernel(np.vstack([g2, -astd]).T), dtype=object)[:, :14]
+    return list(primitive_rows(C @ g2).astype(np.int64).reshape(-1, 7, 7))
 
 
 _form_cache = {}
 
 
 def build_real_form(name: str) -> LieAlgebra:
-    """Construct the named real form as a rational matrix Lie algebra with its
-    Cartan involution and split-part data attached.
+    """Construct the named real form as an integer matrix Lie algebra with
+    its Cartan involution and split-part data attached.
 
     Realification conventions: complex coordinate j occupies real coordinates
     (2j, 2j+1); quaternionic coordinate a occupies (4a..4a+3) via left
@@ -701,7 +655,7 @@ def build_real_form(name: str) -> LieAlgebra:
         eta = [1] * 3 + [-1] * 4
         a_basis = _g2_split_part()
         rank_r = 2
-    conj = np.diag([Fraction(x) for x in eta]).astype(object)
+    conj = np.diag(eta).astype(object)
     meta = {
         "family": fam,
         "p": p,

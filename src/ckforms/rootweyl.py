@@ -111,9 +111,10 @@ def split_data(g: LieAlgebra) -> SplitData:
             a_mats.extend(embed_block(A, g.n, boff) for A in sd.a_matrices)
             gram_diag.extend(np.diagonal(sd.gram))
     else:
-        a_mats = list(g.meta.get("a_basis") or ())
-        if not a_mats:
+        a_basis = g.meta.get("a_basis")
+        if not a_basis:
             raise ValueError(f"{g.name}: no split part data attached")
+        a_mats = list(unscaled(np.array(a_basis), 1))
         K = g.killing_ints
         cs = [g.coords(A) for A in a_mats]
         G = _gram(cs, K)
@@ -178,7 +179,7 @@ def _exact_eigenvalues(A):
     out = []
     covered = 0
     for lam in cands:
-        M = A.copy()
+        M = A.astype(object)
         for i in range(n):
             M[i, i] = M[i, i] - lam
         vecs = kernel(M)

@@ -2,7 +2,8 @@
 
 The reference functions below are the Fraction constructions as they stood
 before embeddings held one integer stack: catalog images from the basis
-builders, block lifts with ``embed_block``, ``apply`` as a sum of images
+builders (spin images from the Fraction frame of ``test_spin_frames``),
+block lifts with ``embed_block``, ``apply`` as a sum of images
 weighted by source coordinates, ``a_map`` as one coordinate solve per
 source boost, and the split data of a product with each factor's boost
 coordinates, Killing Gram and orthogonalization recomputed in place.  Every
@@ -33,6 +34,7 @@ from ckforms.exactlin import (
 )
 from ckforms.rootweyl import FactorSplit, _gram, split_data
 from test_embeddings import CATALOG_KEYS
+from test_spin_frames import ref_spin_frame
 
 # ---------------------------------------------------------------------------
 # the Fraction reference
@@ -50,7 +52,7 @@ def _ref_catalog_images(emb):
     if variant == "quaternionic":
         return realforms.sp_real_basis_c2(sub.meta["p"], sub.meta["q"])
     if variant == "spin":
-        return realforms.spin_embedding(sub.meta["p"], sub.meta["q"])[1]
+        return ref_spin_frame(sub.meta["p"], sub.meta["q"])[2]
     assert variant == "block"
     p, q = amb.meta["p"], amb.meta["q"]
     p1, q1 = sub.meta["p"], sub.meta["q"]

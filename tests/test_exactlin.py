@@ -15,13 +15,11 @@ from ckforms.exactlin import (
     fvec,
     int_matmul,
     intersect,
-    is_rational_square,
     kernel,
     primitive_vector,
     rank,
     rank_at_least_modp,
     rank_modp,
-    rational_sqrt,
     reduce_modp,
     rref,
     signature,
@@ -193,13 +191,6 @@ def test_primitive_vector_clears_denominators_and_content():
     assert list(v) == [1, 2]
     w = primitive_vector(fvec([-6, -9]))
     assert list(w) in ([2, 3], [-2, -3])
-
-
-def test_rational_square_detection():
-    assert is_rational_square(Fraction(49, 4))
-    assert rational_sqrt(Fraction(49, 4)) == Fraction(7, 2)
-    assert not is_rational_square(Fraction(2))
-    assert rational_sqrt(Fraction(0)) == 0
 
 
 def test_subspace_containment_and_dims():

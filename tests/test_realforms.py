@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ckforms.exactlin import signature
+from ckforms.exactlin import signature, unscaled
 from ckforms.liealg import validate_structure
 from ckforms.realforms import (
     build_real_form,
@@ -113,7 +113,8 @@ def test_spin_frame_gamma_relations():
 
 
 def test_spin_images_land_in_the_standard_orthogonal_form():
-    frame, images = spin_embedding(3, 4)
+    frame, (den, IM) = spin_embedding(3, 4)
+    images = unscaled(IM, den)
     so44 = build_real_form("so(4,4)")
     assert len(images) == 21
     for X in images:
@@ -121,7 +122,8 @@ def test_spin_images_land_in_the_standard_orthogonal_form():
 
 
 def test_spin_frame_for_so18_is_sixteen_dimensional():
-    frame, images = spin_embedding(1, 8)
+    frame, (den, IM) = spin_embedding(1, 8)
+    images = unscaled(IM, den)
     assert frame.half_dim == 8
     assert len(images) == 36
     so88 = build_real_form("so(8,8)")
