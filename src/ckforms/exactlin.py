@@ -134,9 +134,8 @@ def unscaled(N, L):
 
 def absmax(A) -> int:
     """Largest absolute entry of an integer array as a Python int, 0 if
-    empty: the factor of an int64 overflow bound."""
-    if A.dtype == object:
-        return max(map(abs, A.flat), default=0)
+    empty: the factor of an int64 overflow bound.  One NumPy pass; on an
+    object array it runs on the Python ints, so it is exact past 2**63."""
     return int(np.abs(A).max()) if A.size else 0
 
 
@@ -473,6 +472,31 @@ class CoordinateSolver:
         ).reshape(d, d)
         self._transform = fit_int64(T)
         self._basis_int = fit_int64(self._basis_int)
+
+    @classmethod
+    def block_sum(cls, a, b, cols_a, cols_b, basis_int):
+        """The solver of the direct sum of two integer bases, placed from
+        theirs instead of eliminated again: ``basis_int`` holds a's rows on
+        the columns ``cols_a`` and b's rows on ``cols_b``, every column of
+        ``cols_a`` before every one of ``cols_b``.  The reduced echelon form
+        of a block-diagonal basis is the two factors' side by side, so the
+        pivots are the factors' at their placed columns, and the transform
+        is the factors' block-diagonal over L = lcm(L_a, L_b): the solver a
+        fresh elimination of ``basis_int`` would build."""
+        if a._basis_den != 1 or b._basis_den != 1:
+            raise ValueError("block_sum needs integer bases")
+        out = cls.__new__(cls)
+        out._basis_den = 1
+        out._basis_int = fit_int64(basis_int)
+        out.pivots = [int(cols_a[c]) for c in a.pivots]
+        out.pivots += [int(cols_b[c]) for c in b.pivots]
+        out.dim = a.dim + b.dim
+        L = out._transform_den = lcm(a._transform_den, b._transform_den)
+        T = np.zeros((out.dim, out.dim), dtype=object)
+        T[: a.dim, : a.dim] = a._transform.astype(object) * (L // a._transform_den)
+        T[a.dim :, a.dim :] = b._transform.astype(object) * (L // b._transform_den)
+        out._transform = fit_int64(T)
+        return out
 
     def solve(self, Y):
         """(N, L): integer numerators (m, dim) and common denominator of the

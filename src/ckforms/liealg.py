@@ -89,7 +89,10 @@ class LieAlgebra:
                 raise ValueError(f"{name}: basis matrices must be integral")
             B = np.array(ints, dtype=object)
         self._flat = fit_int64(B.reshape(self.dim, self.n**2))
-        self._solver = CoordinateSolver(self._flat)
+        # a direct sum passes the solver it placed from its factors'
+        self._solver = self.meta.pop("_solver", None) or CoordinateSolver(
+            self._flat
+        )
         # the nonzero basis entries grouped by column: every coordinate read
         # rebuilds its matrices from them
         rows, cols = np.nonzero(self._flat)
@@ -440,12 +443,19 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     if a.theta_conjugator is not None and b.theta_conjugator is not None:
         conj = embed_block(a.theta_conjugator, N, 0)
         conj[n1:, n1:] = b.theta_conjugator
+    # the flattened positions of the two blocks, factor a's all first
+    at = np.arange(N * N).reshape(N, N)
+    solver = CoordinateSolver.block_sum(
+        a._solver, b._solver, at[:n1, :n1].ravel(), at[n1:, n1:].ravel(),
+        B.reshape(len(B), -1),
+    )
     meta = {
         "factors": [
             {"algebra": a, "coord_offset": 0, "block_offset": 0},
             {"algebra": b, "coord_offset": a.dim, "block_offset": n1},
         ],
         "family": "product",
+        "_solver": solver,
     }
     out = LieAlgebra(name or f"{a.name}x{b.name}", B, conj, meta)
 

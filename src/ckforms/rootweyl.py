@@ -13,11 +13,21 @@ walked in enumeration order, in chunks of about a thousand elements; each
 factor adds its block H_f w_f^T N_f mod p, one batched elimination mod p
 certifies the whole chunk, and only the elements that fail mod p are
 re-checked exactly, so the witness is the first one in enumeration order.
+
+A product g1 + g2 has the little Weyl group W1 x W2, and the scan is first
+reduced by that structure (``weyl_disjoint``): two factorwise sides are
+scanned factor by factor, a factorwise side that is 0 or all of one
+factor's split part holds that factor at the identity, and the graph of a
+map A through which every element of W2 lifts (checked exactly on the
+generators) is decided by one W1 scan.  A factor's verdicts are kept on its
+split data, and a reduced hit still reports the full scan's witness when
+the product group is within the cutoff.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +37,7 @@ from .exactlin import (
     CoordinateSolver,
     InternalError,
     Subspace,
+    echelon_rows,
     embed_block,
     fmat,
     fmatmul,
@@ -61,12 +72,14 @@ DEFAULT_WEYL_CUTOFF = 10**7
 
 
 class WeylCutoffError(RuntimeError):
-    """Raised when a little Weyl group is too large to enumerate; carries the
-    exact order so callers can report the refusal."""
+    """Raised when a Weyl scan would enumerate more elements than the cutoff;
+    carries that exact number (the little Weyl group's order, or on a
+    product scan reduced to one factor, that factor's) so callers can report
+    the refusal."""
 
     def __init__(self, order: int, cutoff: int):
         super().__init__(
-            f"little Weyl group has order {order}, above the enumeration "
+            f"a Weyl scan of {order} elements is above the enumeration "
             f"cutoff {cutoff}; refusing to scan"
         )
         self.order = order
@@ -89,6 +102,9 @@ class SplitData:
     gram: np.ndarray  # exact Killing Gram of the a-basis (diagonal)
     boosts: tuple  # (den, A): the a-basis as one integer stack A / den
     solver: CoordinateSolver  # coordinates in the flattened rows of A
+    # verdicts of the Weyl scans run on this split data as a product's
+    # factor, keyed by the bases of the two subspaces
+    verdicts: dict = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -116,7 +132,7 @@ def split_data(g: LieAlgebra) -> SplitData:
             raise ValueError(f"{g.name}: no split part data attached")
         a_mats = list(unscaled(np.array(a_basis), 1))
         K = g.killing_ints
-        cs = [g.coords(A) for A in a_mats]
+        cs = list(unscaled(*g.read_coords(np.array(a_basis))))
         G = _gram(cs, K)
         # orthogonalize exactly when needed (the exceptional factor); the
         # classical boost bases are already Killing-orthogonal
@@ -145,19 +161,16 @@ def split_data(g: LieAlgebra) -> SplitData:
     return sd
 
 
-def _classical_order(root_type: str, k: int) -> int:
-    import math
-
-    if root_type == "D":
-        return 2 ** (k - 1) * math.factorial(k)
-    return 2**k * math.factorial(k)
+def _factor_order(f: FactorSplit) -> int:
+    if f.root_type == "G":
+        return 12
+    if f.root_type == "D":
+        return 2 ** (f.rank - 1) * math.factorial(f.rank)
+    return 2**f.rank * math.factorial(f.rank)
 
 
 def weyl_order(sd: SplitData) -> int:
-    total = 1
-    for f in sd.factors:
-        total *= 12 if f.root_type == "G" else _classical_order(f.root_type, f.rank)
-    return total
+    return math.prod(map(_factor_order, sd.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +329,14 @@ class _FactorGroup:
     A classical factor of rank k is every permutation times every sign
     vector (even sign count for type D), permutation-major: element
     (perm, signs) is (w x)_i = signs[i] * x[perm[i]].  A g2 factor is its
-    twelve computed matrices, reduced mod p entrywise (a/b as a * b^-1)."""
+    twelve computed matrices, reduced mod p entrywise (a/b as a * b^-1).
+    A factor the scan holds ``fixed`` is its identity alone."""
 
-    def __init__(self, f: FactorSplit):
+    def __init__(self, f: FactorSplit, fixed: bool = False):
         self.factor = f
         p = MODP_PRIME
-        if f.root_type == "G":
-            self.mats = _g2_weyl(f.algebra)
+        if fixed or f.root_type == "G":
+            self.mats = [_identity(f.rank)] if fixed else _g2_weyl(f.algebra)
             self.table = np.array(
                 [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
                   for row in M] for M in self.mats],
@@ -470,7 +484,8 @@ def weyl_disjoint(
     Returns (True, None) or (False, (w, witness_vector)); the witness vector
     lies in w(V_h) and V_l, and w is the first such element in enumeration
     order (``weyl_elements``), except on the type-D line scan with dim V_h
-    = 1, which scans V_l against the line and returns the inverse.
+    = 1, which scans V_l against the line and returns the inverse, and on a
+    reduced hit above the cutoff (below).
 
     With N an integer basis of ker(V_l) (the vectors orthogonal to V_l),
     rank [w(V_h); V_l] = dim V_l + rank(H w^T N), so w(V_h) meets V_l only
@@ -479,39 +494,93 @@ def weyl_disjoint(
     elements: each factor contributes its block H_f w_f^T N_f mod p, and one
     batched elimination mod p (``rank_modp``) certifies full rank for every
     element of the chunk (a valid proof of rational full rank).  Only the
-    elements that fail mod p are re-checked exactly, in enumeration order."""
+    elements that fail mod p are re-checked exactly, in enumeration order.
+
+    On a product g1 + g2 the group is W1 x W2, and three shapes of the two
+    split parts need less than the product scan (a side V is factorwise
+    when rank pi1(V) + rank pi2(V) = dim V, that is V = V1 + V2):
+      (a) both sides factorwise: w(V_h) meets V_l iff some w_f(V_hf) meets
+          V_lf, so each factor is scanned alone, on its own split data;
+      (b) one side factorwise with its part 0 or all of a_f on a factor f:
+          that side is fixed by W_f, so W_f is held at the identity;
+      (c) one side the graph {(A b, b)} of a map A: a2 -> a1 and the other
+          V_l1 + V_l2, when every w2 lifts through A (some w1 has w1 A =
+          A w2, checked exactly on the generators of W2): a hit is a v in
+          W1 with v A(V_l2) meeting V_l1, so one W1 scan decides.
+    A reduced scan certifies "disjoint" alone.  On a hit the full scan runs
+    when the group order is within the cutoff, so the witness is the same;
+    above it, the hit is returned as the reduced element with the identity
+    on the other factor.  The cutoff counts the elements of the scan that
+    runs, and each factor's verdicts are kept on its split data, so
+    triples that share a factor pair share its scan."""
     r = sd.rank
     if V_h.ambient_dim != r or V_l.ambient_dim != r:
         raise ValueError("subspaces must live in a-coordinates")
+    return _disjoint(sd, V_h, V_l, cutoff)
+
+
+def _disjoint(sd, V_h, V_l, cutoff, fixed=frozenset(), memo=None):
+    """``weyl_disjoint`` past its argument check.  The factors indexed in
+    ``fixed`` are held at the identity; a scan that runs is looked up in,
+    and stored to, the dict ``memo`` when one is given."""
+    r = sd.rank
     if V_h.dim == 0 or V_l.dim == 0:
         return True, None
     if V_h.dim + V_l.dim > r:
         inter = intersect(V_h, V_l)
         w0 = np.eye(r, dtype=object).astype(object)
         return False, (w0, inter.basis[0] if inter.dim else None)
-    order = weyl_order(sd)
-    scan_ready = (
+    if len(sd.factors) == 2 and not fixed:
+        got = _reduced(sd, V_h, V_l, cutoff)
+        if got is not None and (got[0] or weyl_order(sd) > cutoff):
+            return got
+        # no reduction, or a hit within the cutoff: the full scan decides
+    order = math.prod(
+        1 if i in fixed else _factor_order(f) for i, f in enumerate(sd.factors)
+    )
+    line = (
         len(sd.factors) == 1
         and sd.factors[0].root_type == "D"
         and 1 in (V_h.dim, V_l.dim)
         and V_h.dim + V_l.dim == r
+        and order > _LINE_SCAN_ORDER
     )
-    if scan_ready and order > _LINE_SCAN_ORDER:
-        if V_l.dim == 1:
-            return _d_line_scan(sd, V_h, V_l)
-        ok, wit = _d_line_scan(sd, V_l, V_h)
-        if wit is not None:
-            W, v = wit
-            # witness came from the transposed roles; map back through w^-1
-            Winv = W.T  # signed permutations are orthogonal
-            return False, (Winv, Winv @ v)
-        return ok, None
-    if order > cutoff:
+    if not line and order > cutoff:
         raise WeylCutoffError(order, cutoff)
+    key = (_rows_key(V_h), _rows_key(V_l))
+    if memo is not None and key in memo:
+        return memo[key]
+    got = _line_scan(sd, V_h, V_l) if line else _batched_scan(sd, V_h, V_l, fixed)
+    if memo is not None:
+        memo[key] = got
+        if got[0]:  # disjointness is symmetric in the two sides
+            memo[key[::-1]] = got
+    return got
+
+
+def _rows_key(V: Subspace):
+    return tuple(map(tuple, V.basis))
+
+
+def _line_scan(sd, V_h, V_l):
+    """``_d_line_scan`` with the line on either side."""
+    if V_l.dim == 1:
+        return _d_line_scan(sd, V_h, V_l)
+    ok, wit = _d_line_scan(sd, V_l, V_h)
+    if wit is not None:
+        W, v = wit
+        # witness came from the transposed roles; map back through w^-1
+        Winv = W.T  # signed permutations are orthogonal
+        return False, (Winv, Winv @ v)
+    return ok, None
+
+
+def _batched_scan(sd, V_h, V_l, fixed):
+    r = sd.rank
     Hm, Lm = V_h.matrix(), V_l.matrix()
     H = reduce_modp(Hm)
     N = reduce_modp(np.array([list(v) for v in kernel(Lm)])).T
-    groups = [_FactorGroup(f) for f in sd.factors]
+    groups = [_FactorGroup(f, i in fixed) for i, f in enumerate(sd.factors)]
 
     def blocks(g, idx):
         # H_f w_f^T N_f mod p for the factor elements idx
@@ -526,6 +595,7 @@ def weyl_disjoint(
         for g in groups
     ]
     sizes = [g.size for g in groups]
+    order = math.prod(sizes)
     for start in range(0, order, _SCAN_CHUNK):
         idx = np.unravel_index(
             np.arange(start, min(start + _SCAN_CHUNK, order)), sizes
@@ -539,9 +609,153 @@ def weyl_disjoint(
             wh = fmatmul(Hm, w.T)
             if rank(np.vstack([wh, Lm])) == V_h.dim + V_l.dim:
                 continue  # full rank over Q, deficient only mod p
-            moved = Subspace.from_rows(wh, r)
-            return False, (w, intersect(moved, V_l).basis[0])
+            return False, _witness(sd, V_h, V_l, w)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# reductions by the product structure
+# ---------------------------------------------------------------------------
+
+def _reduced(sd, V_h, V_l, cutoff):
+    """The scan of a two-factor product reduced by W = W1 x W2 (shapes (a),
+    (b) and (c) of ``weyl_disjoint``): (True, None), (False, (w, v)) with w
+    acting as the identity on the factor not scanned, or None when no
+    reduction applies."""
+    parts = [_factor_parts(sd, V) for V in (V_h, V_l)]
+    if None not in parts:  # (a)
+        for i, f in enumerate(sd.factors):
+            sd_f = split_data(f.algebra)
+            ok, wit = _disjoint(
+                sd_f, parts[0][i], parts[1][i], cutoff, memo=sd_f.verdicts
+            )
+            if not ok:
+                return False, _witness(sd, V_h, V_l, _on_factor(sd, i, wit[0]))
+        return True, None
+    F = parts[0] or parts[1]
+    if F is None:
+        return None
+    fixed = frozenset(
+        i for i, f in enumerate(sd.factors) if F[i].dim in (0, f.rank)
+    )
+    if fixed:  # (b)
+        return _disjoint(sd, V_h, V_l, cutoff, fixed=fixed)
+    A_T = _graph_map(sd, V_l if parts[0] else V_h)
+    if A_T is None:
+        return None
+    # (c): one W1 scan of A(F2) against F1, in the orientation of the sides
+    image = _span(int_matmul(F[1].matrix(), A_T), sd.factors[0].rank)
+    sd_1 = split_data(sd.factors[0].algebra)
+    pair = (F[0], image) if parts[0] else (image, F[0])
+    ok, wit = _disjoint(sd_1, *pair, cutoff, memo=sd_1.verdicts)
+    if ok:
+        return True, None
+    return False, _witness(sd, V_h, V_l, _on_factor(sd, 0, wit[0]))
+
+
+def _span(rows, dim: int) -> Subspace:
+    """The row span as a subspace with its canonical (echelon) basis, so
+    that equal spans give equal verdict keys."""
+    return Subspace(dim, tuple(echelon_rows(np.asarray(rows, dtype=object))))
+
+
+def _factor_parts(sd, V):
+    """[V1, V2] in factor coordinates when V = V1 + V2 (V_f = pi_f(V), and V
+    is factorwise iff rank pi1(V) + rank pi2(V) = dim V); else None."""
+    M = V.matrix()
+    parts = [_span(M[:, f.offset : f.offset + f.rank], f.rank) for f in sd.factors]
+    return parts if sum(p.dim for p in parts) == V.dim else None
+
+
+def _graph_map(sd, V):
+    """L * A^T (an integer r2 x r1 array, L > 0) when V is the graph
+    {(A b, b) : b in a2} of an injective A and every generator of W2 lifts
+    through A; else None.  Only classical factors are tried: no catalog
+    graph needs a g2 factor."""
+    f1, f2 = sd.factors
+    if "G" in (f1.root_type, f2.root_type) or V.dim != f2.rank:
+        return None
+    M = V.matrix()
+    M1, M2 = M[:, : f1.rank], M[:, f2.offset :]
+    if rank(M2) != f2.rank:
+        return None
+    # rows (A b_i, b_i) = (M1[i], M2[i]), so A^T = M2^-1 M1
+    N, _L = CoordinateSolver(M2).solve(np.eye(f2.rank, dtype=object))
+    A_T = int_matmul(N, M1).astype(object)
+    return A_T if rank(A_T) == f2.rank and _lifts(f1, A_T.T, f2) else None
+
+
+def _lifts(f1: FactorSplit, A, f2: FactorSplit) -> bool:
+    """Every generator s of W2 has a u in W1 with u A = A s.
+
+    The rows of u A are the rows of A permuted and signed, so such a u
+    exists iff A s has the rows of A up to sign, with multiplicity.  The
+    signs are then fixed row by row, up to the zero rows; a type-D u must
+    change an even number of signs, and when A has no zero row that number
+    is even iff the rows of A and of A s that lead with a negative entry
+    are even in number together."""
+
+    def classes(M):
+        keys, flips = [], 0
+        for row in M:
+            t = tuple(row)
+            neg = next((x for x in t if x), 0) < 0
+            keys.append(tuple(-x for x in t) if neg else t)
+            flips += neg
+        return sorted(keys), flips
+
+    ref, flips = classes(A)
+    free = f1.root_type != "D" or any(not any(row) for row in A)
+    for S in _generators(f2):
+        got, more = classes(A @ S)
+        if got != ref or not (free or (flips + more) % 2 == 0):
+            return False
+    return True
+
+
+def _generators(f: FactorSplit):
+    """Integer matrices of the simple reflections of a classical factor:
+    the adjacent transpositions, and the sign change of the last coordinate
+    (for type D, the swap of the last two with both signs changed)."""
+    k = f.rank
+    gens = []
+    for i in range(k - 1):
+        S = np.eye(k, dtype=object)
+        S[[i, i + 1]] = S[[i + 1, i]]
+        gens.append(S)
+    if f.root_type != "D":
+        S = np.eye(k, dtype=object)
+        S[k - 1, k - 1] = -1
+        gens.append(S)
+    elif k > 1:
+        S = -gens[-1]
+        S[: k - 2, : k - 2] *= -1
+        gens.append(S)
+    return gens
+
+
+def _identity(r: int):
+    w = fzeros((r, r))
+    np.fill_diagonal(w, _F1)
+    return w
+
+
+def _on_factor(sd, i: int, w_f):
+    """The product element acting as w_f on factor i and as the identity on
+    the other factor."""
+    f = sd.factors[i]
+    w = _identity(sd.rank)
+    w[f.offset : f.offset + f.rank, f.offset : f.offset + f.rank] = w_f
+    return w
+
+
+def _witness(sd, V_h, V_l, w):
+    """(w, v) with v a nonzero vector of w(V_h) and V_l."""
+    moved = Subspace.from_rows(fmatmul(V_h.matrix(), w.T), sd.rank)
+    inter = intersect(moved, V_l)
+    if not inter.dim:
+        raise InternalError("rootweyl._witness", "Weyl hit without a witness")
+    return w, inter.basis[0]
 
 
 # ---------------------------------------------------------------------------

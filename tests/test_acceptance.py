@@ -178,6 +178,17 @@ def test_criterion_5_oracle_agreement(candidate_sweep, table1_run, table2_run):
     assert disagreements == []
 
 
+def test_no_enumerate_record_is_skipped_at_the_cutoff(candidate_sweep):
+    # the product structure reduces every record's Weyl scan below the cutoff
+    assert len(candidate_sweep) == 69
+    skipped = [
+        rec.key for rec, v in candidate_sweep
+        if v.weyl and v.weyl["status"] == "skipped-cutoff"
+    ]
+    assert skipped == []
+    assert all(v.weyl["status"] == "disjoint" for _rec, v in candidate_sweep)
+
+
 def test_criterion_6_negative_controls():
     results = {r["entry"]["key"]: r for r in negative_sweep()}
     nested = results["so(4,4):so(3,4)@block+so(1,4)@block"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckforms.exactlin import (
+    absmax,
     CoordinateSolver,
     Subspace,
     echelon_rows,
@@ -292,3 +293,19 @@ def test_numpy_integers_become_python_int_fractions():
     m = fmat(np.array([[2**62, 1], [1, 1]], dtype=np.int64))
     assert m[0, 0] * 4 == 2**64
     assert type(m[0, 0].numerator) is int
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-(2**80), 2**80), min_size=3, max_size=3),
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_absmax_is_exact_on_python_ints(rows):
+    A = np.array(rows, dtype=object).reshape(len(rows), 3)
+    got = absmax(A)
+    assert type(got) is int
+    assert got == max(map(abs, A.flat), default=0)
+    if all(abs(x) < 2**63 for x in A.flat):
+        assert absmax(A.astype(np.int64)) == got

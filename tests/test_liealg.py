@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckforms.exactlin import Subspace, echelon_rows, fvec, signature
+from ckforms.exactlin import CoordinateSolver, Subspace, echelon_rows, fvec, signature
 from ckforms.liealg import (
     LieAlgebra,
     direct_sum,
@@ -312,3 +312,27 @@ def test_span_closure_keeps_each_round_reduced(monkeypatch):
         assert (echelon_rows(rows) == rows).all()
     assert max(abs(x) for r in closure.basis for x in r) < 2**16
     assert [list(r) for r in closure.basis] == np.eye(14, dtype=int).tolist()
+
+
+def test_direct_sum_places_the_factor_solvers():
+    # every ambient of the enumerate --max-n 1 records without so(8,8): the
+    # placed pivots, denominator and transform are a fresh elimination's
+    from ckforms.embeddings import product_algebra
+    from ckforms.enumerate import GenerationSpec, generate
+
+    ambients = {
+        r.key.split(":", 1)[0] for r in generate(GenerationSpec(max_n=1))
+    }
+    pairs = [a.split("x") for a in ambients if "x" in a and "so(8,8)" not in a]
+    assert len(pairs) == 26
+    for pair in sorted(pairs):
+        g = product_algebra(*pair)
+        fresh = CoordinateSolver(g._flat)
+        placed = g._solver
+        assert list(placed.pivots) == list(fresh.pivots)
+        assert placed._transform_den == fresh._transform_den
+        assert np.array_equal(
+            placed._transform.astype(object), fresh._transform.astype(object)
+        )
+        assert placed._transform.dtype == fresh._transform.dtype
+        assert np.array_equal(placed._basis_int, fresh._basis_int)

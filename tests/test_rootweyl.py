@@ -1,17 +1,23 @@
 """Restricted root data and little Weyl group action on split parts."""
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckforms.exactlin import Subspace, fmat, fvec, intersect, kernel
+import ckforms.rootweyl as rootweyl
+from ckforms.cli import parse_triple
+from ckforms.enumerate import TABLE1_FAMILIES, GenerationSpec, _instance_ns, generate
+from ckforms.exactlin import Subspace, fmat, fvec, intersect, kernel, unscaled
 from ckforms.embeddings import adapted_split_part, catalog_lookup, product_algebra
 from ckforms.realforms import build_real_form
 from ckforms.rootweyl import (
+    DEFAULT_WEYL_CUTOFF,
     WeylCutoffError,
     _d_line_scan,
+    _FactorGroup,
     chamber_sort,
     signed_permutations,
     split_data,
@@ -319,3 +325,229 @@ def test_weyl_disjoint_takes_the_line_scan_in_both_orientations(
             _assert_witness(V_h, V_l, wit)
         else:
             assert wit is None
+
+
+# ---------------------------------------------------------------------------
+# the scan reduced by the product structure against the full batched scan
+# ---------------------------------------------------------------------------
+
+def _full_scan(sd, V_h, V_l):
+    with mock.patch.object(rootweyl, "_reduced", return_value=None):
+        return weyl_disjoint(sd, V_h, V_l)
+
+
+def _assert_reduced_scan(sd, V_h, V_l):
+    """The reduced scan gives the full scan's verdict, witness element and
+    witness vector; with a cutoff that only the full scan exceeds, a hit is
+    still a valid witness, and only an unreduced scan is refused."""
+    got = weyl_disjoint(sd, V_h, V_l)
+    ref = _full_scan(sd, V_h, V_l)
+    assert got[0] == ref[0]
+    if not ref[0]:
+        (w, v), (w_ref, v_ref) = got[1], ref[1]
+        assert np.array_equal(w, w_ref)
+        assert list(v) == list(v_ref)
+    small = max(rootweyl._factor_order(f) for f in sd.factors)
+    try:
+        ok, wit = weyl_disjoint(sd, V_h, V_l, cutoff=small)
+    except WeylCutoffError:
+        assert rootweyl._reduced(sd, V_h, V_l, small) is None
+        return
+    assert ok == ref[0]
+    if not ok:
+        _assert_witness(V_h, V_l, wit)
+
+
+def _product_records():
+    """The enumerate --max-n 1 records whose ambient has no so(8,8) factor."""
+    recs = generate(GenerationSpec(max_n=1))
+    return [r for r in recs if "so(8,8)" not in r.key.split(":", 1)[0]]
+
+
+def test_reduced_scan_agrees_with_the_full_scan_on_the_product_triples():
+    recs = _product_records()
+    assert len(recs) == 53
+    for rec in recs:
+        sd = split_data(rec.g)
+        V_h, V_l = adapted_split_part(rec.h), adapted_split_part(rec.l)
+        for pair in ((V_h, V_l), (V_l, V_h)):
+            # every product triple takes one of the three reductions
+            assert rootweyl._reduced(sd, *pair, DEFAULT_WEYL_CUTOFF) == (True, None)
+            _assert_reduced_scan(sd, *pair)
+
+
+_PRODUCT_AMBIENTS = {
+    "B2xC2": ("so(2,3)", "su(2,2)"),
+    "D4xD2": ("so(4,4)", "so(2,2)"),
+    "D4xB3": ("so(4,4)", "so(3,4)"),
+    "B3xG2": ("so(3,4)", "g2(2)"),
+}
+
+
+def _product_sd(name):
+    return split_data(product_algebra(*_PRODUCT_AMBIENTS[name]))
+
+
+def _vec(k):
+    return st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+
+
+@st.composite
+def _side(draw, sd):
+    """Rows of a split-part subspace: factorwise (each factor's part from 0
+    to all of it, or proper on both factors), the graph {(A b, b)} of a
+    random or a signed-permutation map A, or a generic span."""
+    (f1, f2), r = sd.factors, sd.rank
+    kind = draw(st.sampled_from(["factorwise", "proper", "graph", "graph", "generic"]))
+    if kind in ("factorwise", "proper"):
+        low = kind == "proper"
+        rows = []
+        for f in (f1, f2):
+            for part in draw(st.lists(_vec(f.rank), min_size=low, max_size=f.rank - low)):
+                row = [0] * r
+                row[f.offset : f.offset + f.rank] = part
+                rows.append(row)
+        return kind, rows
+    if kind == "graph" and f2.rank <= f1.rank:
+        if draw(st.sampled_from([True, True, False])):
+            cols = draw(st.permutations(range(f1.rank)))[: f2.rank]
+            A = np.zeros((f1.rank, f2.rank), dtype=int)
+            for j, i in enumerate(cols):
+                A[i, j] = draw(st.sampled_from([1, -1]))
+        else:
+            A = np.array(draw(st.lists(_vec(f2.rank), min_size=f1.rank,
+                                       max_size=f1.rank)))
+        return kind, [list(A[:, j]) + [int(j == i) for i in range(f2.rank)]
+                      for j in range(f2.rank)]
+    return "generic", draw(st.lists(_vec(r), min_size=1, max_size=r - 1))
+
+
+@st.composite
+def _product_pairs(draw, name):
+    """Two sides on a product ambient; a hit is planted by adding to a
+    factorwise or generic V_l the image w(x) of a vector x of V_h."""
+    sd = _product_sd(name)
+    _kind, h_rows = draw(_side(sd))
+    l_kind, l_rows = draw(_side(sd))
+    V_h = Subspace.from_rows(h_rows, sd.rank)
+    if V_h.dim and l_kind != "graph" and draw(st.booleans()):
+        w = rootweyl._element_matrix(
+            sd.rank,
+            [_FactorGroup(f) for f in sd.factors],
+            [draw(st.integers(0, rootweyl._factor_order(f) - 1)) for f in sd.factors],
+        )
+        x = list(w @ np.array(V_h.basis[0], dtype=object))
+        if l_kind in ("factorwise", "proper"):
+            for f in sd.factors:
+                part = [0] * sd.rank
+                part[f.offset : f.offset + f.rank] = x[f.offset : f.offset + f.rank]
+                l_rows.append(part)
+        else:
+            l_rows.append(x)
+    return h_rows, l_rows
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_AMBIENTS))
+def test_reduced_scan_agrees_with_the_full_scan_on_random_pairs(name):
+    sd = _product_sd(name)
+
+    @given(_product_pairs(name))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def check(pair):
+        h_rows, l_rows = pair
+        _assert_reduced_scan(
+            sd,
+            Subspace.from_rows(h_rows, sd.rank),
+            Subspace.from_rows(l_rows, sd.rank),
+        )
+
+    check()
+
+
+def test_fixed_factor_scan_finds_a_hit_off_the_identity():
+    # V_h = 0 + line is fixed by W1, and V_l is not factorwise: the hit is
+    # the transposition of the C2 factor, which moves e2 to e3
+    sd = _product_sd("B2xC2")
+    V_h = Subspace.from_rows([[0, 0, 1, 0]], 4)
+    V_l = Subspace.from_rows([[0, 0, 0, 1], [1, 1, 1, 0]], 4)
+    assert not intersect(V_h, V_l).dim
+    ok, (w, _v) = rootweyl._reduced(sd, V_h, V_l, DEFAULT_WEYL_CUTOFF)
+    assert not ok
+    assert list(w @ fvec([0, 0, 1, 0])) in ([0, 0, 0, 1], [0, 0, 0, -1])
+    _assert_reduced_scan(sd, V_h, V_l)
+
+
+def test_graph_lifts_hold_for_the_catalog_diagonals():
+    # delta(so(3,4), spin) and delta(so(2,4), block) lift every generator
+    # of W2 into the D4 factor; a generic map does not
+    for ambient, side in (
+        ("so(4,4)xso(3,4)", "delta(so(3,4),spin)"),
+        ("so(4,4)xso(2,4)", "delta(so(2,4),block)"),
+        ("so(4,4)xso(4,4)", "delta(so(4,4))"),
+    ):
+        g, h, _l, _key = parse_triple(f"{ambient}:{side}+{side}")
+        assert rootweyl._graph_map(split_data(g), adapted_split_part(h)) is not None
+    sd = _product_sd("D4xB3")
+    V = Subspace.from_rows(
+        [[1, 2, 0, 0, 1, 0, 0], [0, 1, 3, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0, 1]], 7
+    )
+    assert rootweyl._graph_map(sd, V) is None
+
+
+def test_so88_factor_pair_is_scanned_once():
+    # the factorwise so(8,8) records and the so(8,8) x so(8,8) diagonal all
+    # meet so(7,8)@block against so(1,8)@spin on one so(8,8) factor
+    sd88 = split_data(build_real_form("so(8,8)"))
+    sd88.verdicts.clear()
+    calls = []
+    real = rootweyl._d_line_scan
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    recs = [r for r in generate(GenerationSpec(max_n=1)) if "so(8,8)" in r.key]
+    with mock.patch.object(rootweyl, "_d_line_scan", counted):
+        for rec in recs:
+            ok, wit = weyl_disjoint(
+                split_data(rec.g), adapted_split_part(rec.h), adapted_split_part(rec.l)
+            )
+            assert ok and wit is None
+    assert len(recs) == 16
+    assert len(calls) == 1
+
+
+def _split_reference(g):
+    """The split part of a simple algebra with one ``coords`` call per
+    Fraction boost matrix."""
+    a_mats = list(unscaled(np.array(g.meta["a_basis"]), 1))
+    K = g.killing_ints
+    cs = [g.coords(A) for A in a_mats]
+    G = rootweyl._gram(cs, K)
+    r = len(cs)
+    if any(G[i, j] != 0 for i in range(r) for j in range(i + 1, r)):
+        for i in range(r):
+            for j in range(i):
+                Gji = rootweyl._gram([cs[j], cs[i]], K)
+                if Gji[0, 1] != 0:
+                    cs[i] = cs[i] - (Gji[0, 1] / Gji[0, 0]) * cs[j]
+            cs[i] = rootweyl.primitive_vector(cs[i])
+        a_mats = [g.matrix(c) for c in cs]
+        G = rootweyl._gram(cs, K)
+    return a_mats, [G[i, i] for i in range(r)]
+
+
+def test_split_data_reads_the_boosts_in_one_batch():
+    forms = {}
+    for fam in TABLE1_FAMILIES:
+        for n in _instance_ns(fam, 3):
+            g, h, l, _key = fam["build"](n)
+            for alg in (g, h.source, l.source):
+                forms[alg.name] = alg
+    assert len(forms) == 27
+    for alg in forms.values():
+        sd = split_data(alg)
+        a_mats, gram_diag = _split_reference(alg)
+        assert all(np.array_equal(a, b) for a, b in zip(sd.a_matrices, a_mats))
+        assert len(sd.a_matrices) == len(a_mats)
+        assert list(np.diagonal(sd.gram)) == gram_diag
