@@ -30,6 +30,7 @@ invariant failed ("internal error in <stage>: ...").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -293,7 +294,10 @@ def _cmd_info(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later ``main`` in the process (parsing keeps no state in it)."""
     ap = argparse.ArgumentParser(
         prog="ckforms",
         description="verify and enumerate standard compact form triples",

@@ -14,6 +14,14 @@ factor adds its block H_f w_f^T N_f mod p, one batched elimination mod p
 certifies the whole chunk, and only the elements that fail mod p are
 re-checked exactly, so the witness is the first one in enumeration order.
 
+A single type-D factor too large for that walk (D8, 5,160,960 elements)
+meets a hyperplane U against a line v in ``_d_line_scan``: w(U) contains v
+iff <w n, v> = 0 for the normal n of U, so only the orbit W n is scanned,
+the distinct rearrangements of n under every even sign vector.  On a hit
+the permutations are walked lazily in enumeration order to the first one
+that rearranges n into a hitting row, so the witness is the element the
+whole-group scan would return.
+
 A product g1 + g2 has the little Weyl group W1 x W2, and the scan is first
 reduced by that structure (``weyl_disjoint``): two factorwise sides are
 scanned factor by factor, a factorwise side that is 0 or all of one
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,6 +54,7 @@ from .exactlin import (
     int_matmul,
     intersect,
     kernel,
+    primitive_rows,
     primitive_vector,
     rank,
     rank_modp,
@@ -322,6 +332,16 @@ def _signed_perm_matrix(perm, signs):
     return M
 
 
+def _sign_table(f: FactorSplit) -> np.ndarray:
+    """The sign vectors of a classical factor in enumeration order (even
+    sign count for type D), one int64 row each."""
+    return np.array(
+        [s for s in itertools.product((1, -1), repeat=f.rank)
+         if f.root_type != "D" or s.count(-1) % 2 == 0],
+        dtype=np.int64,
+    )
+
+
 class _FactorGroup:
     """The little Weyl group of one factor, indexed in enumeration order:
     mod-p matrices for a batch of indices, the exact matrix for one.
@@ -347,11 +367,7 @@ class _FactorGroup:
         k = f.rank
         self.table = None
         self.perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-        self.signs = np.array(
-            [s for s in itertools.product((1, -1), repeat=k)
-             if f.root_type != "D" or s.count(-1) % 2 == 0],
-            dtype=np.int64,
-        )
+        self.signs = _sign_table(f)
         self.size = len(self.perms) * len(self.signs)
 
     def modp(self, idx):
@@ -435,32 +451,59 @@ _SCAN_CHUNK = 1024
 _LINE_SCAN_ORDER = 10**5
 
 
-def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
-    """Vectorized scan for a single type-D factor: does any Weyl translate of
-    the hyperplane-dimensional subspace U contain the line?
+def _rearrangements(n) -> list:
+    """The distinct rearrangements of the sequence n, as tuples: a multiset
+    of k entries with multiplicities m_j has k! / prod(m_j!) of them."""
+    counts = Counter(n)
 
-    Signed permutations are B-orthogonal, so w(U) contains v iff the permuted
-    and signed normal of U is orthogonal to v (integer arithmetic, exact:
-    int64 under the bound max|n| max|v| k < 2**63, Python ints past it)."""
+    def extend(prefix):
+        if len(prefix) == len(n):
+            yield prefix
+            return
+        for x, c in counts.items():
+            if c:
+                counts[x] -= 1
+                yield from extend(prefix + (x,))
+                counts[x] += 1
+
+    return list(extend(()))
+
+
+def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
+    """Scan for a single type-D factor: does any Weyl translate of the
+    hyperplane-dimensional subspace U contain the line?
+
+    Signed permutations are B-orthogonal, so w(U) contains v iff <w n, v> = 0
+    for the primitive integer normal n of U.  That depends on w only through
+    the vector w n, so the scan runs on the orbit W n instead of on W: the
+    distinct rearrangements A of n, each under every sign vector of the
+    factor, decided by (A o v) S^T = 0 (integer arithmetic, exact: int64
+    under the bound max|n| max|v| k < 2**63, Python ints past it).  The
+    normal e_k of a D8 scan has 8 rearrangements, so 1,024 products replace
+    the 5,160,960 of the group.
+
+    On a hit the witness is the first element of the group in enumeration
+    order: the permutations are walked lazily until one rearranges n into a
+    hitting row of A, which takes that row's first hitting sign vector."""
     k = sd.rank
     normal_kernel = kernel(U.matrix())
     if len(normal_kernel) != 1:
         raise ValueError("scan needs a corank-one subspace")
-    nvec = [int(x) for x in primitive_vector(normal_kernel[0])]
+    n = tuple(primitive_rows(normal_kernel)[0])
     v = list(line.basis[0])
-    bound = max(map(abs, nvec)) * max(map(abs, v)) * k
+    bound = max(map(abs, n)) * max(map(abs, v)) * k
     dtype = np.int64 if bound < 2**63 else object
-    nvec, v = np.array(nvec, dtype=dtype), np.array(v, dtype=dtype)
-    group = _FactorGroup(sd.factors[0])
-    perms = group.perms
-    N = nvec[perms]  # each row: n composed with the permutation
-    S = group.signs.astype(dtype)  # (m, k)
-    dots = (N * v[None, :]) @ S.T  # (perms, signmasks)
-    hits = np.argwhere(dots == 0)
-    if hits.size == 0:
+    orbit = _rearrangements(n)
+    S = _sign_table(sd.factors[0]).astype(dtype)
+    hits = (np.array(orbit, dtype=dtype) * np.array(v, dtype=dtype)) @ S.T == 0
+    rows = {orbit[i]: i for i in np.flatnonzero(hits.any(axis=1))}
+    if not rows:
         return True, None
-    pi, si = hits[0]
-    return False, (_signed_perm_matrix(perms[pi], S[si]), fmat([list(v)])[0])
+    perm = next(
+        p for p in itertools.permutations(range(k)) if tuple(n[j] for j in p) in rows
+    )
+    si = np.argmax(hits[rows[tuple(n[j] for j in perm)]])
+    return False, (_signed_perm_matrix(perm, S[si]), fmat([v])[0])
 
 
 def _matmul_modp(A, B):
@@ -486,6 +529,12 @@ def weyl_disjoint(
     order (``weyl_elements``), except on the type-D line scan with dim V_h
     = 1, which scans V_l against the line and returns the inverse, and on a
     reduced hit above the cutoff (below).
+
+    A single type-D factor above ``_LINE_SCAN_ORDER`` elements, with one
+    side a line and the other a hyperplane, bypasses the cutoff: the line
+    scan decides on the orbit of the hyperplane's normal, a few rows for
+    the catalog normals instead of the group, and reads a hit's witness as
+    the first permutation in enumeration order that reaches a hitting row.
 
     With N an integer basis of ker(V_l) (the vectors orthogonal to V_l),
     rank [w(V_h); V_l] = dim V_l + rank(H w^T N), so w(V_h) meets V_l only

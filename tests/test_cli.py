@@ -324,3 +324,29 @@ def test_diagonal_sides_resolve_through_the_catalog_cache():
     for bad in ("delta(so(2,4)", "delta(so(2,4),block,id)", "delta()", "delta-"):
         with pytest.raises((TripleSyntaxError, CatalogError, ValueError)):
             parse_triple(f"so(4,4)xso(2,4):{bad}+so(3,4)@spinxso(1,4)@block")
+
+
+def test_main_reuses_one_parser_across_subcommands(capsys):
+    from ckforms import cli
+
+    argvs = [
+        ["info"],
+        ["verify", "--triple", "so(4,4):so(3,4)@spin+so(1,4)@block", "--format", "json"],
+        ["--version"],
+        ["verify"],  # --triple is missing: a usage error
+        ["info", "--format", "json"],
+        ["verify", "--triple", "so(4,4):so(3,4)@block+so(1,4)@block"],
+    ]
+    codes = []
+    for argv in argvs:
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:  # --version and usage errors exit in argparse
+            codes.append(exc.code)
+        out, err = capsys.readouterr()
+        fresh = run(*argv)
+        assert codes[-1] == fresh.returncode, argv
+        assert out.encode() == fresh.stdout, argv
+        assert err.encode() == fresh.stderr, argv
+    assert codes == [0, 0, 0, 2, 0, 1]
+    assert cli._build_parser() is cli._build_parser()

@@ -1,10 +1,11 @@
 """Restricted root data and little Weyl group action on split parts."""
+import itertools
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ckforms.rootweyl as rootweyl
@@ -162,13 +163,11 @@ def test_split_gram_is_positive_definite(so44):
     assert all(sd.gram[i][i] == sd.gram[0][0] for i in range(sd.rank))
 
 
-def test_line_scan_products_are_bounded_explicitly(so44):
+def test_line_scan_products_are_bounded_explicitly():
     # every dot product is nonzero, but n . v = 2**64 + 2**32 - 2**32 for the
     # identity with signs (1, 1, -1, -1): int64 would wrap it to 0
-    sd = split_data(so44)
-    U = Subspace.from_rows(kernel(fmat([[2**32 + 1, 2**32, 3, 5]])), 4)
-    line = Subspace.from_rows([[2**32, 0, 0, 1]], 4)
-    assert _d_line_scan(sd, U, line) == (True, None)
+    got = _assert_line_scan_is_the_group_scan([2**32 + 1, 2**32, 3, 5], [2**32, 0, 0, 1])
+    assert got == (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +324,131 @@ def test_weyl_disjoint_takes_the_line_scan_in_both_orientations(
             _assert_witness(V_h, V_l, wit)
         else:
             assert wit is None
+
+
+# ---------------------------------------------------------------------------
+# the type-D line scan on the orbit of the normal against the whole group
+# ---------------------------------------------------------------------------
+
+_ORBIT_AMBIENTS = {4: "so(4,4)", 5: "so(5,5)", 6: "so(6,6)"}
+
+
+def _group_line_scan(normal, v, even=True):
+    """The first signed permutation (perm, signs) in enumeration order with
+    <w n, v> = 0, by a plain loop over the whole group of type D (or of
+    type B when not ``even``)."""
+    k = len(normal)
+    signs = [
+        s for s in itertools.product((1, -1), repeat=k)
+        if not even or s.count(-1) % 2 == 0
+    ]
+    for perm in itertools.permutations(range(k)):
+        for s in signs:
+            if sum(s[i] * normal[perm[i]] * v[i] for i in range(k)) == 0:
+                return False, (perm, s)
+    return True, None
+
+
+def _assert_line_scan_is_the_group_scan(normal, v):
+    k = len(normal)
+    sd = split_data(build_real_form(_ORBIT_AMBIENTS[k]))
+    U = Subspace.from_rows(kernel(fmat([normal])), k)
+    line = Subspace.from_rows([v], k)
+    got = _d_line_scan(sd, U, line)
+    ref_ok, ref_wit = _group_line_scan(normal, list(line.basis[0]))
+    assert got[0] == ref_ok
+    if ref_ok:
+        assert got[1] is None
+        return got
+    perm, signs = ref_wit
+    w_ref = np.zeros((k, k), dtype=int)
+    w_ref[range(k), perm] = signs
+    assert np.array_equal(got[1][0], w_ref)
+    assert list(got[1][1]) == list(line.basis[0])
+    _assert_witness(U, line, got[1])
+    return got
+
+
+@st.composite
+def _orbit_cases(draw):
+    """A normal with zero entries, repeated magnitudes or distinct
+    magnitudes, and a line; half the lines are planted orthogonal to a
+    signed rearrangement of the normal, so that the scan hits."""
+    k = draw(st.sampled_from(sorted(_ORBIT_AMBIENTS)))
+    sign = st.sampled_from([1, -1])
+    kind = draw(st.sampled_from(["zeros", "repeated", "distinct"]))
+    if kind == "distinct":
+        mags = draw(st.permutations(range(1, k + 1)))
+    else:
+        mags = draw(st.lists(st.sampled_from([1, 2] if kind == "repeated" else [1, 2, 3]),
+                             min_size=k, max_size=k))
+    if kind == "zeros":
+        zeros = draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
+        mags = [0 if i in zeros else m for i, m in enumerate(mags)]
+    normal = [m * draw(sign) for m in mags]
+    vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    if draw(st.booleans()):
+        # v = (m.m) x - (m.x) m is orthogonal to m = (signs o n)[perm]
+        perm = draw(st.permutations(range(k)))
+        m = [normal[perm[i]] * draw(sign) for i in range(k)]
+        x = draw(vec)
+        mm, mx = sum(a * a for a in m), sum(a * b for a, b in zip(m, x))
+        v = [mm * b - mx * a for a, b in zip(m, x)]
+    else:
+        v = draw(vec)
+    assume(any(v))
+    return normal, v
+
+
+@given(_orbit_cases())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_line_scan_on_the_orbit_agrees_with_the_group_loop(case):
+    _assert_line_scan_is_the_group_scan(*case)
+
+
+def test_line_scan_follows_the_even_signs_of_type_d():
+    # +-1 +-1 +-1 +-3 vanishes only with an odd number of minus signs
+    normal, v = [1, 1, 1, 3], [1, 1, 1, 1]
+    assert _assert_line_scan_is_the_group_scan(normal, v) == (True, None)
+    assert _group_line_scan(normal, v, even=False) == (False, ((0, 1, 2, 3), (1, 1, 1, -1)))
+
+
+def test_line_scan_witness_is_the_first_permutation_that_hits():
+    # no signed sum of the identity vanishes; the first hit is a 4-cycle
+    ok, (w, _v) = _assert_line_scan_is_the_group_scan([1, 2, 3, 4], [1, 1, 1, 5])
+    assert not ok
+    assert [list(row).index(next(x for x in row if x)) for row in w] == [1, 2, 3, 0]
+
+
+def test_rearrangements_are_the_distinct_orderings():
+    for n in [(0, 0, 0, 1), (1, 1, 2, 2, 0), (3, -3, 3, 1), (1, 2, 3, 4)]:
+        got = rootweyl._rearrangements(n)
+        assert len(got) == len(set(got))
+        assert set(got) == set(itertools.permutations(n))
+
+
+def test_table1_scans_the_so88_row_without_the_d8_group(tmp_path):
+    from ckforms.cli import main
+
+    real_group, real_scan = rootweyl._FactorGroup, rootweyl._d_line_scan
+    groups, so88 = [], []
+
+    def group(f, *args):
+        groups.append(f.rank)
+        return real_group(f, *args)
+
+    def scan(sd, U, line):
+        got = real_scan(sd, U, line)
+        if sd.rank == 8:
+            so88.append(got)
+        return got
+
+    out = tmp_path / "table1.md"
+    with mock.patch.object(rootweyl, "_FactorGroup", group), \
+            mock.patch.object(rootweyl, "_d_line_scan", scan):
+        assert main(["table", "--which", "table1", "--max-n", "2", "--out", str(out)]) == 0
+    assert so88 == [(True, None)]
+    assert groups and max(groups) < 8
 
 
 # ---------------------------------------------------------------------------
