@@ -22,16 +22,16 @@ theirs too.  Phase 2 does the arithmetic on whole arrays: row norms, the
 boost maps, a row-wise chamber sort (only B, C, BC and D factors occur:
 ``gap_experiment`` refuses any ambient that is not indefinite-orthogonal),
 and the cross-check.  It builds each checked group element one ambient
-factor block at a time, from closed-form exponentials: the boost images are
-symmetric and the compact images skew (checked exactly), so each ``exp`` is
-one stacked ``eigh``, of the boost or of -i times the compact part;
-``eigvalsh`` and ``det`` then read mu off each block.  Distances to the
-translate union are taken over bounded chunks of samples, the projections
-summed in the order of the ``einsum`` they replace (not by BLAS, whose
-blocked sums round differently).  Every float operation is the per-sample
-one applied row-wise, so a report is bit-identical to that of a loop over
-samples.  ``test_batched_shard_matches_the_per_sample_loop`` compares shards
-with that loop and ``test_gap_reports_are_pinned`` holds reports it gave.
+factor block at a time, from closed-form exponentials: a part's boost images
+commute, so exp(X) = V diag(e^(x lam)) V^T on one joint eigenbasis found
+once, and a skew compact image K has exp(K) = cos W + K sinc W with
+W^2 = K^T K, one real ``eigh``; ``eigvalsh`` and ``det`` then read mu off
+each block.  Distances to the translate union are taken over bounded chunks
+of samples, the projections summed over the nonzero basis entries in the
+order of the ``einsum`` they replace (not by BLAS, whose blocked sums round
+differently).  Every float operation is the per-sample one applied row-wise,
+so a report is bit-identical to that of a loop over samples, as
+``test_batched_shard_matches_the_per_sample_loop`` checks.
 """
 from __future__ import annotations
 
@@ -258,6 +258,7 @@ def _union_tensor(sp: GapSpace):
         Q, _ = np.linalg.qr((A * scale[None, :]).T)  # columns orthonormal
         mats.append(Q)
     sp._qtensor = (np.stack(mats, axis=0), scale)
+    sp._qplan = _support_plan(sp._qtensor[0])  # for _projected_norms2
     return sp._qtensor
 
 
@@ -269,37 +270,53 @@ def union_distance(space, coords) -> float:
 
 
 def _union_distances(sp: GapSpace, mus: np.ndarray) -> np.ndarray:
-    Qs, scale = _union_tensor(sp)
+    _Qs, scale = _union_tensor(sp)
     out = np.empty(len(mus))
     # bounded chunks keep the (translates, samples) temporaries small
     for s in range(0, len(mus), _DIST_CHUNK):
         Y = mus[s : s + _DIST_CHUNK] * scale[None, :]
         # cheap, and no other NumPy sum of the squares rounds like it
         norms2 = np.einsum("nr,nr->n", Y, Y)
-        best = np.max(_projected_norms2(Qs, np.ascontiguousarray(Y.T)), axis=0)
+        best = np.max(_projected_norms2(sp._qplan, np.ascontiguousarray(Y.T)), axis=0)
         out[s : s + len(Y)] = np.sqrt(np.maximum(norms2 - best, 0.0))
     return out
 
 
-def _projected_norms2(Qs, YT):
+def _support_plan(Qs):
+    """``(translates, [(rows, columns), ...])``: the translates grouped by
+    the supports of their basis columns, a column as its ``(r, Qs[rows, r,
+    k])`` over its nonzero entries in order of r, empty columns left out."""
+    groups = {}
+    for t, Q in enumerate(Qs):
+        groups.setdefault(tuple(tuple(np.flatnonzero(c)) for c in Q.T), []).append(t)
+    return len(Qs), [
+        (np.array(rows), [[(r, Qs[rows, r, k, None]) for r in supp]
+                          for k, supp in enumerate(key) if supp])
+        for key, rows in groups.items()
+    ]
+
+
+def _projected_norms2(plan, YT):
     """Squared norm of the projection of each column of YT on each
     translate, as a (translates, samples) array.
 
     For each basis column k the split coordinates r are summed in order,
-    then the squares are added in order of k: the products and the order of
-    ``einsum("mrk,rn->mnk")`` followed by ``einsum("mnk,mnk->mn")``, so the
-    result is bit-equal to theirs, without their slow generic loops (and
-    without BLAS, whose blocked sums round differently)."""
-    m, rank, kdim = Qs.shape
-    proj, tmp = np.empty((2, m, YT.shape[1]))
-    total = np.zeros_like(proj)
-    for k in range(kdim):
-        np.multiply(Qs[:, 0, k, None], YT[0], out=proj)
-        for r in range(1, rank):
-            np.multiply(Qs[:, r, k, None], YT[r], out=tmp)
-            proj += tmp
-        proj *= proj
-        total += proj
+    then the squares are added in order of k: the order of ``einsum("mrk,
+    rn->mnk")`` and ``einsum("mnk,mnk->mn")`` (not BLAS, whose blocked sums
+    round differently), over the nonzero entries of ``_support_plan`` only.
+    A term left out is a signed zero, which moves a sum at most in the sign
+    of a zero, and the square drops that sign: the result is bit-equal."""
+    m, groups = plan
+    total = np.zeros((m, YT.shape[1]))
+    for rows, cols in groups:
+        acc = total[rows]
+        for (r0, q0), *rest in cols:
+            proj = q0 * YT[r0]
+            for r, q in rest:
+                proj += q * YT[r]
+            proj *= proj
+            acc += proj
+        total[rows] = acc
     return total
 
 
@@ -315,11 +332,11 @@ def _floats(N, L):
 def _part_data(sp: GapSpace):
     """Per sampled factor: float boost map into ambient a, and the boost and
     compact-part images cut into the ambient's factor blocks, as
-    ``(block, boosts, compacts)`` for each block the part does not vanish on.
+    ``(block, V, lam, compacts)`` for each block the part does not vanish on.
 
     The closed-form exponentials of the cross-check need symmetric boost
-    images, skew compact images and nothing off the factor blocks; all three
-    are checked exactly on the integer images."""
+    images, skew compact images and nothing off the factor blocks, checked
+    exactly, and commuting boost images with a joint eigenbasis ``V``."""
     if getattr(sp, "_parts_data", None) is not None:
         return sp._parts_data
     n = sp.algebra.n
@@ -345,15 +362,21 @@ def _part_data(sp: GapSpace):
                 f"within the factor blocks: {blockwise})",
             )
         a_imgs, k_imgs = _floats(Ya, sa * la), _floats(Yk, sk)
-        out.append({
-            "a_map": _floats(a_map(e), 1),
-            "kdim": len(Yk),
-            "blocks": [
-                (f, a_imgs[:, lo:hi, lo:hi], k_imgs[:, lo:hi, lo:hi])
-                for f, (lo, hi) in enumerate(spans)
-                if Ya[:, lo:hi, lo:hi].any() or Yk[:, lo:hi, lo:hi].any()
-            ],
-        })
+        blocks = []
+        for f, (lo, hi) in enumerate(spans):
+            if Ya[:, lo:hi, lo:hi].any() or Yk[:, lo:hi, lo:hi].any():
+                B = a_imgs[:, lo:hi, lo:hi]
+                # the powers of pi keep the rational joint weights apart
+                V = np.linalg.eigh(np.tensordot(np.pi ** -np.arange(len(B)), B, 1))[1]
+                D = V.T @ B @ V
+                lam = np.diagonal(D, axis1=1, axis2=2)
+                off = np.abs(D - lam[..., None] * np.eye(len(V))).max()
+                if off > 1e-12 * max(1.0, np.abs(B).max()):
+                    raise InternalError(
+                        "cartanproj._part_data", f"{e.key}: boost images on factor "
+                        f"block {f} have no joint eigenbasis (off-diagonal {off:.1e})")
+                blocks.append((f, V, lam, k_imgs[:, lo:hi, lo:hi]))
+        out.append({"a_map": _floats(a_map(e), 1), "kdim": len(Yk), "blocks": blocks})
     sp._parts_data = out
     return out
 
@@ -420,22 +443,23 @@ def _combine(C, mats):
     """The stack of sums_j C[s, j] * mats[j], accumulated in basis order."""
     out = np.zeros((len(C),) + mats[0].shape)
     for c, A in zip(C.T, mats):
-        out += c[:, None, None] * A
+        out += np.multiply.outer(c, A)
     return out
 
 
-def _sym_expm(S):
-    """exp of each symmetric matrix of a stack: V diag(e^w) V^T."""
-    w, V = np.linalg.eigh(S)
-    return (V * np.exp(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+def _boost_expm(V, lam, X):
+    """exp of sum_i X[s, i] A[i] for each row of X, for commuting symmetric
+    A[i] = V diag(lam[i]) V^T: V diag(e^(X lam)) V^T."""
+    return (V * np.exp(_combine(X, lam))[:, None, :]) @ V.T
 
 
 def _skew_expm(K):
-    """exp of each skew matrix of a stack: Re(U diag(e^iw) U^H), where
-    U diag(w) U^H is the Hermitian matrix -iK."""
-    w, U = np.linalg.eigh(-1j * K)
-    Uh = np.conj(np.swapaxes(U, -1, -2))
-    return ((U * np.exp(1j * w)[..., None, :]) @ Uh).real
+    """exp of each skew K of a stack, cos W + K sinc W with W^2 = K^T K =
+    U diag(w^2) U^T: (U diag(cos w) + K U diag(sinc w)) U^T, one real eigh."""
+    s, U = np.linalg.eigh(K.mT @ K)
+    w = np.sqrt(np.maximum(s, 0.0))
+    sinc = np.divide(np.sin(w), w, out=np.ones_like(w), where=w > 0.0)
+    return (U * np.cos(w)[..., None, :] + (K @ U) * sinc[..., None, :]) @ U.mT
 
 
 def _group_blocks(sp, parts, ranks, X, kdraws):
@@ -446,14 +470,12 @@ def _group_blocks(sp, parts, ranks, X, kdraws):
     ]
     off = 0
     for j, (p, r) in enumerate(zip(parts, ranks)):
-        left, right = (
-            np.array([d[2 * j + side] for d in kdraws]) for side in (0, 1)
-        )
-        left /= _row_norms(left)[:, None]
-        right /= _row_norms(right)[:, None]
-        for f, A, K in p["blocks"]:
-            boost = _sym_expm(_combine(X[:, off : off + r], A))
-            k1, k2 = _skew_expm(_combine(left, K)), _skew_expm(_combine(right, K))
+        # left then right draws, stacked for one exponential per block
+        co = np.array([d[2 * j + side] for side in (0, 1) for d in kdraws])
+        co /= _row_norms(co)[:, None]
+        for f, V, lam, K in p["blocks"]:
+            boost = _boost_expm(V, lam, X[:, off : off + r])
+            k1, k2 = np.split(_skew_expm(_combine(co, K)), 2)
             blocks[f] = blocks[f] @ (k1 @ boost @ k2)
         off += r
     return blocks
@@ -493,10 +515,13 @@ class GapReport:
 
 
 def gap_experiment(space: str, samples: int, seed: int) -> GapReport:
-    """Sample L, measure B-distances from mu(L) to the translate union, and
-    fit the best linear gap d >= eps * |mu| - C valid on every sample."""
+    """Sample L and report eps, the smallest sampled d / |mu| (d the B-distance
+    from mu(l) to the translate union): an upper estimate of its infimum over
+    L.  ``fitted_C`` and ``min_margin`` are 0.0: a sample attains eps."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     sp = _get_space(space)
     _so_infos(sp.algebra)  # the row-wise chamber sort knows no G factor
     _union_tensor(sp)
@@ -521,19 +546,14 @@ def gap_experiment(space: str, samples: int, seed: int) -> GapReport:
     d = dists[keep]
     nm = norms[keep]
     d = np.where(d <= _REL_CLAMP * nm, 0.0, d)
-    # work with ratios so that eps <= ratio_i holds exactly in floats; the
-    # raw form eps*|mu| - d loses the sign to rounding at huge radii
-    ratios = d / nm
-    eps = float(np.min(ratios)) if len(d) else 0.0
-    C = max(0.0, float(np.max((eps - ratios) * nm))) if len(d) else 0.0
-    margin = float(np.min((ratios - eps) * nm)) + C if len(d) else 0.0
+    eps = float(np.min(d / nm)) if len(d) else 0.0
     return GapReport(
         space=sp.key,
         samples=samples,
         seed=seed,
         fitted_epsilon=eps,
-        fitted_C=C,
-        min_margin=margin,
+        fitted_C=0.0,
+        min_margin=0.0,
         checked=checked,
         check_error=worst,
     )

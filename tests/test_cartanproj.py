@@ -191,13 +191,16 @@ def test_control_space_has_no_gap():
 # and from ``einsum`` to its own sums of the distance projections (see
 # ``test_lean_draws_equal_normal_and_uniform`` and
 # ``test_union_distances_equal_the_einsum_formula``).  The check errors are
-# those of the cross-check on factor blocks with closed-form exponentials;
-# with SciPy's ``expm`` on the whole ambient they were
-# 1.1368683772161603e-13, 7.069900220812997e-13 and 5.702105454474804e-13.
+# those of the cross-check on factor blocks, with each boost exponential read
+# off its part's joint eigenbasis and each compact one as cos W + K sinc W
+# (W^2 = K^T K).  With one ``eigh`` per boost and per -iK they were
+# 1.0769163338863902e-14, 8.453793221008254e-13 and 2.3203661214665232e-14;
+# with SciPy's ``expm`` on the whole ambient, 1.1368683772161603e-13,
+# 7.069900220812997e-13 and 5.702105454474804e-13.
 _PINNED_GAP_REPORTS = [
-    ("so44xso24-delta", 7, 0.3175301032753859, 47, 1.0769163338863902e-14),
-    ("so34xso24-delta", 11, 0.34371891714561387, 59, 8.453793221008254e-13),
-    ("so44xso24-delta-control", 3, 0.0, 66, 2.3203661214665232e-14),
+    ("so44xso24-delta", 7, 0.3175301032753859, 47, 2.4535928844215357e-14),
+    ("so34xso24-delta", 11, 0.34371891714561387, 59, 6.102340854852173e-13),
+    ("so44xso24-delta-control", 3, 0.0, 66, 4.329869796037923e-14),
 ]
 
 
@@ -221,17 +224,22 @@ def test_gap_reports_are_pinned(space, seed, eps, checked, err, capsys):
     )
 
 
-# exp of one symmetric matrix, and of one skew matrix through the Hermitian
-# -iK; columns scaled by broadcasting (a product with a complex diagonal
-# matrix rounds differently)
-def _exp_sym(S):
-    w, V = np.linalg.eigh(S)
+# exp of one boost on its part's joint eigenbasis, and of one skew matrix
+# as (U diag(cos w) + K U diag(sinc w)) U^T, where U diag(w^2) U^T = K^T K;
+# columns scaled by broadcasting (a product with a diagonal matrix rounds
+# differently)
+def _exp_boost(V, lam, x):
+    w = np.zeros(len(V))
+    for c, row in zip(x, lam):
+        w += c * row
     return (V * np.exp(w)) @ V.T
 
 
 def _exp_skew(K):
-    w, U = np.linalg.eigh(-1j * K)
-    return ((U * np.exp(1j * w)) @ U.conj().T).real
+    s, U = np.linalg.eigh(K.T @ K)
+    w = np.sqrt(np.maximum(s, 0.0))
+    sinc = np.array([math.sin(t) / t if t > 0.0 else 1.0 for t in w])
+    return (U * np.cos(w) + (K @ U) * sinc) @ U.T
 
 
 def _per_sample_shard(sp, seed_seq, count):
@@ -269,8 +277,8 @@ def _per_sample_shard(sp, seed_seq, count):
             left, right = rng.normal(size=p["kdim"]), rng.normal(size=p["kdim"])
             left /= np.linalg.norm(left)
             right /= np.linalg.norm(right)
-            for f, A, K in p["blocks"]:
-                boost = _exp_sym(combine(x[off : off + r], A))
+            for f, V, lam, K in p["blocks"]:
+                boost = _exp_boost(V, lam, x[off : off + r])
                 k1, k2 = _exp_skew(combine(left, K)), _exp_skew(combine(right, K))
                 total[f] = total[f] @ (k1 @ boost @ k2)
             off += r
@@ -456,8 +464,37 @@ def test_closed_form_exponentials_match_expm(n):
     # spectral radii up to 6-9, as far as the cross-check's images reach
     M *= rng.uniform(0.0, 5.0 / (2 * math.sqrt(n)), size=(40, 1, 1))
     S, K = M + M.transpose(0, 2, 1), M - M.transpose(0, 2, 1)
-    _assert_close_to_expm(cartanproj._sym_expm(S), S)
     _assert_close_to_expm(cartanproj._skew_expm(K), K)
+    # each S as a one-boost family, exp(1.0 * S)
+    for B in S:
+        V = np.linalg.eigh(B)[1]
+        lam = np.diagonal(V.T @ B @ V)[None]
+        _assert_close_to_expm(cartanproj._boost_expm(V, lam, np.ones((1, 1))), B[None])
+    # three commuting matrices Q diag(lam[i]) Q^T with weights of every sign,
+    # 0 and repeats included, and boosts of radius up to 5 on them, against
+    # Q diag(e^(x lam)) Q^T (SciPy's expm is off by up to 1e-12 here)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = rng.integers(-2, 3, size=(3, n)) / 2.0
+    A = np.array([(Q * w) @ Q.T for w in lam])
+    V = np.linalg.eigh(np.tensordot(np.pi ** -np.arange(3), A, 1))[1]
+    lam_v = np.diagonal(V.T @ A @ V, axis1=1, axis2=2)
+    X = rng.normal(size=(40, 3))
+    X *= rng.uniform(0.0, 5.0, size=(40, 1)) / np.linalg.norm(X, axis=1)[:, None]
+    want = np.array([(Q * np.exp(x @ lam)) @ Q.T for x in X])
+    got = cartanproj._boost_expm(V, lam_v, X)
+    scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+def _block_boosts(sp):
+    """Each part's float boost images cut into the factor blocks of its
+    ``_part_data`` entry, built from the embedding, not from ``_part_data``."""
+    spans = [(o, o + a.n) for a, _c, o in sp.algebra.factors]
+    out = []
+    for e, p in zip(sp.parts, cartanproj._part_data(sp)):
+        A = _ambient_images(e)[0]
+        out.append([A[:, lo:hi, lo:hi] for lo, hi in (spans[f] for f, *_ in p["blocks"])])
+    return out
 
 
 def _draws(sp, count, seed):
@@ -491,13 +528,14 @@ def test_closed_form_exponentials_match_expm_on_the_part_images(space):
     sp = cartanproj._get_space(space)
     parts, ranks, X, kdraws = _draws(sp, 5, 7)
     off = 0
-    for j, (p, r) in enumerate(zip(parts, ranks)):
+    for j, (p, r, images) in enumerate(zip(parts, ranks, _block_boosts(sp))):
         co = np.array([d[2 * j] for d in kdraws])
         co /= np.linalg.norm(co, axis=1)[:, None]
-        for _f, A, K in p["blocks"]:
-            boosts = cartanproj._combine(X[:, off : off + r], A)
+        for (_f, V, lam, K), A in zip(p["blocks"], images):
+            x = X[:, off : off + r]
+            boosts = np.array([np.tensordot(row, A, 1) for row in x])
             compacts = cartanproj._combine(co, K)
-            assert_exact_to_1e12(cartanproj._sym_expm(boosts), boosts)
+            assert_exact_to_1e12(cartanproj._boost_expm(V, lam, x), boosts)
             assert_exact_to_1e12(cartanproj._skew_expm(compacts), compacts)
         off += r
 
@@ -547,6 +585,7 @@ def test_images_unfit_for_the_closed_form_exit_3(tamper, flag, monkeypatch,
                                                    capsys):
     sp = cartanproj._get_space("so44xso24-delta")
     cartanproj._union_tensor(sp)
+    cartanproj._part_data(sp)
     monkeypatch.setattr(sp, "_parts_data", None)
     apply_ints = Embedding.apply_ints
 
@@ -570,3 +609,96 @@ def test_images_unfit_for_the_closed_form_exit_3(tamper, flag, monkeypatch,
     assert out == ""
     assert err.startswith("error: internal error in cartanproj._part_data: ")
     assert flag in err and err.count("False") == 1
+
+
+@pytest.mark.parametrize("space", gap_space_keys())
+def test_joint_eigenbases_diagonalize_the_boost_images(space):
+    sp = cartanproj._get_space(space)
+    for p, images in zip(cartanproj._part_data(sp), _block_boosts(sp)):
+        for (_f, V, lam, _K), A in zip(p["blocks"], images):
+            assert len(lam) == len(A) and A.any()
+            assert np.abs(V.T @ V - np.eye(len(V))).max() <= 1e-14
+            D = V.T @ A @ V
+            assert np.abs(D - lam[:, :, None] * np.eye(len(V))).max() <= 1e-14
+
+
+def test_boost_images_without_a_joint_eigenbasis_exit_3(monkeypatch, capsys):
+    sp = cartanproj._get_space("so44xso24-delta")
+    cartanproj._union_tensor(sp)
+    cartanproj._part_data(sp)
+    monkeypatch.setattr(sp, "_parts_data", None)
+    apply_ints = Embedding.apply_ints
+
+    def tampered(self, X):
+        # the first of several boost images gains a symmetric pair of entries
+        # inside the first factor block: the images stay symmetric and within
+        # the blocks, but no longer commute
+        Y, s = apply_ints(self, X)
+        if len(X) > 1 and np.array_equal(X, np.swapaxes(X, 1, 2)):
+            Y = Y.astype(object)
+            Y[0, 0, 1] += s
+            Y[0, 1, 0] += s
+        return Y, s
+
+    monkeypatch.setattr(Embedding, "apply_ints", tampered)
+    argv = ["gap", "--space", "so44xso24-delta", "--samples", "10"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal error in cartanproj._part_data: ")
+    assert "boost images on factor block 0 have no joint eigenbasis" in err
+
+
+def _dense_projected_norms2(Qs, YT):
+    """The squared projections summed over every entry of the bases, zeros
+    included, in the order of ``einsum("mrk,rn->mnk")`` and
+    ``einsum("mnk,mnk->mn")``: the reference for the sparse sums."""
+    m, rank, kdim = Qs.shape
+    proj, tmp = np.empty((2, m, YT.shape[1]))
+    total = np.zeros_like(proj)
+    for k in range(kdim):
+        np.multiply(Qs[:, 0, k, None], YT[0], out=proj)
+        for r in range(1, rank):
+            np.multiply(Qs[:, r, k, None], YT[r], out=tmp)
+            proj += tmp
+        proj *= proj
+        total += proj
+    return total
+
+
+_BASIS_ENTRIES = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda x: x != 0.0)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_sparse_projected_norms_equal_the_dense_sums(data):
+    m, rank, kdim = (data.draw(st.integers(1, hi)) for hi in (8, 6, 3))
+    # a few support patterns shared by the translates; a column's support is
+    # empty, one entry, every entry or any subset
+    subsets = st.one_of(
+        st.just(()),
+        st.integers(0, rank - 1).map(lambda r: (r,)),
+        st.just(tuple(range(rank))),
+        st.sets(st.integers(0, rank - 1)).map(tuple),
+    )
+    patterns = data.draw(
+        st.lists(st.tuples(*[subsets] * kdim), min_size=1, max_size=3)
+    )
+    Qs = np.empty((m, rank, kdim))
+    for t in range(m):
+        supports = patterns[data.draw(st.integers(0, len(patterns) - 1))]
+        for k, support in enumerate(supports):
+            for r in range(rank):
+                Qs[t, r, k] = data.draw(
+                    _BASIS_ENTRIES if r in support else st.sampled_from([0.0, -0.0])
+                )
+    YT = np.array(data.draw(
+        st.lists(
+            st.lists(_CHAMBER_ENTRIES, min_size=rank, max_size=rank),
+            min_size=1,
+            max_size=6,
+        )
+    )).T.copy()
+    want = _dense_projected_norms2(Qs, YT)
+    got = cartanproj._projected_norms2(cartanproj._support_plan(Qs), YT)
+    assert got.tobytes() == want.tobytes()

@@ -269,6 +269,21 @@ def test_gap_refuses_too_few_samples_before_building(samples, monkeypatch, capsy
     assert err == "error: samples must be at least 1\n"
 
 
+def test_gap_refuses_a_negative_seed_before_building(monkeypatch, capsys):
+    import ckforms.cartanproj as cartanproj
+    from ckforms.cli import main
+
+    def no_build(key):
+        raise AssertionError(f"gap space {key} built")
+
+    monkeypatch.setattr(cartanproj, "_get_space", no_build)
+    argv = ["gap", "--space", "so44xso24-delta", "--samples", "10", "--seed", "-3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be at least 0\n"
+
+
 def test_impossible_spin_side_exits_two_without_a_search(monkeypatch, capsys):
     import time
 
