@@ -238,7 +238,8 @@ def _exp_boost(V, lam, x):
 def _exp_skew(K):
     s, U = np.linalg.eigh(K.T @ K)
     w = np.sqrt(np.maximum(s, 0.0))
-    sinc = np.array([math.sin(t) / t if t > 0.0 else 1.0 for t in w])
+    sinc = np.sin(w) / np.where(w > 0.0, w, 1.0)
+    sinc[w == 0.0] = 1.0
     return (U * np.cos(w) + (K @ U) * sinc) @ U.T
 
 
