@@ -12,26 +12,28 @@ radius cross-check subset, where the eigenvalue path is verified against the
 analytic value.
 
 The sampler works in shards of 1,024 samples, each with its own spawned
-seed, in two phases.  Phase 1 makes only the RNG draws, one sample at a time
-in a fixed order: the direction, the log-radius and, for a cross-checked
-sample, the compact coefficients of each part, left then right.  It calls
-``standard_normal`` and ``random``, the bit-generator calls of
-``normal(size=...)`` and ``uniform(0, 50)``; those compute 0.0 + 1.0 * z and
-0.0 + 50.0 * u, so after one ``+ 0.0`` (a -0.0 becomes +0.0) the floats are
-theirs too.  Phase 2 does the arithmetic on whole arrays: row norms, the
-boost maps, a row-wise chamber sort (only B, C, BC and D factors occur:
-``gap_experiment`` refuses any ambient that is not indefinite-orthogonal),
-and the cross-check.  It builds each checked group element one ambient
-factor block at a time, from closed-form exponentials: a part's boost images
-commute, so exp(X) = V diag(e^(x lam)) V^T on one joint eigenbasis found
-once, and a skew compact image K has exp(K) = cos W + K sinc W with
-W^2 = K^T K, one real ``eigh``; ``eigvalsh`` and ``det`` then read mu off
-each block.  Distances to the translate union are taken over bounded chunks
-of samples, the projections summed over the nonzero basis entries in the
-order of the ``einsum`` they replace (not by BLAS, whose blocked sums round
-differently).  Every float operation is the per-sample one applied row-wise,
-so a report is bit-identical to that of a loop over samples, as
-``test_batched_shard_matches_the_per_sample_loop`` checks.
+seed, in two phases.  Phase 1 makes the RNG draws in three bulk calls, in
+this order: ``standard_normal((count, rank))`` for the directions,
+``random(count)`` for the log-radii (radius = exp(50 u) by ``math.exp``:
+NumPy's SIMD ``exp`` may round differently on another host), and one
+``standard_normal((checked, 2 * kdim))`` for the cross-checked samples, each
+row holding per part the left, then the right compact coefficients.  Phase 2
+does the arithmetic on whole arrays: row norms, the boost maps, a row-wise
+chamber sort (only B, C, BC and D factors occur: ``gap_experiment`` refuses
+any ambient that is not indefinite-orthogonal), and the cross-check.  It
+builds each checked group element one ambient factor block at a time, from
+closed-form exponentials: a part's boost images commute, so exp(X) =
+V diag(e^(x lam)) V^T on one joint eigenbasis found once, and a skew compact
+image K, which lies in so(p) + so(q), has exp(K) = cos W + K sinc W with
+W^2 = -K K, one real ``eigh`` on each of those diagonal blocks; ``eigvalsh``
+and ``det`` then read mu off each factor block.  Distances to the translate
+union are taken over bounded chunks of samples, the projections summed over
+the nonzero basis entries in the order of the ``einsum`` they replace (not
+by BLAS, whose blocked sums round differently).  A bulk draw has the bytes
+of the same draws made one at a time, and every float operation is the
+per-sample one applied row-wise, so a report is bit-identical to that of a
+loop over samples, as ``test_batched_shard_matches_the_per_sample_loop``
+checks.
 """
 from __future__ import annotations
 
@@ -332,18 +334,26 @@ def _floats(N, L):
 def _part_data(sp: GapSpace):
     """Per sampled factor: float boost map into ambient a, and the boost and
     compact-part images cut into the ambient's factor blocks, as
-    ``(block, V, lam, compacts)`` for each block the part does not vanish on.
+    ``(block, V, lam, compacts)`` for each block the part does not vanish on;
+    ``compacts`` holds ``(lo, hi, K)`` for each of the block's so(p) and so(q)
+    diagonal blocks that some compact image ``K`` does not vanish on.
 
     The closed-form exponentials of the cross-check need symmetric boost
-    images, skew compact images and nothing off the factor blocks, checked
-    exactly, and commuting boost images with a joint eigenbasis ``V``."""
+    images, skew compact images and nothing off the factor blocks (nor, for
+    compact images, off their so(p) + so(q) blocks), checked exactly, and
+    commuting boost images with a joint eigenbasis ``V``."""
     if getattr(sp, "_parts_data", None) is not None:
         return sp._parts_data
     n = sp.algebra.n
     spans = [(o, o + a.n) for a, _c, o in sp.algebra.factors]
+    # the so(p) and so(q) diagonal blocks of each factor block
+    halves = [((0, p), (p, p + q)) for p, q in _so_infos(sp.algebra)]
     off_block = np.ones((n, n), dtype=bool)
-    for lo, hi in spans:
+    off_compact = np.ones((n, n), dtype=bool)
+    for (lo, hi), pair in zip(spans, halves):
         off_block[lo:hi, lo:hi] = False
+        for a, b in pair:
+            off_compact[lo + a : lo + b, lo + a : lo + b] = False
     out = []
     for e in sp.parts:
         src = e.source
@@ -353,7 +363,7 @@ def _part_data(sp: GapSpace):
         Yk, sk = e.apply_ints(K.reshape(-1, src.n, src.n))
         sym = np.array_equal(Ya, np.swapaxes(Ya, 1, 2))
         skew = np.array_equal(Yk, -np.swapaxes(Yk, 1, 2))
-        blockwise = not (Ya[:, off_block].any() or Yk[:, off_block].any())
+        blockwise = not (Ya[:, off_block].any() or Yk[:, off_compact].any())
         if not (sym and skew and blockwise):
             raise InternalError(
                 "cartanproj._part_data",
@@ -375,7 +385,12 @@ def _part_data(sp: GapSpace):
                     raise InternalError(
                         "cartanproj._part_data", f"{e.key}: boost images on factor "
                         f"block {f} have no joint eigenbasis (off-diagonal {off:.1e})")
-                blocks.append((f, V, lam, k_imgs[:, lo:hi, lo:hi]))
+                compacts = [
+                    (a, b, k_imgs[:, lo + a : lo + b, lo + a : lo + b].copy())
+                    for a, b in halves[f]
+                    if Yk[:, lo + a : lo + b, lo + a : lo + b].any()
+                ]
+                blocks.append((f, V, lam, compacts))
         out.append({"a_map": _floats(a_map(e), 1), "kdim": len(Yk), "blocks": blocks})
     sp._parts_data = out
     return out
@@ -383,31 +398,25 @@ def _part_data(sp: GapSpace):
 
 def _run_shard(sp: GapSpace, seed_seq, count: int):
     """mu of ``count`` samples, the number of them cross-checked and the
-    worst cross-check error: the draws one sample at a time, then the
-    arithmetic on whole arrays (see the module docstring)."""
+    worst cross-check error: three bulk draws, then the arithmetic on whole
+    arrays (see the module docstring)."""
     rng = np.random.default_rng(seed_seq)
     parts = _part_data(sp)
     ranks = [p["a_map"].shape[0] for p in parts]
-    ksizes = [p["kdim"] for p in parts]
-    U = np.empty((count, sum(ranks)))
-    radius = np.empty(count)
-    kdraws = []  # per checked sample: left, right coefficients per part
-    for i in range(count):
-        rng.standard_normal(out=U[i])
-        radius[i] = r = math.exp(50.0 * rng.random())
-        if r <= _CONSISTENCY_RADIUS:
-            kdraws.append(
-                [rng.standard_normal(k) + 0.0 for k in ksizes for _ in "lr"]
-            )
-    U += 0.0  # a -0.0 draw becomes the +0.0 that ``normal`` returns
+    U = rng.standard_normal((count, sum(ranks)))
+    # libm's exp, not NumPy's SIMD one, which may round differently by host
+    radius = np.array(list(map(math.exp, (50.0 * rng.random(count)).tolist())))
+    small = radius <= _CONSISTENCY_RADIUS
+    checked = int(np.count_nonzero(small))
+    # per checked sample and part: left, then right compact coefficients
+    co = rng.standard_normal((checked, 2 * sum(p["kdim"] for p in parts)))
     U /= _row_norms(U)[:, None]
     X = radius[:, None] * U
     mus = _chamber_rows(sp.sd, _boost_coords(parts, ranks, X))
-    if not kdraws:
+    if not checked:
         return mus, 0, 0.0
-    small = radius <= _CONSISTENCY_RADIUS
-    worst = _consistency_error(sp, parts, ranks, X[small], kdraws, mus[small])
-    return mus, len(kdraws), worst
+    worst = _consistency_error(sp, parts, ranks, X[small], co, mus[small])
+    return mus, checked, worst
 
 
 def _row_norms(U):
@@ -455,36 +464,45 @@ def _boost_expm(V, lam, X):
 
 def _skew_expm(K):
     """exp of each skew K of a stack, cos W + K sinc W with W^2 = K^T K =
-    U diag(w^2) U^T: (U diag(cos w) + K U diag(sinc w)) U^T, one real eigh."""
-    s, U = np.linalg.eigh(K.mT @ K)
+    -K K = U diag(w^2) U^T: (U diag(cos w) + K U diag(sinc w)) U^T, one real
+    eigh.  For an exactly skew K, as every combination of the compact images
+    is, -K K has the terms of K^T K exactly."""
+    s, U = np.linalg.eigh(-(K @ K))
     w = np.sqrt(np.maximum(s, 0.0))
     sinc = np.divide(np.sin(w), w, out=np.ones_like(w), where=w > 0.0)
     return (U * np.cos(w)[..., None, :] + (K @ U) * sinc[..., None, :]) @ U.mT
 
 
-def _group_blocks(sp, parts, ranks, X, kdraws):
+def _group_blocks(sp, parts, ranks, X, co):
     """The group elements k1 exp(X) k2 of the checked samples, one stack per
-    ambient factor block (the representation of ``GroupElement``)."""
+    ambient factor block (the representation of ``GroupElement``); row s of
+    ``co`` holds sample s's left, then right compact coefficients per part."""
     blocks = [
         np.tile(np.eye(a.n), (len(X), 1, 1)) for a, _c, _o in sp.algebra.factors
     ]
-    off = 0
-    for j, (p, r) in enumerate(zip(parts, ranks)):
+    off = koff = 0
+    for p, r in zip(parts, ranks):
+        k = p["kdim"]
         # left then right draws, stacked for one exponential per block
-        co = np.array([d[2 * j + side] for side in (0, 1) for d in kdraws])
-        co /= _row_norms(co)[:, None]
-        for f, V, lam, K in p["blocks"]:
+        c = np.concatenate([co[:, koff : koff + k], co[:, koff + k : koff + 2 * k]])
+        c /= _row_norms(c)[:, None]
+        for f, V, lam, compacts in p["blocks"]:
             boost = _boost_expm(V, lam, X[:, off : off + r])
-            k1, k2 = np.split(_skew_expm(_combine(co, K)), 2)
+            # exp is taken on each so(p), so(q) block; it is 1 off them
+            ks = np.tile(np.eye(len(V)), (len(c), 1, 1))
+            for a, b, K in compacts:
+                ks[:, a:b, a:b] = _skew_expm(_combine(c, K))
+            k1, k2 = np.split(ks, 2)
             blocks[f] = blocks[f] @ (k1 @ boost @ k2)
         off += r
+        koff += 2 * k
     return blocks
 
 
-def _consistency_error(sp, parts, ranks, X, kdraws, mu_exact):
+def _consistency_error(sp, parts, ranks, X, co, mu_exact):
     """The worst distance between the eigenvalue route on the checked
     samples' group elements and mu_exact."""
-    blocks = _group_blocks(sp, parts, ranks, X, kdraws)
+    blocks = _group_blocks(sp, parts, ranks, X, co)
     mu_num = np.concatenate(
         [_factor_mu(M, p, q) for (p, q), M in zip(_so_infos(sp.algebra), blocks)],
         axis=1,

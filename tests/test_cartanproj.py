@@ -183,24 +183,46 @@ def test_control_space_has_no_gap():
     assert r.min_margin == 0.0
 
 
-# Reports of the per-sample sampler (one Python iteration per sample) that
-# the batched sampler replaced, floats exactly as ``repr`` printed them.  The
-# batched sampler must reproduce them bit for bit: a changed draw order or
-# summation order moves these digits.  They held unchanged when the sampler
-# moved from ``normal``/``uniform`` to ``standard_normal``/``random`` draws
-# and from ``einsum`` to its own sums of the distance projections (see
-# ``test_lean_draws_equal_normal_and_uniform`` and
-# ``test_union_distances_equal_the_einsum_formula``).  The check errors are
+# The smallest principal sine between the sampled split part and the
+# translates, which the sampled epsilon estimates from above: 1/sqrt(10) on
+# so44xso24-delta and about 0.343713 on so34xso24-delta (float values; see
+# ROADMAP item 4).  At 20,000 samples, seeds 1 to 5 came within 4.4e-4 and
+# 6.7e-5 of them, with the draws in bulk and with the draws per sample.
+_GAP_INFIMA = [
+    ("so44xso24-delta", 0.316227, 1 / math.sqrt(10) + 1e-3),
+    ("so34xso24-delta", 0.343712, 0.343713 + 2e-4),
+]
+
+
+@pytest.mark.parametrize("space,lo,hi", _GAP_INFIMA, ids=[s for s, *_ in _GAP_INFIMA])
+def test_sampled_epsilon_estimates_the_infimum(space, lo, hi):
+    for seed in range(1, 6):
+        assert lo <= gap_experiment(space, 20000, seed).fitted_epsilon <= hi
+
+
+# Seeded reports, floats exactly as ``repr`` printed them; a changed draw
+# order or summation order moves these digits.  Each shard draws every
+# direction, then every radius, then the checked samples' compact
+# coefficients, in three bulk calls (``_run_shard``), and the per-sample
+# reference makes the same draws one sample at a time
+# (``test_batched_shard_matches_the_per_sample_loop``).  The check errors are
 # those of the cross-check on factor blocks, with each boost exponential read
 # off its part's joint eigenbasis and each compact one as cos W + K sinc W
-# (W^2 = K^T K).  With one ``eigh`` per boost and per -iK they were
-# 1.0769163338863902e-14, 8.453793221008254e-13 and 2.3203661214665232e-14;
-# with SciPy's ``expm`` on the whole ambient, 1.1368683772161603e-13,
-# 7.069900220812997e-13 and 5.702105454474804e-13.
+# (W^2 = -K K) on each so(p), so(q) block.
+#
+# The per-sample draw order that came before (direction, radius, then the
+# compact coefficients of a checked sample, sample by sample) gave the same
+# laws but other samples: (eps, checked, err) were (0.3175301032753859, 47,
+# 2.4535928844215357e-14), (0.34371891714561387, 59, 6.102340854852173e-13)
+# and (0.0, 66, 4.329869796037923e-14).  With one ``eigh`` per boost and per
+# -iK, the errors of that stream were 1.0769163338863902e-14,
+# 8.453793221008254e-13 and 2.3203661214665232e-14; with SciPy's ``expm`` on
+# the whole ambient, 1.1368683772161603e-13, 7.069900220812997e-13 and
+# 5.702105454474804e-13.
 _PINNED_GAP_REPORTS = [
-    ("so44xso24-delta", 7, 0.3175301032753859, 47, 2.4535928844215357e-14),
-    ("so34xso24-delta", 11, 0.34371891714561387, 59, 6.102340854852173e-13),
-    ("so44xso24-delta-control", 3, 0.0, 66, 4.329869796037923e-14),
+    ("so44xso24-delta", 7, 0.3175779461448304, 49, 2.6756374893465556e-14),
+    ("so34xso24-delta", 11, 0.3438798364685237, 72, 1.1826317702912092e-11),
+    ("so44xso24-delta-control", 3, 0.0, 56, 1.619815392927841e-13),
 ]
 
 
@@ -225,9 +247,9 @@ def test_gap_reports_are_pinned(space, seed, eps, checked, err, capsys):
 
 
 # exp of one boost on its part's joint eigenbasis, and of one skew matrix
-# as (U diag(cos w) + K U diag(sinc w)) U^T, where U diag(w^2) U^T = K^T K;
-# columns scaled by broadcasting (a product with a diagonal matrix rounds
-# differently)
+# as (U diag(cos w) + K U diag(sinc w)) U^T, where U diag(w^2) U^T = -K K,
+# taken on each so(p), so(q) block of a compact image; columns scaled by
+# broadcasting (a product with a diagonal matrix rounds differently)
 def _exp_boost(V, lam, x):
     w = np.zeros(len(V))
     for c, row in zip(x, lam):
@@ -236,26 +258,48 @@ def _exp_boost(V, lam, x):
 
 
 def _exp_skew(K):
-    s, U = np.linalg.eigh(K.T @ K)
+    s, U = np.linalg.eigh(-(K @ K))
     w = np.sqrt(np.maximum(s, 0.0))
     sinc = np.sin(w) / np.where(w > 0.0, w, 1.0)
     sinc[w == 0.0] = 1.0
     return (U * np.cos(w) + (K @ U) * sinc) @ U.T
 
 
+def _combine_one(co, mats):
+    Y = np.zeros(mats[0].shape)
+    for c, M in zip(co, mats):
+        Y += c * M
+    return Y
+
+
+def _exp_compact(co, compacts, n):
+    E = np.eye(n)
+    for a, b, K in compacts:
+        E[a:b, a:b] = _exp_skew(_combine_one(co, K))
+    return E
+
+
 def _per_sample_shard(sp, seed_seq, count):
-    """The sampler as one Python iteration per sample, each group element
-    built block by block from one closed-form exponential per matrix: the
+    """The sampler with its three bulk draws made one sample at a time, in
+    the same order (every direction, every radius, then each checked
+    sample's compact coefficients, part by part, left then right), and one
+    Python iteration per sample for the arithmetic, each group element built
+    block by block from one closed-form exponential per matrix: the
     reference that the batched ``_run_shard`` must match bit for bit."""
     rng = np.random.default_rng(seed_seq)
     parts = cartanproj._part_data(sp)
     ranks = [p["a_map"].shape[0] for p in parts]
+    dirs = [rng.standard_normal(sum(ranks)) for _ in range(count)]
+    radii = [math.exp(50.0 * rng.random()) for _ in range(count)]
+    coeffs = iter([
+        [rng.standard_normal(p["kdim"]) for p in parts for _ in "lr"]
+        for radius in radii
+        if radius <= 5.0
+    ])
     mus = np.empty((count, sp.sd.rank))
     checked, worst = 0, 0.0
-    for i in range(count):
-        u = rng.normal(size=sum(ranks))
+    for i, (u, radius) in enumerate(zip(dirs, radii)):
         u /= np.linalg.norm(u)
-        radius = math.exp(rng.uniform(0.0, 50.0))
         x = radius * u
         amb = np.zeros(sp.sd.rank)
         off = 0
@@ -265,22 +309,17 @@ def _per_sample_shard(sp, seed_seq, count):
         mus[i] = chamber_sort(sp.sd, amb)
         if radius > 5.0:
             continue
-
-        def combine(co, mats):
-            Y = np.zeros(mats[0].shape)
-            for c, M in zip(co, mats):
-                Y += c * M
-            return Y
-
+        draws = next(coeffs)
         total = [np.eye(a.n) for a, _c, _o in sp.algebra.factors]
         off = 0
-        for p, r in zip(parts, ranks):
-            left, right = rng.normal(size=p["kdim"]), rng.normal(size=p["kdim"])
+        for j, (p, r) in enumerate(zip(parts, ranks)):
+            left, right = draws[2 * j], draws[2 * j + 1]
             left /= np.linalg.norm(left)
             right /= np.linalg.norm(right)
-            for f, V, lam, K in p["blocks"]:
+            for f, V, lam, compacts in p["blocks"]:
                 boost = _exp_boost(V, lam, x[off : off + r])
-                k1, k2 = _exp_skew(combine(left, K)), _exp_skew(combine(right, K))
+                k1 = _exp_compact(left, compacts, len(V))
+                k2 = _exp_compact(right, compacts, len(V))
                 total[f] = total[f] @ (k1 @ boost @ k2)
             off += r
         g = GroupElement(sp.algebra, tuple(total))
@@ -311,49 +350,46 @@ def test_batched_shard_matches_the_per_sample_loop(space, monkeypatch):
     assert cartanproj._union_distances(sp, mus).tobytes() == whole.tobytes()
 
 
-# PCG64 steps its 128-bit state s to s * mult + inc and draws from the new
-# state; a new state below 2**64 is drawn as itself (XSL-RR: no high word
-# to fold in, no rotation)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _rng_drawing(raw):
-    """A generator whose next raw 64-bit draw is ``raw``."""
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    inc = state["state"]["inc"]
-    inverse = pow(_PCG64_MULT, -1, 2**128)
-    state["state"]["state"] = (raw - inc) * inverse % 2**128
-    rng.bit_generator.state = state
-    return rng
-
-
 @pytest.mark.parametrize("seed", [0, 5, 7, 901, 2024])
 def test_lean_draws_equal_normal_and_uniform(seed):
-    # the sampler's draws against the calls they replace (still those of
-    # the per-sample reference): the same stream, the same bytes
-    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    row = np.empty(5)
-    for _ in range(200):
-        want = old.normal(size=5)
-        new.standard_normal(out=row)
-        assert (row + 0.0).tobytes() == want.tobytes()
-        r = old.uniform(0.0, 50.0)
-        assert (50.0 * new.random()).hex() == r.hex()
-        if r < 2.0:
-            for k in (21, 10):
-                got = new.standard_normal(k) + 0.0
-                assert got.tobytes() == old.normal(size=k).tobytes()
-    assert new.bit_generator.state == old.bit_generator.state
-    # ziggurat word 0x100: table 0, sign bit set, magnitude 0, so -0.0;
-    # normal returns 0.0 + 1.0 * -0.0, the +0.0 that "+ 0.0" gives
-    z = _rng_drawing(0x100).standard_normal(1)
-    assert np.signbit(z[0])
-    want = _rng_drawing(0x100).normal(size=1)
-    assert (z + 0.0).tobytes() == want.tobytes() == (0.0 + 1.0 * z).tobytes()
-    assert (50.0 * _rng_drawing(0).random()).hex() == (
-        _rng_drawing(0).uniform(0.0, 50.0).hex()
-    )
+    # the facts the per-sample reference relies on: one standard_normal((m,
+    # r)) has the bytes of m sequential standard_normal(r) calls, one
+    # random(m) those of m sequential random() calls, and each bulk call
+    # leaves the generator where the sequential calls leave it
+    bulk, seq = np.random.default_rng(seed), np.random.default_rng(seed)
+    for m, r in ((700, 5), (1, 6), (37, 21), (0, 10), (40, 10)):
+        want = np.array([seq.standard_normal(r) for _ in range(m)])
+        assert bulk.standard_normal((m, r)).tobytes() == want.tobytes()
+        assert bulk.bit_generator.state == seq.bit_generator.state
+        want = np.array([seq.random() for _ in range(m)])
+        assert bulk.random(m).tobytes() == want.tobytes()
+        assert bulk.bit_generator.state == seq.bit_generator.state
+
+
+@pytest.mark.parametrize("space", gap_space_keys())
+def test_run_shard_makes_exactly_the_three_bulk_draws(space, monkeypatch):
+    sp = cartanproj._get_space(space)
+    parts = cartanproj._part_data(sp)
+    rank = sum(p["a_map"].shape[0] for p in parts)
+    kdims = sum(p["kdim"] for p in parts)
+    used = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        used.append(default_rng(seed))
+        return used[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    seed_seq = np.random.SeedSequence(2026)
+    _mus, checked, _worst = cartanproj._run_shard(sp, seed_seq, 1024)
+    monkeypatch.undo()
+    rng = np.random.default_rng(seed_seq)
+    rng.standard_normal((1024, rank))
+    small = sum(math.exp(50.0 * u) <= 5.0 for u in rng.random(1024))
+    rng.standard_normal((small, 2 * kdims))
+    assert checked == small > 0
+    assert len(used) == 1
+    assert used[0].bit_generator.state == rng.bit_generator.state
 
 
 def _einsum_distances(sp, mus):
@@ -500,17 +536,22 @@ def _block_boosts(sp):
 
 def _draws(sp, count, seed):
     """Boost coordinates of radius at most 5 and compact coefficients, in
-    the layout of ``_run_shard``'s cross-checked samples."""
+    the layout of ``_run_shard``'s cross-checked samples: per part, left
+    then right coefficients."""
     rng = np.random.default_rng(seed)
     parts = cartanproj._part_data(sp)
     ranks = [p["a_map"].shape[0] for p in parts]
     U = rng.normal(size=(count, sum(ranks)))
     X = U / np.linalg.norm(U, axis=1)[:, None] * rng.uniform(0, 5, (count, 1))
-    kdraws = [
-        [rng.normal(size=p["kdim"]) for p in parts for _ in "lr"]
-        for _ in range(count)
-    ]
-    return parts, ranks, X, kdraws
+    co = rng.normal(size=(count, 2 * sum(p["kdim"] for p in parts)))
+    return parts, ranks, X, co
+
+
+def _sides(parts, co, j):
+    """Part j's left and right coefficient columns of ``co``."""
+    lo = 2 * sum(p["kdim"] for p in parts[:j])
+    k = parts[j]["kdim"]
+    return co[:, lo : lo + k], co[:, lo + k : lo + 2 * k]
 
 
 @pytest.mark.parametrize("space", gap_space_keys())
@@ -527,17 +568,18 @@ def test_closed_form_exponentials_match_expm_on_the_part_images(space):
             assert np.abs(G - want).max() <= 1e-12 * np.abs(want).max()
 
     sp = cartanproj._get_space(space)
-    parts, ranks, X, kdraws = _draws(sp, 5, 7)
+    parts, ranks, X, co = _draws(sp, 5, 7)
     off = 0
     for j, (p, r, images) in enumerate(zip(parts, ranks, _block_boosts(sp))):
-        co = np.array([d[2 * j] for d in kdraws])
-        co /= np.linalg.norm(co, axis=1)[:, None]
-        for (_f, V, lam, K), A in zip(p["blocks"], images):
+        left = _sides(parts, co, j)[0]
+        left = left / np.linalg.norm(left, axis=1)[:, None]
+        for (_f, V, lam, compacts), A in zip(p["blocks"], images):
             x = X[:, off : off + r]
             boosts = np.array([np.tensordot(row, A, 1) for row in x])
-            compacts = cartanproj._combine(co, K)
             assert_exact_to_1e12(cartanproj._boost_expm(V, lam, x), boosts)
-            assert_exact_to_1e12(cartanproj._skew_expm(compacts), compacts)
+            for _a, _b, K in compacts:
+                Y = cartanproj._combine(left, K)
+                assert_exact_to_1e12(cartanproj._skew_expm(Y), Y)
         off += r
 
 
@@ -556,15 +598,15 @@ def _ambient_images(e):
 @pytest.mark.parametrize("space", gap_space_keys())
 def test_group_blocks_equal_the_ambient_expm_product(space):
     sp = cartanproj._get_space(space)
-    parts, ranks, X, kdraws = _draws(sp, 25, 11)
-    blocks = cartanproj._group_blocks(sp, parts, ranks, X, kdraws)
+    parts, ranks, X, co = _draws(sp, 25, 11)
+    blocks = cartanproj._group_blocks(sp, parts, ranks, X, co)
     n = sp.algebra.n
     images = [_ambient_images(e) for e in sp.parts]
     for i, x in enumerate(X):
         total = np.eye(n)
         off = 0
         for j, ((A, K), r) in enumerate(zip(images, ranks)):
-            cl, cr = (kdraws[i][2 * j + side] for side in (0, 1))
+            cl, cr = (side[i] for side in _sides(parts, co, j))
             k1 = expm(np.tensordot(cl / np.linalg.norm(cl), K, 1))
             k2 = expm(np.tensordot(cr / np.linalg.norm(cr), K, 1))
             total = total @ (k1 @ expm(np.tensordot(x[off : off + r], A, 1)) @ k2)
@@ -581,6 +623,7 @@ def test_group_blocks_equal_the_ambient_expm_product(space):
     ("boost", "boosts symmetric: False"),
     ("compact", "compacts skew: False"),
     ("block", "within the factor blocks: False"),
+    ("halves", "within the factor blocks: False"),
 ])
 def test_images_unfit_for_the_closed_form_exit_3(tamper, flag, monkeypatch,
                                                    capsys):
@@ -592,13 +635,18 @@ def test_images_unfit_for_the_closed_form_exit_3(tamper, flag, monkeypatch,
 
     def tampered(self, X):
         # boost sources are symmetric, compact ones skew; "block" keeps that
-        # symmetry and puts one entry off the factor blocks
+        # symmetry and puts one entry off the factor blocks, "halves" puts a
+        # compact one in the first factor block, off its so(4) + so(4)
         Y, s = apply_ints(self, X)
         Y = Y.astype(object)
         boosts = np.array_equal(X, np.swapaxes(X, 1, 2))
         if tamper == "block":
             Y[:, 0, -1] += s
             Y[:, -1, 0] += s if boosts else -s
+        elif tamper == "halves":
+            if not boosts:
+                Y[:, 0, 7] += s
+                Y[:, 7, 0] -= s
         elif boosts == (tamper == "boost"):
             Y[:, 0, 1] += s
         return Y, s
