@@ -544,11 +544,11 @@ def adapted_split_part(emb: Embedding) -> Subspace:
     sd_tgt = split_data(emb.target)
     rows = a_map(emb)
     sub = Subspace.from_rows(rows, sd_tgt.rank)
-    if sub.dim != len(sd_src.a_matrices):
+    if sub.dim != sd_src.rank:
         raise AdaptednessError(
             "embeddings.adapted_split_part",
             f"{emb.key}: split part image has dimension {sub.dim}, expected "
-            f"{len(sd_src.a_matrices)}",
+            f"{sd_src.rank}",
         )
     return sub
 

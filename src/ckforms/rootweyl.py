@@ -4,8 +4,9 @@ Weyl-orbit disjointness test underlying the properness criterion.
 Coordinates on the split part a are coefficients with respect to the standard
 boost basis attached by the real form constructors (concatenated over factors
 for products).  Weyl elements act on these coordinates: signed permutations
-for the classical types (even sign count for type D), and twelve computed
-reflection products for the split g2.
+for the classical types (even sign count for type D), and for the split g2
+the signed permutations +-P of so(3,4)'s three boost coordinates, read into
+g2's orthogonal boost basis.
 
 The disjointness scan projects V_h onto ker(V_l): w(V_h) meets V_l only at 0
 iff H w^T N has full row rank (N an integer basis of ker V_l).  The group is
@@ -47,7 +48,6 @@ from .exactlin import (
     InternalError,
     Subspace,
     echelon_rows,
-    embed_block,
     fmat,
     fmatmul,
     fzeros,
@@ -75,7 +75,6 @@ __all__ = [
     "chamber_sort",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 DEFAULT_WEYL_CUTOFF = 10**7
@@ -107,7 +106,6 @@ class FactorSplit:
 @dataclass
 class SplitData:
     algebra: LieAlgebra
-    a_matrices: list  # ambient matrices spanning a, factor blocks concatenated
     factors: list
     gram: np.ndarray  # exact Killing Gram of the a-basis (diagonal)
     boosts: tuple  # (den, A): the a-basis as one integer stack A / den
@@ -118,29 +116,35 @@ class SplitData:
 
     @property
     def rank(self) -> int:
-        return len(self.a_matrices)
+        return len(self.boosts[1])
 
 
 def split_data(g: LieAlgebra) -> SplitData:
     """Assemble the standard split part of g together with the exact Killing
     Gram of its boost basis; a product places its factors' own (cached)
-    split data block by block."""
+    integer stacks block by block, over one common denominator."""
     cached = g.meta.get("_split_data")
     if cached is not None:
         return cached
     if len(g.factors) == 2:
-        factors, a_mats, gram_diag = [], [], []
-        for alg, _coff, boff in g.factors:
-            sd = split_data(alg)
+        parts = [split_data(alg) for alg, _coff, _boff in g.factors]
+        r = sum(sd.rank for sd in parts)
+        den = math.lcm(*(sd.boosts[0] for sd in parts))
+        A = np.zeros((r, g.n, g.n), dtype=object)
+        factors, gram_diag = [], []
+        for (alg, _coff, boff), sd in zip(g.factors, parts):
             (f,) = sd.factors
-            factors.append(FactorSplit(alg, f.root_type, f.rank, len(a_mats)))
-            a_mats.extend(embed_block(A, g.n, boff) for A in sd.a_matrices)
+            lo, hi = len(gram_diag), len(gram_diag) + f.rank
+            factors.append(FactorSplit(alg, f.root_type, f.rank, lo))
+            A[lo:hi, boff : boff + alg.n, boff : boff + alg.n] = (
+                sd.boosts[1] * (den // sd.boosts[0])
+            )
             gram_diag.extend(np.diagonal(sd.gram))
     else:
         a_basis = g.meta.get("a_basis")
         if not a_basis:
             raise ValueError(f"{g.name}: no split part data attached")
-        a_mats = list(unscaled(np.array(a_basis), 1))
+        den, A = 1, np.array(a_basis).astype(object)
         K = g.killing_ints
         cs = list(unscaled(*g.read_coords(np.array(a_basis))))
         G = _gram(cs, K)
@@ -154,21 +158,26 @@ def split_data(g: LieAlgebra) -> SplitData:
                     if Gji[0, 1] != 0:
                         cs[i] = cs[i] - (Gji[0, 1] / Gji[0, 0]) * cs[j]
                 cs[i] = primitive_vector(cs[i])
-            a_mats = [g.matrix(c) for c in cs]
+            den, A = scaled_ints(np.array([g.matrix(c) for c in cs]))
             G = _gram(cs, K)
         gram_diag = [G[i, i] for i in range(r)]
         rt = g.meta.get("root_type", "?")
         if rt != "G" and any(s != gram_diag[0] for s in gram_diag):
             raise ValueError(f"{g.name}: boost norms differ")
         factors = [FactorSplit(g, rt, r, 0)]
-    r = len(a_mats)
     gram = fzeros((r, r))
     np.fill_diagonal(gram, gram_diag)
-    den, A = scaled_ints(np.array(a_mats, dtype=object))
     solver = CoordinateSolver(A.reshape(r, -1))
-    sd = SplitData(g, a_mats, factors, gram, (den, A), solver)
+    sd = SplitData(g, factors, gram, (den, A), solver)
     g.meta["_split_data"] = sd
     return sd
+
+
+def _gram(cs, K):
+    """Gram matrix of the rational coordinate vectors cs under the integer
+    form K, as Fractions."""
+    lc, C = scaled_ints(np.array([list(c) for c in cs], dtype=object))
+    return unscaled(int_matmul(int_matmul(C, K), C.T), lc * lc)
 
 
 def _factor_order(f: FactorSplit) -> int:
@@ -184,139 +193,28 @@ def weyl_order(sd: SplitData) -> int:
 
 
 # ---------------------------------------------------------------------------
-# g2 reflections from the 7-dimensional representation
+# the g2 Weyl group
 # ---------------------------------------------------------------------------
 
-def _exact_eigenvalues(A):
-    """Rational eigenvalues of a diagonalizable rational matrix with a
-    rational spectrum, float-hinted and exactly verified, with a basis of
-    each eigenspace; raises if multiplicities do not exhaust the space."""
-    n = A.shape[0]
-    fl = np.array([[float(x) for x in row] for row in A])
-    hints = np.linalg.eigvals(fl).real
-    cands = []
-    for h in hints:
-        fr = Fraction(float(h)).limit_denominator(24)
-        if fr not in cands:
-            cands.append(fr)
-    out = []
-    covered = 0
-    for lam in cands:
-        M = A.astype(object)
-        for i in range(n):
-            M[i, i] = M[i, i] - lam
-        vecs = kernel(M)
-        if vecs:
-            out.append((lam, vecs))
-            covered += len(vecs)
-    if covered != n:
-        raise InternalError(
-            "rootweyl._exact_eigenvalues", "eigenvalue reconstruction incomplete"
-        )
-    return out
+def _g2_weyl(f: FactorSplit) -> list:
+    """The 12 elements of W(G2) as exact matrices on the a-coordinates of the
+    g2 factor f, identity first.
 
-
-def _g2_weyl_matrices(alg: LieAlgebra):
-    """The 12 Weyl elements of split g2 acting on its 2-dim split part, built
-    from reflections in the computed restricted roots."""
-    a1, a2 = alg.meta["a_basis"]
-    # joint weights of (a1, a2) on the 7-dim representation
-    weights = []
-    for lam1, vecs in _exact_eigenvalues(a1):
-        space = [np.array(v, dtype=object) for v in vecs]
-        # split the lam1 eigenspace under a2
-        stacked = np.array([list(v) for v in space], dtype=object)
-        sub = np.array(
-            [[(a2 @ v)[i] for i in range(7)] for v in space], dtype=object
-        )
-        # a2 restricted to span(space) in that basis: coords of a2 v rows
-        sol = CoordinateSolver(stacked)
-        rest = np.array([sol.coords(row) for row in sub], dtype=object).T
-        for lam2, cvecs in _exact_eigenvalues(rest):
-            weights.append(((lam1, lam2), len(cvecs)))
-    roots = [w for w, _m in weights if w != (_F0, _F0)]
-    short = sorted(set(roots))
-    if len(short) != 6:
-        raise ValueError(f"expected 6 short restricted roots, got {short}")
-    G = _gram([alg.coords(a) for a in alg.meta["a_basis"]], alg.killing_ints)
-    Ginv = _inv2(G)
-
-    def nrm2(lam):
-        v = np.array(lam, dtype=object)
-        return v @ Ginv @ v
-
-    s0 = nrm2(short[0])
-    longs = set()
-    for u in short:
-        for v in short:
-            d = (u[0] - v[0], u[1] - v[1])
-            if d == (_F0, _F0):
-                continue
-            if nrm2(d) == 3 * s0:
-                longs.add(d)
-    allroots = list(short) + sorted(longs)
-    refl = []
-    for lam in allroots:
-        lv = np.array(lam, dtype=object)
-        t = Ginv @ lv  # coroot direction in a-coordinates
-        denom = lv @ t
-        S = np.eye(2, dtype=object).astype(object)
-        for i in range(2):
-            for j in range(2):
-                S[i, j] = (
-                    (_F1 if i == j else _F0) - 2 * t[i] * lv[j] / denom
-                )
-        refl.append(S)
-    # close under multiplication
-    seen = {}
-    frontier = [np.eye(2, dtype=object)] + refl
-    for M in frontier:
-        seen[_mat_key(M)] = M
-    changed = True
-    while changed:
-        changed = False
-        cur = list(seen.values())
-        for A in cur:
-            for B in refl:
-                C = A @ B
-                k = _mat_key(C)
-                if k not in seen:
-                    seen[k] = C
-                    changed = True
-    mats = list(seen.values())
-    if len(mats) != 12:
-        raise ValueError(f"g2 Weyl closure has order {len(mats)}, expected 12")
-    return mats
-
-
-def _gram(cs, K):
-    """Gram matrix of the rational coordinate vectors cs under the integer
-    form K, as Fractions."""
-    lc, C = scaled_ints(np.array([list(c) for c in cs], dtype=object))
-    return unscaled(int_matmul(int_matmul(C, K), C.T), lc * lc)
-
-
-def _inv2(G):
-    det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-    out = np.empty((2, 2), dtype=object)
-    out[0, 0] = G[1, 1] / det
-    out[1, 1] = G[0, 0] / det
-    out[0, 1] = -G[0, 1] / det
-    out[1, 0] = -G[1, 0] / det
-    return out
-
-
-def _mat_key(M):
-    return tuple(M.reshape(-1))
-
-
-_g2_weyl_cache = []
-
-
-def _g2_weyl(alg):
-    if not _g2_weyl_cache:
-        _g2_weyl_cache.extend(_g2_weyl_matrices(alg))
-    return list(_g2_weyl_cache)
+    The split part of g2 in so(3,4) is the plane x1 + x2 + x3 = 0 of the
+    three boost coordinates, and W(G2) acts on it as +-P, P a permutation of
+    the coordinates (Fulton-Harris, Representation Theory, 22.1-22.3;
+    Humphreys, Reflection Groups and Coxeter Groups, 2.10).  The Killing
+    form of g2 is a multiple of the dot product of boost coordinates, so the
+    rows X of boost coordinates of the Killing-orthogonal a-basis are
+    orthogonal, and w[i, j] = <X_i, P X_j> / |X_i|^2 (denominator 2)."""
+    _den, A = split_data(f.algebra).boosts
+    X = A[:, [0, 1, 2], [3, 4, 5]]  # boost i has entries (i, 3+i), (3+i, i)
+    norms = (X * X).sum(axis=1)[:, None]
+    return [
+        unscaled(s * X @ X[:, perm].T, 1) / norms
+        for s in (1, -1)
+        for perm in itertools.permutations(range(3))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +247,15 @@ class _FactorGroup:
     A classical factor of rank k is every permutation times every sign
     vector (even sign count for type D), permutation-major: element
     (perm, signs) is (w x)_i = signs[i] * x[perm[i]].  A g2 factor is its
-    twelve computed matrices, reduced mod p entrywise (a/b as a * b^-1).
+    twelve matrices from ``_g2_weyl``, reduced mod p entrywise (a/b as
+    a * b^-1).
     A factor the scan holds ``fixed`` is its identity alone."""
 
     def __init__(self, f: FactorSplit, fixed: bool = False):
         self.factor = f
         p = MODP_PRIME
         if fixed or f.root_type == "G":
-            self.mats = [_identity(f.rank)] if fixed else _g2_weyl(f.algebra)
+            self.mats = [_identity(f.rank)] if fixed else _g2_weyl(f)
             self.table = np.array(
                 [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
                   for row in M] for M in self.mats],
@@ -818,16 +717,10 @@ def chamber_sort(sd: SplitData, vec):
     for f in sd.factors:
         seg = out[f.offset : f.offset + f.rank]
         if f.root_type == "G":
-            best = None
-            for w in _g2_weyl(f.algebra):
-                cand = [
-                    sum(w[i, j] * Fraction(seg[j]) for j in range(2))
-                    for i in range(2)
-                ]
-                key = tuple(cand)
-                if best is None or key > best:
-                    best = key
-            seg = list(best)
+            seg = list(max(
+                tuple(sum(w[i, j] * seg[j] for j in range(2)) for i in range(2))
+                for w in _g2_weyl(f)
+            ))
         elif f.root_type == "D":
             mags = sorted((abs(x) for x in seg), reverse=True)
             neg = sum(1 for x in seg if x < 0)

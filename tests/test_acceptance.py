@@ -28,7 +28,7 @@ from ckforms.enumerate import (
     negative_sweep,
     verify_record,
 )
-from ckforms.exactlin import signature
+from ckforms.exactlin import signature, unscaled
 from ckforms.realforms import build_real_form, parse_form_name
 from ckforms.rootweyl import split_data
 
@@ -219,7 +219,8 @@ def _floats(m):
 
 def _sampler(alg):
     sd = split_data(alg)
-    a_mats = [_floats(A) for A in sd.a_matrices]
+    den, A = sd.boosts
+    a_mats = [_floats(M) for M in unscaled(A, den)]
     k_mats = [
         _floats(alg.matrix(np.array(row, dtype=object)))
         for row in alg.k_subspace().basis

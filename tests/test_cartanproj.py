@@ -23,7 +23,9 @@ from ckforms.cartanproj import (
 )
 from ckforms.cli import main
 from ckforms.embeddings import Embedding, adapted_split_part, product_algebra
-from ckforms.exactlin import Subspace, echelon_rows, int_matmul, scaled_ints
+from ckforms.exactlin import (
+    Subspace, echelon_rows, int_matmul, scaled_ints, unscaled,
+)
 from ckforms.realforms import build_real_form
 from ckforms.rootweyl import chamber_sort, split_data, weyl_elements
 
@@ -35,8 +37,9 @@ def _floats(m):
 def _boost(alg, coords):
     sd = split_data(alg)
     X = np.zeros((alg.n, alg.n))
-    for c, A in zip(coords, sd.a_matrices):
-        X += c * _floats(A)
+    den, A = sd.boosts
+    for c, M in zip(coords, unscaled(A, den)):
+        X += c * _floats(M)
     return X
 
 

@@ -37,11 +37,20 @@ def test_missing_subcommand_is_a_usage_error():
     assert run().returncode == 2
 
 
-def test_verify_standard_triple_exits_zero():
-    r = run("verify", "--triple", "so(4,4):so(3,4)@spin+so(1,4)@block")
+@pytest.mark.parametrize(
+    "triple,order",
+    [
+        ("so(4,4):so(3,4)@spin+so(1,4)@block", 192),
+        ("g2(2)xg2(2):g2(2)x0+delta(g2(2))", 144),
+        ("g2(2)xg2(2):delta(g2(2))+g2(2)x0", 144),
+    ],
+)
+def test_verify_standard_triple_exits_zero(triple, order):
+    r = run("verify", "--triple", triple)
     assert r.returncode == 0
     text = r.stdout.decode()
     assert "[ok] sum g = h + l (rank 28/28" in text
+    assert f"[ok] Weyl-orbit disjointness: disjoint (group order {order})" in text
     assert text.rstrip().endswith("verdict: standard compact form")
 
 

@@ -30,7 +30,7 @@ from ckforms.embeddings import (
 from ckforms.enumerate import GenerationSpec, generate
 from ckforms.exactlin import (
     CoordinateSolver, InternalError, embed_block, fzeros, primitive_vector,
-    scaled_ints,
+    scaled_ints, unscaled,
 )
 from ckforms.rootweyl import FactorSplit, _gram, split_data
 from test_embeddings import CATALOG_KEYS
@@ -85,15 +85,21 @@ def _ref_apply(source, images, M):
     return out
 
 
+def _boost_matrices(sd):
+    """The a-basis of split data as Fraction matrices."""
+    den, A = sd.boosts
+    return unscaled(A, den)
+
+
 def _ref_a_map(emb, images):
     sd_src, sd_tgt = split_data(emb.source), split_data(emb.target)
     flat = np.array(
-        [np.asarray(A, dtype=object).reshape(-1) for A in sd_tgt.a_matrices],
+        [np.asarray(A, dtype=object).reshape(-1) for A in _boost_matrices(sd_tgt)],
         dtype=object,
     )
     solver = CoordinateSolver(flat)
     rows = []
-    for A in sd_src.a_matrices:
+    for A in _boost_matrices(sd_src):
         img = _ref_apply(emb.source, images, A)
         c = solver.try_coords(np.asarray(img, dtype=object).reshape(-1))
         assert c is not None
@@ -102,7 +108,7 @@ def _ref_a_map(emb, images):
 
 
 def _ref_split_data(g):
-    """(a_matrices, factors, gram, boosts) of g, each factor's boost
+    """(boost matrices, factors, gram, boosts) of g, each factor's boost
     coordinates, Killing Gram and orthogonalization recomputed in place."""
     factors, a_mats, gram_diag = [], [], []
     for alg, _coff, boff in g.factors:
@@ -205,7 +211,7 @@ def _assert_matches_reference(emb, images):
     assert scale > 0 and (rows == scale * ref).all()
     assert all(type(x) is int for x in rows.flat)
     # apply on the boosts, the compact basis and a sum of basis elements
-    mats = list(split_data(src).a_matrices)
+    mats = list(_boost_matrices(split_data(src)))
     mats += [src.matrix(row) for row in src.k_subspace().basis]
     mats.append(sum(src.basis[1:], src.basis[0]))
     for M in mats:
@@ -265,8 +271,7 @@ def test_product_split_data_matches_the_reference(product_keys):
     for g in products:
         sd = split_data(g)
         a_mats, factors, gram, (den, A) = _ref_split_data(g)
-        _assert_equal(sd.a_matrices, a_mats)
-        _assert_plain_fractions(np.array(sd.a_matrices))
+        _assert_equal(_boost_matrices(sd), a_mats)
         assert sd.factors == factors
         _assert_equal(sd.gram, gram)
         _assert_plain_fractions(sd.gram)

@@ -86,18 +86,46 @@ def test_signed_permutations_refuse_early():
         signed_permutations(split_data(build_real_form("g2(2)")))
 
 
-def test_g2_weyl_group_is_dihedral_of_order_twelve():
-    from ckforms.realforms import build_real_form
-
-    sd = split_data(build_real_form("g2(2)"))
+@pytest.mark.parametrize(
+    "key", ["so(2,3)", "so(4,4)", "su(2,2)", "su(1,2)", "g2(2)"]
+)  # root types B, D, C, BC and G
+def test_weyl_group_is_a_closed_group_of_gram_isometries(key):
+    sd = split_data(build_real_form(key))
     mats = list(weyl_elements(sd))
-    assert len(mats) == 12
-    # closure under multiplication
-    key = lambda m: tuple(tuple(x for x in row) for row in m)
-    have = {key(m) for m in mats}
-    for a in mats[:4]:
-        for b in mats:
-            assert key(a @ b) in have
+    assert len(mats) == weyl_order(sd)
+    for w in mats:
+        assert (w.T @ sd.gram @ w == sd.gram).all()
+    # closure under multiplication, on twice the matrices (entries in Z/2)
+    assert all((2 * x).denominator == 1 for w in mats for x in w.flat)
+    twice = np.array([[[int(2 * x) for x in row] for row in w] for w in mats])
+    have = {m.tobytes() for m in twice}
+    assert len(have) == len(mats)
+    products = np.einsum("aij,bjk->abik", twice, twice) // 2
+    assert all(m.tobytes() in have for m in products.reshape(-1, sd.rank, sd.rank))
+
+
+def test_g2_weyl_group_swaps_two_boost_coordinates():
+    # the permutation (0 1) of so(3,4)'s boost coordinates, as conjugation
+    # of each boost by the permutation matrix of coordinates 0 <-> 1, 3 <-> 4
+    sd = split_data(build_real_form("g2(2)"))
+    _den, A = sd.boosts
+    Q = np.eye(7, dtype=object)[[1, 0, 2, 4, 3, 5, 6]]
+    swap = np.array(
+        [list(sd.solver.coords((Q @ B @ Q.T).reshape(-1))) for B in A]
+    ).T
+    assert any((w == swap).all() for w in weyl_elements(sd))
+
+
+def test_g2_lines_related_by_a_coordinate_swap_are_a_hit():
+    sd = split_data(build_real_form("g2(2)"))
+    V_h = Subspace.from_rows(fmat([[1, 1]]), 2)
+    V_l = Subspace.from_rows(fmat([[1, -1]]), 2)
+    ok, (w, v) = weyl_disjoint(sd, V_h, V_l)
+    assert not ok
+    assert any((w == m).all() for m in weyl_elements(sd))
+    assert any(x != 0 for x in v)
+    assert V_l.contains(v)
+    assert Subspace.from_rows(V_h.matrix() @ w.T, 2).contains(v)
 
 
 def test_chamber_sort_is_a_weyl_representative(so44):
@@ -115,15 +143,24 @@ def test_chamber_sort_fixes_already_sorted_vectors(so34):
     assert list(chamber_sort(sd, [4, 2, -1])) == [4, 2, 1]
 
 
-def test_chamber_sort_is_invariant_on_weyl_orbits(so44):
-    sd = split_data(so44)
+@pytest.mark.parametrize(
+    "key,x", [("so(4,4)", [7, 5, 2, 1]), ("g2(2)", [0, 1])], ids=["so(4,4)", "g2(2)"]
+)
+def test_chamber_sort_is_invariant_on_weyl_orbits(key, x):
+    sd = split_data(build_real_form(key))
     rng = np.random.default_rng(13)
     mats = list(weyl_elements(sd))
-    x = fvec([7, 5, 2, 1])
+    x = fvec(x)
     ref = list(chamber_sort(sd, x))
+    # the representative keeps the Killing norm (48 for g2's [0, 1])
+    assert fvec(ref) @ sd.gram @ fvec(ref) == x @ sd.gram @ x
     for idx in rng.integers(0, len(mats), size=12):
         moved = mats[idx] @ x
         assert list(chamber_sort(sd, moved)) == ref
+    # float input stays float
+    got = chamber_sort(sd, [float(t) for t in x])
+    assert all(type(t) is float for t in got)
+    assert got == [float(t) for t in ref]
 
 
 def test_disjointness_of_the_frozen_decomposition_pair(so44):
@@ -672,6 +709,8 @@ def test_split_data_reads_the_boosts_in_one_batch():
     for alg in forms.values():
         sd = split_data(alg)
         a_mats, gram_diag = _split_reference(alg)
-        assert all(np.array_equal(a, b) for a, b in zip(sd.a_matrices, a_mats))
-        assert len(sd.a_matrices) == len(a_mats)
+        den, A = sd.boosts
+        mats = unscaled(A, den)
+        assert all(np.array_equal(a, b) for a, b in zip(mats, a_mats))
+        assert len(mats) == len(a_mats)
         assert list(np.diagonal(sd.gram)) == gram_diag
