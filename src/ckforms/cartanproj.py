@@ -11,29 +11,33 @@ floating eigensolver.  Group elements are materialized only for the small
 radius cross-check subset, where the eigenvalue path is verified against the
 analytic value.
 
-The sampler works in shards of 1,024 samples, each with its own spawned
-seed, in two phases.  Phase 1 makes the RNG draws in three bulk calls, in
-this order: ``standard_normal((count, rank))`` for the directions,
+The sampler works in shards of ``_SHARD`` = 1,024 samples, each with its
+own spawned seed, in two phases.  Phase 1 makes the RNG draws in three bulk
+calls, in this order: ``standard_normal((count, rank))`` for the directions,
 ``random(count)`` for the log-radii (radius = exp(50 u) by ``math.exp``:
 NumPy's SIMD ``exp`` may round differently on another host), and one
 ``standard_normal((checked, 2 * kdim))`` for the cross-checked samples, each
 row holding per part the left, then the right compact coefficients.  Phase 2
-does the arithmetic on whole arrays: row norms, the boost maps, a row-wise
-chamber sort (only B, C, BC and D factors occur: ``gap_experiment`` refuses
-any ambient that is not indefinite-orthogonal), and the cross-check.  It
-builds each checked group element one ambient factor block at a time, from
-closed-form exponentials: a part's boost images commute, so exp(X) =
-V diag(e^(x lam)) V^T on one joint eigenbasis found once, and a skew compact
-image K, which lies in so(p) + so(q), has exp(K) = cos W + K sinc W with
-W^2 = -K K, one real ``eigh`` on each of those diagonal blocks; ``eigvalsh``
-and ``det`` then read mu off each factor block.  Distances to the translate
-union are taken over bounded chunks of samples, the projections summed over
-the nonzero basis entries in the order of the ``einsum`` they replace (not
-by BLAS, whose blocked sums round differently).  A bulk draw has the bytes
-of the same draws made one at a time, and every float operation is the
-per-sample one applied row-wise, so a report is bit-identical to that of a
-loop over samples, as ``test_batched_shard_matches_the_per_sample_loop``
-checks.
+does the arithmetic on whole arrays: per shard, row norms, the boost maps and
+a row-wise chamber sort (only B, C, BC and D factors occur:
+``gap_experiment`` refuses any ambient that is not indefinite-orthogonal);
+then the cross-check, once over the checked samples of all shards, pooled
+and cut into chunks of at most ``_SHARD`` rows (a few NumPy calls per chunk,
+not per shard, with bounded temporaries).  It builds each checked group
+element one ambient factor block at a time, from closed-form exponentials: a
+part's boost images commute, so exp(X) = V diag(e^(x lam)) V^T on one joint
+eigenbasis found once, and a skew compact image K, which lies in
+so(p) + so(q), has exp(K) = cos W + K sinc W with W^2 = -K K, one real
+``eigh`` on each of those diagonal blocks; ``eigvalsh`` and ``det`` then read
+mu off each factor block.  Distances to the translate union are taken over
+bounded chunks of samples, the projections summed over the nonzero basis
+entries in the order of the ``einsum`` they replace (not by BLAS, whose
+blocked sums round differently).  A bulk draw has the bytes of the same draws
+made one at a time, and every float operation is the per-sample one applied
+row-wise (each LAPACK call works on one matrix at a time), so a report is
+bit-identical to that of a loop over samples, however the checked rows are
+grouped, as ``test_batched_shard_matches_the_per_sample_loop`` and
+``test_pooled_cross_check_equals_the_per_shard_one`` check.
 """
 from __future__ import annotations
 
@@ -73,6 +77,7 @@ _CONSISTENCY_RADIUS = 5.0
 _CONSISTENCY_TOL = 1e-6
 _REL_CLAMP = 1e-9
 _DIST_CHUNK = 4096
+_SHARD = 1024  # samples per spawned seed, and checked rows per cross-check
 
 
 class GapSpaceError(KeyError):
@@ -397,9 +402,10 @@ def _part_data(sp: GapSpace):
 
 
 def _run_shard(sp: GapSpace, seed_seq, count: int):
-    """mu of ``count`` samples, the number of them cross-checked and the
-    worst cross-check error: three bulk draws, then the arithmetic on whole
-    arrays (see the module docstring)."""
+    """mu of ``count`` samples, then the rows of the samples to cross-check:
+    their boost coefficients ``X``, compact coefficients ``co`` and exact mu.
+    Three bulk draws, then the arithmetic on whole arrays (see the module
+    docstring); the cross-check itself is ``gap_experiment``'s."""
     rng = np.random.default_rng(seed_seq)
     parts = _part_data(sp)
     ranks = [p["a_map"].shape[0] for p in parts]
@@ -413,10 +419,7 @@ def _run_shard(sp: GapSpace, seed_seq, count: int):
     U /= _row_norms(U)[:, None]
     X = radius[:, None] * U
     mus = _chamber_rows(sp.sd, _boost_coords(parts, ranks, X))
-    if not checked:
-        return mus, 0, 0.0
-    worst = _consistency_error(sp, parts, ranks, X[small], co, mus[small])
-    return mus, checked, worst
+    return mus, X[small], co, mus[small]
 
 
 def _row_norms(U):
@@ -501,12 +504,18 @@ def _group_blocks(sp, parts, ranks, X, co):
 
 def _consistency_error(sp, parts, ranks, X, co, mu_exact):
     """The worst distance between the eigenvalue route on the checked
-    samples' group elements and mu_exact."""
+    samples' group elements and mu_exact; InternalError if one of those
+    elements fails the form test."""
     blocks = _group_blocks(sp, parts, ranks, X, co)
-    mu_num = np.concatenate(
-        [_factor_mu(M, p, q) for (p, q), M in zip(_so_infos(sp.algebra), blocks)],
-        axis=1,
-    )
+    try:
+        mu_num = np.concatenate(
+            [_factor_mu(M, p, q) for (p, q), M in zip(_so_infos(sp.algebra), blocks)],
+            axis=1,
+        )
+    except ValueError as exc:  # a group element built here, not the user's
+        raise InternalError(
+            "cartanproj.gap_experiment", f"cross-checked group element: {exc}"
+        ) from exc
     return float(np.abs(mu_num - mu_exact).max())
 
 
@@ -543,15 +552,25 @@ def gap_experiment(space: str, samples: int, seed: int) -> GapReport:
     sp = _get_space(space)
     _so_infos(sp.algebra)  # the row-wise chamber sort knows no G factor
     _union_tensor(sp)
-    _part_data(sp)
-    shard = 1024
-    nsh = -(-samples // shard)
-    sizes = [shard] * (nsh - 1) + [samples - shard * (nsh - 1)]
-    seqs = np.random.SeedSequence(seed).spawn(nsh)
-    results = [_run_shard(sp, sq, c) for sq, c in zip(seqs, sizes)]
-    mus = np.concatenate([r[0] for r in results], axis=0)
-    checked = sum(r[1] for r in results)
-    worst = max(r[2] for r in results)
+    parts = _part_data(sp)
+    ranks = [p["a_map"].shape[0] for p in parts]
+    seqs = np.random.SeedSequence(seed).spawn(-(-samples // _SHARD))
+    mus = np.empty((samples, sp.sd.rank))
+    rows = []
+    for lo, sq in zip(range(0, samples, _SHARD), seqs):
+        shard = _run_shard(sp, sq, min(_SHARD, samples - lo))
+        mus[lo : lo + _SHARD] = shard[0]
+        rows.append(shard[1:])
+    X, co, mu_exact = (np.concatenate(r) for r in zip(*rows))
+    checked = len(X)
+    worst = max(
+        (
+            _consistency_error(sp, parts, ranks, X[s : s + _SHARD],
+                               co[s : s + _SHARD], mu_exact[s : s + _SHARD])
+            for s in range(0, checked, _SHARD)
+        ),
+        default=0.0,
+    )
     if worst > _CONSISTENCY_TOL:
         raise InternalError(
             "cartanproj.gap_experiment",

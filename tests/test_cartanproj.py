@@ -332,15 +332,26 @@ def _per_sample_shard(sp, seed_seq, count):
     return mus, checked, worst
 
 
+def _shard_error(sp, X, co, mu_exact):
+    """The cross-check of one shard's checked rows on their own, as the
+    sampler ran it before the checked rows of all shards were pooled."""
+    if not len(X):
+        return 0.0
+    parts = cartanproj._part_data(sp)
+    ranks = [p["a_map"].shape[0] for p in parts]
+    return cartanproj._consistency_error(sp, parts, ranks, X, co, mu_exact)
+
+
 @pytest.mark.parametrize("space", gap_space_keys())
 def test_batched_shard_matches_the_per_sample_loop(space, monkeypatch):
     sp = cartanproj._get_space(space)
     seqs = np.random.SeedSequence(2024).spawn(3)
     got = [cartanproj._run_shard(sp, sq, 700) for sq in seqs]
     want = [_per_sample_shard(sp, sq, 700) for sq in seqs]
-    for (mus, checked, worst), (mus0, checked0, worst0) in zip(got, want):
+    for (mus, X, co, mu_exact), (mus0, checked0, worst0) in zip(got, want):
         assert mus.tobytes() == mus0.tobytes()
-        assert (checked, repr(worst)) == (checked0, repr(worst0))
+        worst = _shard_error(sp, X, co, mu_exact)
+        assert (len(X), repr(worst)) == (checked0, repr(worst0))
     assert sum(w[1] for w in want) > 0
     # distances in chunks, with a short last one, equal one whole-array pass
     mus = np.concatenate([g[0] for g in got])
@@ -384,15 +395,57 @@ def test_run_shard_makes_exactly_the_three_bulk_draws(space, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     seed_seq = np.random.SeedSequence(2026)
-    _mus, checked, _worst = cartanproj._run_shard(sp, seed_seq, 1024)
+    mus, X, co, mu_exact = cartanproj._run_shard(sp, seed_seq, 1024)
     monkeypatch.undo()
     rng = np.random.default_rng(seed_seq)
     rng.standard_normal((1024, rank))
-    small = sum(math.exp(50.0 * u) <= 5.0 for u in rng.random(1024))
-    rng.standard_normal((small, 2 * kdims))
-    assert checked == small > 0
+    radii = np.array([math.exp(50.0 * u) for u in rng.random(1024)])
+    small = radii <= 5.0
+    want_co = rng.standard_normal((np.count_nonzero(small), 2 * kdims))
+    assert len(X) == np.count_nonzero(small) > 0
+    assert co.tobytes() == want_co.tobytes()
+    assert mu_exact.tobytes() == mus[small].tobytes()
+    assert X.shape == (len(X), rank)
     assert len(used) == 1
     assert used[0].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "space,samples,seed",
+    [(space, 40000, 3) for space in gap_space_keys()]
+    + [("so44xso24-delta", 1, 0)],  # one sample, none of them checked
+)
+def test_pooled_cross_check_equals_the_per_shard_one(space, samples, seed,
+                                                     monkeypatch):
+    sp = cartanproj._get_space(space)
+    seqs = np.random.SeedSequence(seed).spawn(-(-samples // 1024))
+    mus, checked, worst = [], 0, 0.0
+    for lo, sq in zip(range(0, samples, 1024), seqs):
+        shard_mus, X, co, mu_exact = cartanproj._run_shard(sp, sq, min(1024, samples - lo))
+        mus.append(shard_mus)
+        checked += len(X)
+        worst = max(worst, _shard_error(sp, X, co, mu_exact))
+    chunks, seen_mus = [], []
+    pooled, distances = cartanproj._consistency_error, cartanproj._union_distances
+
+    def recording(sp, parts, ranks, X, co, mu_exact):
+        chunks.append(len(X))
+        return pooled(sp, parts, ranks, X, co, mu_exact)
+
+    def recording_distances(sp, mus):
+        seen_mus.append(mus.copy())
+        return distances(sp, mus)
+
+    monkeypatch.setattr(cartanproj, "_consistency_error", recording)
+    monkeypatch.setattr(cartanproj, "_union_distances", recording_distances)
+    report = gap_experiment(space, samples, seed)
+    assert (report.checked, repr(report.check_error)) == (checked, repr(worst))
+    # the shards' mu, written into one preallocated array
+    assert [m.tobytes() for m in seen_mus] == [np.concatenate(mus).tobytes()]
+    # the checked rows of all shards, in chunks of 1,024 and a short last one
+    full, rest = divmod(checked, 1024)
+    assert chunks == [1024] * full + ([rest] if rest else [])
+    assert samples == 1 or checked > 1024
 
 
 def _einsum_distances(sp, mus):

@@ -107,6 +107,30 @@ def test_gap_cross_check_failure_exits_three(monkeypatch, capsys):
     )
 
 
+def test_gap_form_test_failure_exits_three(monkeypatch, capsys):
+    import ckforms.cartanproj as cartanproj
+    from ckforms.cli import main
+
+    # a cross-checked group element that leaves the group: the program's
+    # fault, not a bad request
+    group_blocks = cartanproj._group_blocks
+
+    def scaled(*args):
+        blocks = group_blocks(*args)
+        blocks[0] = blocks[0] * 1.01
+        return blocks
+
+    monkeypatch.setattr(cartanproj, "_group_blocks", scaled)
+    argv = ["gap", "--space", "so44xso24-delta", "--samples", "2000"]
+    assert main(argv + ["--seed", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: internal error in cartanproj.gap_experiment: cross-checked "
+        "group element: matrix does not preserve the indefinite form\n"
+    )
+
+
 def test_closure_failure_exits_three(monkeypatch, capsys):
     import numpy as np
 

@@ -104,6 +104,47 @@ def test_weyl_group_is_a_closed_group_of_gram_isometries(key):
     assert all(m.tobytes() in have for m in products.reshape(-1, sd.rank, sd.rank))
 
 
+def _restricted_roots(sd):
+    """The restricted roots as exact rows (alpha(A_1), ..., alpha(A_r)) on
+    the a-basis A of sd: the nonzero joint eigenvalues of ad(A_i) on g, read
+    in floats on one eigenbasis of a generic combination and rounded to
+    their small denominators."""
+    alg = sd.algebra
+    den, A = sd.boosts
+    B = alg.stack.astype(object)
+    ads = []
+    for a in A:
+        N, L = alg.read_coords(np.array([a @ b - b @ a for b in B]))
+        ads.append(np.array(N, dtype=float).T / (L * den))
+    # the powers of pi keep distinct roots apart on the combination
+    _vals, V = np.linalg.eig(sum(np.pi**-i * ad for i, ad in enumerate(ads)))
+    Vinv = np.linalg.inv(V)
+    joint = np.array([np.diagonal(Vinv @ ad @ V) for ad in ads]).T
+    assert np.abs(joint.imag).max() < 1e-9
+    roots = set()
+    for row in joint.real:
+        exact = tuple(Fraction(x).limit_denominator(12) for x in row)
+        assert all(abs(x - float(e)) < 1e-9 for x, e in zip(row, exact))
+        if any(exact):
+            roots.add(exact)
+    return roots
+
+
+@pytest.mark.parametrize(
+    "key,count",
+    [("so(2,3)", 8), ("so(4,4)", 24), ("su(2,2)", 8), ("su(1,2)", 4),
+     ("g2(2)", 12)],
+)  # root types B, D, C, BC and G
+def test_weyl_group_permutes_the_restricted_roots(key, count):
+    sd = split_data(build_real_form(key))
+    roots = _restricted_roots(sd)
+    assert len(roots) == count
+    rows = np.array(sorted(roots), dtype=object)
+    for w in weyl_elements(sd):
+        # alpha o w, for alpha o w (x) = alpha(w x)
+        assert set(map(tuple, rows @ w)) == roots
+
+
 def test_g2_weyl_group_swaps_two_boost_coordinates():
     # the permutation (0 1) of so(3,4)'s boost coordinates, as conjugation
     # of each boost by the permutation matrix of coordinates 0 <-> 1, 3 <-> 4
