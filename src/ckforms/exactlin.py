@@ -4,28 +4,25 @@ signatures of symmetric forms.
 Rational matrices are 2-D numpy arrays with ``fractions.Fraction`` entries
 (dtype object); integer ones hold Python ints (dtype object) or int64 under
 an explicit bound.  Every verdict-facing computation here is tolerance-free;
-floating point never enters this module.  Elimination and products run on
-Python ints after scaling by common denominators (``scaled_ints``); the
-eliminations (``rank``, ``kernel``, ``rref``, ``reduce_modp``) take an
-integer matrix as one copy to Python ints and scale a rational one row by
-row (``_int_rows``).
+floating point never enters this module.  Products run on Python ints after
+scaling by common denominators (``scaled_ints``).
 
-A ``Subspace`` is a tuple of independent primitive integer rows
-(``primitive_rows``: content divided out, leading entry positive), and
-``kernel`` returns primitive integer vectors read from the fraction-free
-elimination, so ``intersect`` runs on integers throughout: one kernel, one
-integer product and one ``from_rows``.
-
-The mod-p rank certificate has one eliminator, ``rank_modp``, which takes an
-int64 matrix or a stack of them (the Weyl-orbit scan certifies a whole chunk
-of group elements in one call).  ``rank_at_least_modp`` accepts any rational
-matrix: it scales each row to integers and reduces the entries mod p on
-Python ints before the int64 cast, so entries of any size are accepted.
+Every elimination is one sparse row reducer, ``_reduce``, on the integer
+rows of a matrix as ``{column: int}`` dicts (``_sparse_rows``).  ``rank``,
+``kernel``, ``rref``, ``echelon_rows`` and ``CoordinateSolver`` read their
+results off its reduced rows; ``Subspace.from_rows`` keeps the rows that add
+a pivot.  A ``Subspace`` is a tuple of independent primitive integer rows
+(content divided out, leading entry positive) and ``kernel`` returns
+primitive integer vectors, so ``intersect`` runs on integers throughout.
+``rank_at_least_modp`` runs the same reducer mod p; ``rank_modp`` is its
+NumPy form for the Weyl-orbit scan's stacks of small dense matrices.
+``signature`` is a fraction-free symmetric elimination on Python ints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -110,8 +107,9 @@ def _all_int(M) -> bool:
 
 def scaled_ints(M):
     """(L, N) with N an object array of Python ints and M = N / L exactly;
-    L is the lcm of the entry denominators."""
-    M = np.asarray(M)
+    L is the lcm of the entry denominators.  A nested list is read as
+    objects (NumPy would read big ints beside negative ones as floats)."""
+    M = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
     if M.dtype.kind in "iu":
         return 1, M.astype(object)
     if _all_int(M):
@@ -188,43 +186,120 @@ def fvec(entries) -> np.ndarray:
     return fmat([entries])[0]
 
 
-def _as_frac_array(m) -> RationalMatrix:
-    if isinstance(m, np.ndarray) and m.dtype == object:
-        return m
-    return fmat(m)
+def _sparse_rows(m):
+    """(rows, n): the rows of a rational matrix (or nested list) as
+    ``{column: int}`` dicts of their nonzero entries, and its column count.
+    Integer entries are read as Python ints; a row with other entries is
+    scaled by the lcm of its own denominators."""
+    A = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
+    rows = [dict(compress(enumerate(r), r)) for r in A.tolist()]
+    values = chain.from_iterable(map(dict.values, rows))
+    if A.dtype.kind not in "iu" and not set(map(type, values)) <= {int}:
+        rows = list(map(_scaled, rows))
+    return rows, A.shape[1] if A.ndim == 2 else 0
 
 
-def _as_array(m) -> np.ndarray:
-    """An ndarray as is; any other nested iterable through ``fmat``."""
-    return m if isinstance(m, np.ndarray) else fmat(m)
+def _scaled(row: dict) -> dict:
+    """A sparse rational row times the lcm of its denominators."""
+    values = np.array(list(row.values()), dtype=object)
+    return dict(zip(row, scaled_ints(values)[1].tolist()))
 
 
-def _int_rows(A) -> list:
-    """The rows of a 2-D rational array as Python-int object rows, made once
-    per matrix: an integer dtype or an all-int object array (one ``_all_int``
-    for the whole matrix) is copied to Python ints; any other matrix scales
-    each row by the lcm of its own denominators (``scaled_ints``)."""
-    if A.dtype.kind in "iu" or _all_int(A):
-        return list(A.astype(object))
-    return [scaled_ints(row)[1] for row in A]
+def _dense(rows, n: int) -> np.ndarray:
+    """Sparse rows as an (len(rows), n) object array of Python ints."""
+    out = np.zeros(len(rows) * n, dtype=object)
+    out[[i * n + j for i, r in enumerate(rows) for j in r]] = [
+        x for r in rows for x in r.values()
+    ]
+    return out.reshape(len(rows), n)
+
+
+def _combine(row: dict, piv: dict, c: int, p: int) -> dict:
+    """``a * row - b * piv`` with a = piv[c], b = row[c], which clears column
+    c of row; over the integers (p = 0) a and b lose their gcd first and the
+    result is made primitive, mod p its entries are reduced to [0, p)."""
+    a, b = piv[c], row[c]
+    if not p:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+    out = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+    for k, y in piv.items():
+        v = out.get(k, 0) - b * y
+        if p:
+            v %= p
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out if p else _primitive(out)
+
+
+def _primitive(row: dict) -> dict:
+    """A sparse integer row divided by its content, leading entry positive
+    (an empty row stays empty)."""
+    g = gcd(*row.values())
+    if row and row[min(row)] < 0:
+        g = -g
+    return {k: x // g for k, x in row.items()} if g not in (0, 1) else row
+
+
+def _reduce(rows, stop: int, p: int = 0):
+    """Gauss-Jordan elimination of ``{column: int}`` rows without zero entries
+    (in [1, p) when p > 0), one row at a time: a row is reduced against the
+    pivot rows (``_combine``), and if anything is left its leading column
+    becomes a pivot that is cleared from the other pivot rows.  Stops once
+    ``stop`` pivots are found.  Returns ``(pivots, kept)``: pivot column ->
+    pivot row, and the indices of the rows that added a pivot.  Over the
+    integers the pivot rows are primitive with positive pivots: the unique
+    such multiples of the reduced row echelon form's rows."""
+    pivots, kept = {}, []
+    for i, row in enumerate(rows):
+        for c in [c for c in row if c in pivots]:
+            row = _combine(row, pivots[c], c, p)
+        if not row:
+            continue
+        c = min(row)
+        row = row if p else _primitive(row)
+        for pc, prow in pivots.items():
+            if c in prow:
+                pivots[pc] = _combine(prow, row, c, p)
+        pivots[c] = row
+        kept.append(i)
+        if len(kept) >= stop:
+            break
+    return pivots, kept
+
+
+def _pivot_rows(m):
+    """(sorted pivot columns, pivot column -> pivot row, column count) of
+    the exact elimination of a rational matrix."""
+    rows, n = _sparse_rows(m)
+    pivots = _reduce(rows, n)[0]
+    return sorted(pivots), pivots, n
 
 
 def rank(m) -> int:
-    """Exact rank over the rationals (``_rref_ints`` on integer rows)."""
-    return len(_rref_ints(_int_rows(_as_array(m))))
+    """Exact rank over the rationals (``_reduce`` on integer rows)."""
+    return len(_pivot_rows(m)[0])
 
 
 def reduce_modp(m, p: int = MODP_PRIME) -> np.ndarray:
-    """The integer rows of a rational matrix (``_int_rows``) reduced mod p on
-    Python ints; returns an int64 array for ``rank_modp``."""
-    rows = _int_rows(_as_array(m))
-    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    """The integer rows of a rational matrix (``_sparse_rows``) reduced mod p
+    on Python ints; returns an int64 array for ``rank_modp``."""
+    rows, n = _sparse_rows(m)
+    rows = [{j: x % p for j, x in r.items()} for r in rows]
+    return _dense(rows, n).astype(np.int64)
 
 
 def rank_modp(M: np.ndarray, target: int, p: int = MODP_PRIME):
     """Certify rank(M) >= target by elimination mod p, for one int64 matrix
     (returns a bool) or a stack ``(..., rows, cols)`` of them (returns one
     bool per matrix).
+
+    This is the certificate of ``rank_at_least_modp`` in NumPy form, kept for
+    the Weyl-orbit scan alone: its traffic is thousands of dense matrices of
+    at most 4 x 4 per call, which one vectorized pass over the stack
+    eliminates faster than a per-row Python loop can.
 
     Fraction-free, row by row: the first nonzero entry of each row is its
     pivot and clears its column from the rows below (row <- pivot * row -
@@ -258,92 +333,60 @@ def rank_modp(M: np.ndarray, target: int, p: int = MODP_PRIME):
 
 
 def rank_at_least_modp(m, target: int, p: int = MODP_PRIME) -> bool:
-    """``rank_modp`` for any rational matrix (see ``reduce_modp``)."""
-    if not len(m):
-        return target <= 0
-    return rank_modp(reduce_modp(m, p), target, p)
-
-
-def _rref_ints(M) -> list:
-    """Fraction-free Gauss-Jordan elimination, in place, on a list of
-    Python-int rows (object arrays), each kept primitive.  Returns the pivot
-    columns; row i of the RREF is M[i] / M[i][pivots[i]]."""
-    rows = len(M)
-    piv_cols = []
-    for c in range(len(M[0]) if rows else 0):
-        r = len(piv_cols)
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        top = M[r]
-        a = top[c]
-        for i in range(rows):
-            b = M[i][c]
-            if i != r and b:
-                g = gcd(a, b)
-                row = (a // g) * M[i] - (b // g) * top
-                M[i] = row // (gcd(*row) or 1)
-        piv_cols.append(c)
-        if r + 1 == rows:
-            break
-    return piv_cols
+    """Certify rank(m) >= target for any rational matrix: its integer rows
+    (``_sparse_rows``) are reduced mod p on Python ints and eliminated by
+    ``_reduce`` mod p, which stops at ``target`` pivots.  A shortfall proves
+    nothing."""
+    rows = [{j: y for j, x in r.items() if (y := x % p)}
+            for r in _sparse_rows(m)[0]]
+    return len(_reduce(rows, target, p)[1]) >= target
 
 
 def rref(m):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
-
-    The elimination runs on rows scaled to integers (``_rref_ints``); the
-    RREF is unique, so R is the exact one."""
-    A = _as_array(m)
-    M = _int_rows(A)
-    piv_cols = _rref_ints(M)
-    R = fzeros(A.shape)
-    for i, c in enumerate(piv_cols):
-        R[i] = [Fraction(x, M[i][c]) for x in M[i]]
-    return R, piv_cols
+    """Reduced row echelon form.  Returns (R, pivot_columns), read off the
+    pivot rows of ``_reduce``; the RREF is unique, so R is the exact one."""
+    cols, pivots, n = _pivot_rows(m)
+    R = fzeros((len(m), n))
+    for i, c in enumerate(cols):
+        a = pivots[c][c]
+        for j, x in pivots[c].items():
+            R[i, j] = Fraction(x, a)
+    return R, cols
 
 
 def kernel(m) -> list[np.ndarray]:
     """Basis of the right kernel {x : m x = 0}, exact: one primitive integer
     vector (object array of Python ints) per free column, the positive
     multiple of the RREF kernel vector whose free entry is 1.  It is read
-    from the fraction-free elimination: the free entry is the lcm of the
+    off the pivot rows of ``_reduce``: the free entry is the lcm of the
     pivots, then the positive content is divided out."""
-    A = _as_array(m)
-    cols = A.shape[1]
-    M = _int_rows(A)
-    piv_cols = _rref_ints(M)
-    L = lcm(*[M[i][c] for i, c in enumerate(piv_cols)])
-    out = []
-    for fc in (c for c in range(cols) if c not in piv_cols):
-        v = np.zeros(cols, dtype=object)
-        v[fc] = L
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -M[i][fc] * (L // M[i][pc])
-        out.append(v // gcd(*v))
-    return out
+    cols, pivots, n = _pivot_rows(m)
+    free = [c for c in range(n) if c not in pivots]
+    L = lcm(*[pivots[c][c] for c in cols])
+    K = np.zeros((len(free), n), dtype=object)
+    K[range(len(free)), free] = L
+    at = {c: i for i, c in enumerate(free)}
+    for pc in cols:
+        s = L // pivots[pc][pc]
+        for c, x in pivots[pc].items():
+            if c != pc:
+                K[at[c], pc] = -x * s
+    return [v // gcd(*v) for v in K]
 
 
 def primitive_rows(rows) -> np.ndarray:
     """Each rational or integer row scaled to its primitive integer multiple
     (denominators cleared, content divided out, leading entry positive; a
     zero row stays zero), stacked as an object array of Python ints."""
-    out = []
-    for row in rows:
-        _l, ints = scaled_ints(row)
-        g = gcd(*ints)
-        if next((x for x in ints if x), 0) < 0:
-            g = -g
-        out.append(ints // g if g else ints)
-    return np.array(out, dtype=object)
+    rows, n = _sparse_rows(rows)
+    return _dense(list(map(_primitive, rows)), n)
 
 
 def echelon_rows(rows) -> np.ndarray:
     """The primitive rows of the reduced row echelon form of integer rows,
     each pivot positive: one canonical integer basis per row space."""
-    M = list(np.asarray(rows, dtype=object))
-    return primitive_rows(M[: len(_rref_ints(M))])
+    cols, pivots, n = _pivot_rows(rows)
+    return _dense([pivots[c] for c in cols], n)
 
 
 @dataclass(frozen=True)
@@ -358,16 +401,14 @@ class Subspace:
     def from_rows(rows, ambient_dim: int | None = None) -> "Subspace":
         """The span of rational or integer rows: each row is made primitive
         (``primitive_rows``) and the first-seen independent rows are kept."""
-        P = primitive_rows(rows)
+        P, n = _sparse_rows(rows)
         if ambient_dim is None:
-            if not len(P):
+            if not P:
                 raise ValueError("ambient_dim required for empty basis")
-            ambient_dim = P.shape[1]
-        if not len(P):
-            return Subspace(ambient_dim, ())
-        # the first-seen independent rows are the pivot columns of the
-        # transpose
-        return Subspace(ambient_dim, tuple(P[_rref_ints(list(P.T))]))
+            ambient_dim = n
+        P = list(map(_primitive, P))
+        kept = _reduce(P, ambient_dim)[1]
+        return Subspace(ambient_dim, tuple(_dense([P[i] for i in kept], n)))
 
     @property
     def dim(self) -> int:
@@ -399,48 +440,43 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def signature(form) -> tuple[int, int, int]:
     """Sylvester signature (positive, negative, null) of a symmetric rational
-    matrix, by exact congruence diagonalization."""
-    A = _as_frac_array(form)
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1] or not (A == A.T).all():
+    matrix, by congruence diagonalization on Python ints: fraction-free
+    symmetric (Bareiss) elimination of its integer multiple.  The pivot is
+    the first nonzero diagonal entry; if the diagonal is zero, the column of
+    the first nonzero off-diagonal entry (i, j) is folded into column i.
+    After a pivot the remaining block is the last pivot times the Schur
+    complement, and each entry is a minor, so the division is exact and a
+    pivot's sign relative to the last one is the sign of the Schur pivot."""
+    _l, N = scaled_ints(form)
+    if N.ndim != 2 or N.shape[0] != N.shape[1] or not (N == N.T).all():
         raise ValueError("form must be symmetric")
-    A = [[Fraction(x) for x in row] for row in A]
+    A = N.tolist()
     plus = minus = null = 0
-    size = n
-    while size > 0:
-        d = next((i for i in range(size) if A[i][i] != 0), None)
+    last = 1
+    while A:
+        size = len(A)
+        d = next((i for i in range(size) if A[i][i]), None)
         if d is None:
-            od = None
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if A[i][j] != 0:
-                        od = (i, j)
-                        break
-                if od:
-                    break
+            od = next(((i, j) for i in range(size) for j in range(i + 1, size)
+                       if A[i][j]), None)
             if od is None:
                 null += size
                 break
             i, j = od
             # fold row/col j into i so the diagonal picks up 2*A[i][j]
-            for k in range(size):
-                A[i][k] = A[i][k] + A[j][k]
-            for k in range(size):
-                A[k][i] = A[k][i] + A[k][j]
+            A[i] = [x + y for x, y in zip(A[i], A[j])]
+            for row in A:
+                row[i] += row[j]
             d = i
         pv = A[d][d]
-        if pv > 0:
+        if (pv > 0) == (last > 0):
             plus += 1
         else:
             minus += 1
         rest = [i for i in range(size) if i != d]
-        A = [
-            [A[i][j] for j in rest]
-            if A[i][d] == 0
-            else [A[i][j] - A[i][d] * A[d][j] / pv for j in rest]
-            for i in rest
-        ]
-        size -= 1
+        A = [[(pv * A[i][j] - A[i][d] * A[d][j]) // last for j in rest]
+             for i in rest]
+        last = pv
     return plus, minus, null
 
 
@@ -456,21 +492,21 @@ class CoordinateSolver:
         d, n = self._basis_int.shape
         # rref([B | I]) = [R | C] with R = C @ B, on the integer rows of
         # basis_den * [B | I]
-        eye = np.eye(d, dtype=object) * self._basis_den
-        M = list(np.hstack([self._basis_int, eye]).astype(object))
-        piv = _rref_ints(M)
+        rows = _sparse_rows(self._basis_int)[0]
+        for i, row in enumerate(rows):
+            row[n + i] = self._basis_den
+        pivots = _reduce(rows, n + d)[0]
+        piv = sorted(pivots)
         # [B | I] has rank d; B has it iff every pivot lies in B
         if d and piv[-1] >= n:
             raise ValueError("basis rows are dependent")
         self.pivots = piv
         self.dim = d
         # C = transform / transform_den, kept in int64 when it fits
-        self._transform_den = lcm(*[M[i][c] for i, c in enumerate(piv)])
-        T = np.array(
-            [M[i][n:] * (self._transform_den // M[i][c])
-             for i, c in enumerate(piv)], dtype=object,
-        ).reshape(d, d)
-        self._transform = fit_int64(T)
+        L = self._transform_den = lcm(*[pivots[c][c] for c in piv])
+        T = [{j - n: x * (L // pivots[c][c]) for j, x in pivots[c].items()
+              if j >= n} for c in piv]
+        self._transform = fit_int64(_dense(T, d))
         self._basis_int = fit_int64(self._basis_int)
 
     @classmethod

@@ -1,10 +1,12 @@
 """Verdict assembly: both algebraic criteria, case labels, and honest rejects."""
 
 import json
+from math import gcd
 
+import numpy as np
 import pytest
 
-from ckforms.criteria import check_sum, classify_triple
+from ckforms.criteria import check_compact_intersection, check_sum, classify_triple
 from ckforms.embeddings import (
     catalog_lookup,
     diagonal,
@@ -13,6 +15,7 @@ from ckforms.embeddings import (
     product_algebra,
     product_embedding,
 )
+from ckforms.enumerate import GenerationSpec, generate
 from ckforms.realforms import build_real_form
 
 
@@ -228,6 +231,49 @@ def test_sum_check_counts_independent_rows(so44):
     assert chk.holds and chk.rank == 28
     chk2 = check_sum(so44, l, l)
     assert not chk2.holds and chk2.rank == 10
+
+
+def _dense_rref_ints(M) -> list:
+    """Reference: dense fraction-free Gauss-Jordan elimination, in place, on
+    a list of Python-int rows (object arrays), each kept primitive.  Returns
+    the pivot columns."""
+    rows = len(M)
+    piv_cols = []
+    for c in range(len(M[0]) if rows else 0):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        top = M[r]
+        a = top[c]
+        for i in range(rows):
+            b = M[i][c]
+            if i != r and b:
+                g = gcd(a, b)
+                row = (a // g) * M[i] - (b // g) * top
+                M[i] = row // (gcd(*row) or 1)
+        piv_cols.append(c)
+        if r + 1 == rows:
+            break
+    return piv_cols
+
+
+def _dense_rank(rows) -> int:
+    return len(_dense_rref_ints(list(np.array(rows, dtype=object))))
+
+
+def test_sum_and_intersection_agree_with_the_dense_reference_on_every_record():
+    recs = generate(GenerationSpec(max_n=1))
+    assert len(recs) == 69
+    for rec in recs:
+        H, L = rec.h.coord_rows(), rec.l.coord_rows()
+        r = _dense_rank(np.vstack([H, L]))
+        chk = check_sum(rec.g, rec.h, rec.l)
+        assert (chk.holds, chk.rank) == (r == rec.g.dim, r), rec.key
+        # Grassmann: dim(h n l) = dim h + dim l - dim(h + l)
+        meet = _dense_rank(H) + _dense_rank(L) - r
+        assert check_compact_intersection(rec.g, rec.h, rec.l).dim == meet, rec.key
 
 
 # ---------------------------------------------------------------------------

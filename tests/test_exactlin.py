@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckforms.exactlin import (
+    MODP_PRIME,
     absmax,
     CoordinateSolver,
     Subspace,
@@ -95,6 +96,20 @@ def test_signature_is_invariant_under_congruence():
         found += 1
 
 
+def test_signature_folds_zero_diagonals_on_every_input_type():
+    # two hyperbolic planes: every pivot needs the zero-diagonal fold
+    H = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, -2, 0]])
+    for M in (H, H.astype(object) * 2**70, fmat(H) / 3, H.tolist()):
+        assert signature(M) == (2, 2, 0)
+    # a nested list that NumPy alone would read as float64 (det = -1)
+    big = 2**63
+    assert signature([[big + 1, -big], [-big, big - 1]]) == (1, 1, 0)
+    with pytest.raises(ValueError, match="symmetric"):
+        signature(fmat([[1, 2], [3, 4]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        signature(np.zeros((2, 3), dtype=np.int64))
+
+
 def test_modular_rank_certificate_matches_exact_rank():
     rng = np.random.default_rng(19)
     m = fmat(rng.integers(-9, 10, size=(40, 40)))
@@ -154,22 +169,63 @@ def test_modular_rank_certificate_is_sound(rows, copy_from, target):
         assert rank(fmat(rows)) >= target
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=4, max_size=4),
-        min_size=1,
-        max_size=5,
-    ),
-    st.integers(0, 5),
-)
-@settings(max_examples=60, deadline=None)
-def test_modular_rank_certificate_agrees_on_int64_and_fractions(rows, target):
-    as_int64 = np.array(rows, dtype=np.int64)
-    one = rank_at_least_modp(fmat(rows), target)
-    assert rank_modp(as_int64, target) == one
+@st.composite
+def sparse_traffic(draw, big=True):
+    """Integer rows shaped like the coordinate rows that the criteria
+    eliminate: up to 60 x 60, about 5% nonzero entries in -4..4, some zero
+    rows and columns, some rows repeated (up to a factor -2, -1, 1 or 2) and,
+    with ``big``, now and then entries past 2**63.  A drawn seed fills the
+    matrix, so an example stays cheap at this size; returns an object array
+    of Python ints."""
+    m, n = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.where(rng.random((m, n)) < 0.05, rng.integers(-4, 5, (m, n)), 0)
+    A = A.astype(object)
+    A[rng.random(m) < 0.1] = 0
+    A[:, rng.random(n) < 0.1] = 0
+    for _ in range(draw(st.integers(0, 4))):
+        A[rng.integers(m)] = A[rng.integers(m)] * int(rng.choice([-2, -1, 1, 2]))
+    for _ in range(draw(st.integers(0, 3)) if big else 0):
+        sign = int(rng.choice([-1, 1]))
+        A[rng.integers(m), rng.integers(n)] = sign * (2**63 + int(rng.integers(2**40)))
+    return A
+
+
+@st.composite
+def _modp_traffic(draw):
+    """``sparse_traffic`` in int64, with some rows multiplied by p (zero mod
+    p) and some entries moved by nonzero multiples of p (the same mod p)."""
+    A = draw(sparse_traffic(big=False))
+    m, n = A.shape
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3, unique=True)):
+        A[i] *= MODP_PRIME
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                      st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    for i, j, k in draw(st.lists(cells, max_size=4)):
+        A[i, j] += k * MODP_PRIME
+    return A.astype(np.int64)
+
+
+_INT64_ROWS = st.lists(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=4, max_size=4),
+    min_size=1,
+    max_size=5,
+).map(lambda rows: np.array(rows, dtype=np.int64))
+
+
+@given(st.one_of(_INT64_ROWS, _modp_traffic()))
+@settings(max_examples=120, deadline=None)
+def test_modular_rank_certificate_agrees_on_int64_and_fractions(as_int64):
+    # every target up to one past the largest possible rank, so the answers
+    # switch from True to False at the rank mod p on both sides
+    fracs = fmat(as_int64)
     # a stack gets one answer per matrix
     stack = np.stack([as_int64, np.zeros_like(as_int64)])
-    assert list(rank_modp(stack, target)) == [one, target <= 0]
+    for target in range(min(as_int64.shape) + 2):
+        one = rank_at_least_modp(fracs, target)
+        assert rank_at_least_modp(as_int64.astype(object), target) == one
+        assert rank_modp(as_int64, target) == one
+        assert list(rank_modp(stack, target)) == [one, target <= 0]
 
 
 def test_coordinate_solver_round_trip():

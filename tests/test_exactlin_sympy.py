@@ -2,11 +2,22 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckforms.exactlin import Subspace, fmat, intersect, kernel, rank, signature
+from ckforms.exactlin import (
+    CoordinateSolver,
+    Subspace,
+    fmat,
+    intersect,
+    kernel,
+    rank,
+    rref,
+    signature,
+)
+from test_exactlin import sparse_traffic
 
 sympy = pytest.importorskip("sympy")
 
@@ -143,3 +154,62 @@ def test_signature_agrees_with_sympy(rows):
     minus = _sign_changes([c * (-1) ** i for i, c in enumerate(reversed(coeffs))])
     form = fmat([[Fraction(int(e.p), int(e.q)) for e in S.row(i)] for i in range(S.rows)])
     assert signature(form) == (plus, minus, null)
+
+
+def _greedy_rows(rows):
+    """Indices of the first-seen independent rows: a row is kept when
+    reducing it against the rows kept before it (a Fraction echelon basis)
+    leaves something."""
+    basis, kept = [], []
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for c, b in basis:
+            if v[c]:
+                f = v[c] / b[c]
+                v = [x - f * y for x, y in zip(v, b)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            basis.append((lead, v))
+            kept.append(i)
+    return kept
+
+
+def _primitive(row):
+    g = gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return [x // g for x in row]
+
+
+@given(sparse_traffic())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sparse_reducer_agrees_with_sympy_on_coordinate_traffic(A):
+    m, n = A.shape
+    S = sympy.Matrix(A.tolist())
+    R_ref, piv_ref = S.rref()
+    assert rank(A) == len(piv_ref)
+    R, piv = rref(A)
+    assert piv == list(piv_ref)
+    assert [Fraction(int(x.p), int(x.q)) for x in R_ref] == list(R.flat)
+    # kernel: per free column, the positive primitive multiple of sympy's
+    # RREF kernel vector (free entry 1)
+    ker, ker_ref = kernel(A), S.nullspace()
+    free = [c for c in range(n) if c not in piv_ref]
+    assert len(ker) == len(ker_ref) == len(free)
+    for v, w, fc in zip(ker, ker_ref, free):
+        assert v[fc] > 0 and gcd(*v) == 1
+        assert all(x == v[fc] * y for x, y in zip(v, w))
+    # from_rows keeps the first-seen independent rows, made primitive
+    sub = Subspace.from_rows(A, n)
+    kept = _greedy_rows(A.tolist())
+    assert [list(r) for r in sub.basis] == [_primitive(list(A[i])) for i in kept]
+    # coordinates in that basis, and a vector outside its span
+    if sub.dim:
+        B = sub.matrix()
+        c = np.array([Fraction(k - 2, 3) for k in range(sub.dim)], dtype=object)
+        sol = CoordinateSolver(B)
+        assert list(sol.coords(c @ B)) == list(c)
+        if free:
+            e = np.zeros(n, dtype=object)
+            e[free[0]] = 1
+            assert sol.try_coords(e) is None
