@@ -26,15 +26,17 @@ and cut into chunks of at most ``_SHARD`` rows (a few NumPy calls per chunk,
 not per shard, with bounded temporaries).  It builds each checked group
 element one ambient factor block at a time, from closed-form exponentials: a
 part's boost images commute, so exp(X) = V diag(e^(x lam)) V^T on one joint
-eigenbasis found once, and a skew compact image K, which lies in
-so(p) + so(q), has exp(K) = cos W + K sinc W with W^2 = -K K, one real
-``eigh`` on each of those diagonal blocks; ``eigvalsh`` and ``det`` then read
-mu off each factor block.  Distances to the translate union are taken over
-bounded chunks of samples, the projections summed over the nonzero basis
-entries in the order of the ``einsum`` they replace (not by BLAS, whose
-blocked sums round differently).  A bulk draw has the bytes of the same draws
-made one at a time, and every float operation is the per-sample one applied
-row-wise (each LAPACK call works on one matrix at a time), so a report is
+eigenbasis found once, and a skew compact image K lies in so(p) + so(q)
+with p, q <= 4: each of those diagonal blocks, padded into so(4) = su(2) +
+su(2), has exp(K) = (cos a I + sinc a A)(cos b I + sinc b B) from its
+self-dual and anti-self-dual parts A and B, with no eigensolver;
+``eigvalsh`` and ``det`` then read mu off each factor block.  Distances to
+the translate union are taken over bounded chunks of samples, the
+projections summed over the nonzero basis entries in the order of the
+``einsum`` they replace (not by BLAS, whose blocked sums round
+differently).  A bulk draw has the bytes of the same draws made one at a
+time, and every float operation is the per-sample one applied row-wise
+(each LAPACK call works on one matrix at a time), so a report is
 bit-identical to that of a loop over samples, however the checked rows are
 grouped, as ``test_batched_shard_matches_the_per_sample_loop`` and
 ``test_pooled_cross_check_equals_the_per_shard_one`` check.
@@ -242,11 +244,15 @@ def gap_union(space) -> list:
     if getattr(sp, "_union", None) is not None:
         return sp._union
     rows = adapted_split_part(sp.target).matrix()
-    seen = {}
+    seen, moves = {}, set()
     for perm, signs in signed_permutations(sp.sd):
         # integer rows of w(V), a column gather and a sign, keyed by their
-        # canonical echelon basis
+        # canonical echelon basis; rows met before give nothing new
         moved = rows[:, perm] * signs.astype(object)
+        rows_key = tuple(map(tuple, moved))
+        if rows_key in moves:
+            continue
+        moves.add(rows_key)
         key = tuple(map(tuple, echelon_rows(moved)))
         if key not in seen:
             seen[key] = Subspace.from_rows(moved, sp.sd.rank)
@@ -345,8 +351,9 @@ def _part_data(sp: GapSpace):
 
     The closed-form exponentials of the cross-check need symmetric boost
     images, skew compact images and nothing off the factor blocks (nor, for
-    compact images, off their so(p) + so(q) blocks), checked exactly, and
-    commuting boost images with a joint eigenbasis ``V``."""
+    compact images, off their so(p) + so(q) blocks, nor on such a block
+    larger than 4 x 4), checked exactly, and commuting boost images with a
+    joint eigenbasis ``V``."""
     if getattr(sp, "_parts_data", None) is not None:
         return sp._parts_data
     n = sp.algebra.n
@@ -369,12 +376,19 @@ def _part_data(sp: GapSpace):
         sym = np.array_equal(Ya, np.swapaxes(Ya, 1, 2))
         skew = np.array_equal(Yk, -np.swapaxes(Yk, 1, 2))
         blockwise = not (Ya[:, off_block].any() or Yk[:, off_compact].any())
-        if not (sym and skew and blockwise):
+        # per factor block, the so(p), so(q) blocks the compacts reach
+        used = [
+            [(a, b) for a, b in pair if Yk[:, lo + a : lo + b, lo + a : lo + b].any()]
+            for (lo, _hi), pair in zip(spans, halves)
+        ]
+        small = all(b - a <= 4 for pairs in used for a, b in pairs)
+        if not (sym and skew and blockwise and small):
             raise InternalError(
                 "cartanproj._part_data",
                 f"{e.key}: images unfit for the closed-form exponentials "
                 f"(boosts symmetric: {sym}, compacts skew: {skew}, "
-                f"within the factor blocks: {blockwise})",
+                f"within the factor blocks: {blockwise}, "
+                f"compact blocks at most 4x4: {small})",
             )
         a_imgs, k_imgs = _floats(Ya, sa * la), _floats(Yk, sk)
         blocks = []
@@ -392,8 +406,7 @@ def _part_data(sp: GapSpace):
                         f"block {f} have no joint eigenbasis (off-diagonal {off:.1e})")
                 compacts = [
                     (a, b, k_imgs[:, lo + a : lo + b, lo + a : lo + b].copy())
-                    for a, b in halves[f]
-                    if Yk[:, lo + a : lo + b, lo + a : lo + b].any()
+                    for a, b in used[f]
                 ]
                 blocks.append((f, V, lam, compacts))
         out.append({"a_map": _floats(a_map(e), 1), "kdim": len(Yk), "blocks": blocks})
@@ -465,15 +478,33 @@ def _boost_expm(V, lam, X):
     return (V * np.exp(_combine(X, lam))[:, None, :]) @ V.T
 
 
+# (_HODGE[0][i, j], _HODGE[1][i, j]) is the pair (k, l) with e_ijkl = +1, so
+# that (*K)[i, j] = K[k, l] on so(4); the diagonal maps to itself
+_HODGE = tuple(np.array(m) for m in (
+    [[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]],
+    [[0, 3, 1, 2], [2, 1, 3, 0], [3, 0, 2, 1], [1, 2, 0, 3]],
+))
+
+
 def _skew_expm(K):
-    """exp of each skew K of a stack, cos W + K sinc W with W^2 = K^T K =
-    -K K = U diag(w^2) U^T: (U diag(cos w) + K U diag(sinc w)) U^T, one real
-    eigh.  For an exactly skew K, as every combination of the compact images
-    is, -K K has the terms of K^T K exactly."""
-    s, U = np.linalg.eigh(-(K @ K))
-    w = np.sqrt(np.maximum(s, 0.0))
-    sinc = np.divide(np.sin(w), w, out=np.ones_like(w), where=w > 0.0)
-    return (U * np.cos(w)[..., None, :] + (K @ U) * sinc[..., None, :]) @ U.mT
+    """exp of each skew n x n K of a stack, n <= 4, in closed form (Gallier
+    and Xu, 2002): K padded into so(4) = su(2) + su(2) splits into its
+    self-dual part A = (K + *K)/2 and anti-self-dual part B = (K - *K)/2,
+    which commute, with A^2 = -a^2 I and B^2 = -b^2 I; so exp K = (cos a I +
+    sinc a A)(cos b I + sinc b B), cropped back to n x n.  Elementwise
+    arithmetic and one 4 x 4 matmul; ``_part_data`` checks n <= 4."""
+    n = K.shape[-1]
+    P = np.zeros(K.shape[:-2] + (4, 4))
+    P[..., :n, :n] = K
+    star = P[..., _HODGE[0], _HODGE[1]]
+    factors = []
+    for S in (0.5 * (P + star), 0.5 * (P - star)):
+        t = np.sqrt(S[..., 0, 1] ** 2 + S[..., 0, 2] ** 2 + S[..., 0, 3] ** 2)
+        sinc = np.divide(np.sin(t), t, out=np.ones_like(t), where=t > 0.0)
+        S *= sinc[..., None, None]
+        S += np.cos(t)[..., None, None] * np.eye(4)
+        factors.append(S)
+    return (factors[0] @ factors[1])[..., :n, :n]
 
 
 def _group_blocks(sp, parts, ranks, X, co):

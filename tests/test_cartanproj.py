@@ -1,5 +1,6 @@
 """Cartan projection numerics and the Weyl-translate gap experiment."""
 
+import itertools
 import math
 
 import numpy as np
@@ -210,8 +211,13 @@ def test_sampled_epsilon_estimates_the_infimum(space, lo, hi):
 # reference makes the same draws one sample at a time
 # (``test_batched_shard_matches_the_per_sample_loop``).  The check errors are
 # those of the cross-check on factor blocks, with each boost exponential read
-# off its part's joint eigenbasis and each compact one as cos W + K sinc W
-# (W^2 = -K K) on each so(p), so(q) block.
+# off its part's joint eigenbasis and each compact one in closed form on each
+# so(p), so(q) block, padded into so(4): (cos a I + sinc a A)(cos b I + sinc
+# b B) from its self-dual and anti-self-dual parts A and B.
+#
+# With each compact exponential as cos W + K sinc W (W^2 = -K K) from one
+# ``eigh``, on the same draws, the errors were 2.6756374893465556e-14,
+# 1.1826317702912092e-11 and 1.619815392927841e-13.
 #
 # The per-sample draw order that came before (direction, radius, then the
 # compact coefficients of a checked sample, sample by sample) gave the same
@@ -223,9 +229,9 @@ def test_sampled_epsilon_estimates_the_infimum(space, lo, hi):
 # the whole ambient, 1.1368683772161603e-13, 7.069900220812997e-13 and
 # 5.702105454474804e-13.
 _PINNED_GAP_REPORTS = [
-    ("so44xso24-delta", 7, 0.3175779461448304, 49, 2.6756374893465556e-14),
-    ("so34xso24-delta", 11, 0.3438798364685237, 72, 1.1826317702912092e-11),
-    ("so44xso24-delta-control", 3, 0.0, 56, 1.619815392927841e-13),
+    ("so44xso24-delta", 7, 0.3175779461448304, 49, 9.103828801926284e-15),
+    ("so34xso24-delta", 11, 0.3438798364685237, 72, 8.138711926619635e-12),
+    ("so44xso24-delta-control", 3, 0.0, 56, 1.22291066162461e-13),
 ]
 
 
@@ -249,9 +255,7 @@ def test_gap_reports_are_pinned(space, seed, eps, checked, err, capsys):
     )
 
 
-# exp of one boost on its part's joint eigenbasis, and of one skew matrix
-# as (U diag(cos w) + K U diag(sinc w)) U^T, where U diag(w^2) U^T = -K K,
-# taken on each so(p), so(q) block of a compact image; columns scaled by
+# exp of one boost on its part's joint eigenbasis, columns scaled by
 # broadcasting (a product with a diagonal matrix rounds differently)
 def _exp_boost(V, lam, x):
     w = np.zeros(len(V))
@@ -260,12 +264,32 @@ def _exp_boost(V, lam, x):
     return (V * np.exp(w)) @ V.T
 
 
+def _hodge(P):
+    """*P on so(4): (*P)[i, j] = P[k, l] for the (k, l) with e_ijkl = +1."""
+    star = P.copy()
+    for i, j in itertools.permutations(range(4), 2):
+        k, l = sorted({0, 1, 2, 3} - {i, j})
+        inversions = sum(a > b for a, b in itertools.combinations((i, j, k, l), 2))
+        star[i, j] = P[k, l] if inversions % 2 == 0 else P[l, k]
+    return star
+
+
 def _exp_skew(K):
-    s, U = np.linalg.eigh(-(K @ K))
-    w = np.sqrt(np.maximum(s, 0.0))
-    sinc = np.sin(w) / np.where(w > 0.0, w, 1.0)
-    sinc[w == 0.0] = 1.0
-    return (U * np.cos(w) + (K @ U) * sinc) @ U.T
+    """exp of one skew n x n matrix, n <= 4, padded into so(4): (cos a I +
+    sinc a A)(cos b I + sinc b B) from the self-dual part A and the
+    anti-self-dual part B, taken on each so(p), so(q) block of a compact
+    image."""
+    n = len(K)
+    P = np.zeros((4, 4))
+    P[:n, :n] = K
+    star = _hodge(P)
+    factors = []
+    for S in (0.5 * (P + star), 0.5 * (P - star)):
+        t = np.sqrt(S[0, 1] ** 2 + S[0, 2] ** 2 + S[0, 3] ** 2)
+        sinc = np.sin(t) / t if t > 0.0 else 1.0
+        factors.append(S * sinc + np.cos(t) * np.eye(4))
+    A, B = factors
+    return (A @ B)[:n, :n]
 
 
 def _combine_one(co, mats):
@@ -550,14 +574,45 @@ def _assert_close_to_expm(got, mats):
     assert (np.abs(got - want) <= 1e-12 * scale).all()
 
 
+def _skew_cases(n, rng):
+    """40 random skew n x n matrices of spectral radius up to 6-9, as far as
+    the cross-check's images reach, then the degenerate ones: zero and, on
+    so(4), purely self-dual, purely anti-self-dual, isoclinic (a = b: one
+    rotation plane, and equal parts in unrelated directions) and padded 3 x 3
+    and 2 x 2 matrices."""
+    M = rng.normal(size=(40, n, n))
+    M *= rng.uniform(0.0, 5.0 / (2 * math.sqrt(n)), size=(40, 1, 1))
+    cases = list(M - M.transpose(0, 2, 1)) + [np.zeros((n, n))]
+    if n == 4:
+        K, L = cases[:2]
+        A, B = 0.5 * (K + _hodge(K)), 0.5 * (L - _hodge(L))
+        plane = np.zeros((4, 4))
+        plane[0, 1], plane[1, 0] = math.pi, -math.pi
+        padded = [np.zeros((4, 4)), np.zeros((4, 4))]
+        padded[0][:3, :3] = cases[2][:3, :3]
+        padded[1][:2, :2] = cases[3][:2, :2]
+        a, b = (np.sqrt((S[0, 1:] ** 2).sum()) for S in (A, B))
+        cases += [A, B, plane, A + B * (a / b)] + padded
+    return np.array(cases)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_skew_closed_form_matches_expm(n):
+    K = _skew_cases(n, np.random.default_rng(100 + n))
+    E = cartanproj._skew_expm(K)
+    _assert_close_to_expm(E, K)
+    assert np.abs(E.mT @ E - np.eye(n)).max() <= 1e-14
+    assert np.abs(np.linalg.det(E) - 1.0).max() <= 1e-14
+    assert (cartanproj._skew_expm(np.zeros((3, n, n))) == np.eye(n)).all()
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_closed_form_exponentials_match_expm(n):
     rng = np.random.default_rng(100 + n)
     M = rng.normal(size=(40, n, n))
     # spectral radii up to 6-9, as far as the cross-check's images reach
     M *= rng.uniform(0.0, 5.0 / (2 * math.sqrt(n)), size=(40, 1, 1))
-    S, K = M + M.transpose(0, 2, 1), M - M.transpose(0, 2, 1)
-    _assert_close_to_expm(cartanproj._skew_expm(K), K)
+    S = M + M.transpose(0, 2, 1)
     # each S as a one-boost family, exp(1.0 * S)
     for B in S:
         V = np.linalg.eigh(B)[1]
@@ -680,6 +735,7 @@ def test_group_blocks_equal_the_ambient_expm_product(space):
     ("compact", "compacts skew: False"),
     ("block", "within the factor blocks: False"),
     ("halves", "within the factor blocks: False"),
+    ("wide", "compact blocks at most 4x4: False"),
 ])
 def test_images_unfit_for_the_closed_form_exit_3(tamper, flag, monkeypatch,
                                                    capsys):
@@ -707,7 +763,12 @@ def test_images_unfit_for_the_closed_form_exit_3(tamper, flag, monkeypatch,
             Y[:, 0, 1] += s
         return Y, s
 
-    monkeypatch.setattr(Embedding, "apply_ints", tampered)
+    if tamper == "wide":
+        # so(2,4) read as so(1,5): the so(1,4) compacts, in its so(4) block,
+        # then lie in a 5 x 5 so(5) block, out of reach of the closed form
+        monkeypatch.setattr(cartanproj, "_so_infos", lambda g: [(4, 4), (1, 5)])
+    else:
+        monkeypatch.setattr(Embedding, "apply_ints", tampered)
     argv = ["gap", "--space", "so44xso24-delta", "--samples", "10"]
     assert main(argv) == 3
     out, err = capsys.readouterr()
