@@ -1,11 +1,12 @@
 """Exact rational linear algebra: ranks, kernels, subspace intersections and
 signatures of symmetric forms.
 
-Rational matrices are 2-D numpy arrays with ``fractions.Fraction`` entries
-(dtype object); integer ones hold Python ints (dtype object) or int64 under
-an explicit bound.  Every verdict-facing computation here is tolerance-free;
-floating point never enters this module.  Products run on Python ints after
-scaling by common denominators (``scaled_ints``).
+Exact matrices are integer arrays, of Python ints (dtype object) or of
+int64 under an explicit bound, and a rational matrix is an integer one over
+a positive denominator: ``scaled_ints`` reads Fraction input as such a pair,
+``unscaled`` builds the Fraction view of one for output, and products run
+on the integers (``int_matmul``).  Every verdict-facing computation here is
+tolerance-free; floating point never enters this module.
 
 Every elimination is one sparse row reducer, ``_reduce``, on the integer
 rows of a matrix as ``{column: int}`` dicts (``_sparse_rows``).  ``rank``,
@@ -44,14 +45,12 @@ __all__ = [
     "fzeros",
     "check_int64",
     "InternalError",
-    "fmatmul",
     "scaled_ints",
     "unscaled",
     "absmax",
     "int_matmul",
     "fit_int64",
     "embed_block",
-    "primitive_vector",
     "primitive_rows",
     "echelon_rows",
 ]
@@ -150,15 +149,6 @@ def int_matmul(A, B):
 def fit_int64(A):
     """An integer array in int64 when its entries fit, else as is."""
     return A.astype(np.int64) if A.dtype == object and absmax(A) < 2**63 else A
-
-
-def fmatmul(A, B):
-    """Exact ``A @ B`` for rational arrays (1-D or 2-D): each factor is
-    scaled to Python ints by one common denominator, so the product costs
-    integer operations instead of Fraction ones."""
-    la, na = scaled_ints(A)
-    lb, nb = scaled_ints(B)
-    return unscaled(na @ nb, la * lb)
 
 
 def embed_block(M, size: int, off: int) -> RationalMatrix:
@@ -566,8 +556,3 @@ class CoordinateSolver:
             return self.coords(vec)
         except ValueError:
             return None
-
-
-def primitive_vector(vec) -> np.ndarray:
-    """``primitive_rows`` of one vector, as Fractions."""
-    return fvec(primitive_rows([list(vec)])[0])

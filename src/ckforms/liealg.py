@@ -21,14 +21,14 @@ past it; the commutators of ``bracket_coords`` and ``span_closure`` and the
 coordinate read fall back to Python ints past theirs.
 
 The Killing form is an int64 array.  When the ``realforms`` metadata names
-an absolutely simple real form (su, sp, g2, so(p,q) with p + q != 4), it is
-the trace form Tr(x, y) = tr(xy) of the matrix basis times an exact
-constant: every invariant symmetric form on such an algebra is a multiple
-of the Killing form (Schur's lemma on the adjoint module).  The constant is
-read from one entry, tr(ad b_i ad b_j), with the one or two coordinate
-reads of [b_i, B] and [b_j, B], and a constant that does not scale Tr to an
-integral form raises InternalError.  Every other algebra (so(2,2) = sl2 +
-sl2, so(1,3) = sl(2,C), any algebra without that metadata) contracts its
+a family (su, sp, g2, so), it is the trace form Tr(x, y) = tr(xy) of the
+matrix basis times an exact constant: every invariant symmetric form on an
+absolutely simple algebra is a multiple of the Killing form (Schur's lemma
+on the adjoint module), and B = (p+q-2) Tr holds on every so(p,q), so(2,2)
+= sl2 + sl2 and so(1,3) = sl(2,C) included.  The constant is read from one
+entry, tr(ad b_i ad b_j), with the one or two coordinate reads of [b_i, B]
+and [b_j, B], and a constant that does not scale Tr to an integral form
+raises InternalError.  An algebra without that metadata contracts its
 structure tensor (trace of ad-composites), which is correct for any
 faithful realization; a direct sum places its factors' blocks.  The tensor
 is also what ``validate_structure`` and ``embeddings.validate_embedding``
@@ -223,22 +223,12 @@ class LieAlgebra:
         return self._tensor
 
     @property
-    def absolutely_simple(self) -> bool:
-        """True when the ``realforms`` metadata names an absolutely simple
-        real form: su, sp, g2, and so(p,q) with p + q != 4 (so(2,2) is
-        sl2 + sl2, so(1,3) is sl(2,C) and so(0,4) is su2 + su2)."""
-        fam = self.meta.get("family")
-        if fam == "so":
-            return self.meta["p"] + self.meta["q"] != 4
-        return fam in ("su", "sp", "g2")
-
-    @property
     def killing_ints(self) -> np.ndarray:
         """Killing form Gram matrix on the basis, B(x,y) = tr(ad x ad y), as
-        an int64 array: c * Tr on an absolutely simple algebra, the tensor
-        contraction on any other."""
+        an int64 array: c * Tr on a ``realforms`` family (su, sp, g2, so),
+        the tensor contraction on an algebra without that metadata."""
         if self._killing_ints is None:
-            if self.absolutely_simple:
+            if self.meta.get("family") in ("su", "sp", "g2", "so"):
                 self._killing_ints = self._killing_from_trace()
             else:
                 self._killing_ints = self._killing_from_tensor()

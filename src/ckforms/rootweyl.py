@@ -6,7 +6,10 @@ boost basis attached by the real form constructors (concatenated over factors
 for products).  Weyl elements act on these coordinates: signed permutations
 for the classical types (even sign count for type D), and for the split g2
 the signed permutations +-P of so(3,4)'s three boost coordinates, read into
-g2's orthogonal boost basis.
+g2's orthogonal boost basis.  Every element w is held as an integer matrix W
+over one positive den (den 2 on a g2 factor, 1 otherwise), as the boost
+stack is; the Fraction matrix W / den is built only for the public values,
+the elements of ``weyl_elements`` and the witness of ``weyl_disjoint``.
 
 The disjointness scan projects V_h onto ker(V_l): w(V_h) meets V_l only at 0
 iff H w^T N has full row rank (N an integer basis of ker V_l).  The group is
@@ -38,7 +41,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,18 +50,13 @@ from .exactlin import (
     InternalError,
     Subspace,
     echelon_rows,
-    fmat,
-    fmatmul,
-    fzeros,
     int_matmul,
     intersect,
     kernel,
     primitive_rows,
-    primitive_vector,
     rank,
     rank_modp,
     reduce_modp,
-    scaled_ints,
     unscaled,
 )
 from .liealg import LieAlgebra
@@ -74,8 +71,6 @@ __all__ = [
     "WeylCutoffError",
     "chamber_sort",
 ]
-
-_F1 = Fraction(1)
 
 DEFAULT_WEYL_CUTOFF = 10**7
 
@@ -107,7 +102,7 @@ class FactorSplit:
 class SplitData:
     algebra: LieAlgebra
     factors: list
-    gram: np.ndarray  # exact Killing Gram of the a-basis (diagonal)
+    gram: np.ndarray  # Killing Gram of the a-basis (diagonal, Python ints)
     boosts: tuple  # (den, A): the a-basis as one integer stack A / den
     solver: CoordinateSolver  # coordinates in the flattened rows of A
     # verdicts of the Weyl scans run on this split data as a product's
@@ -146,38 +141,35 @@ def split_data(g: LieAlgebra) -> SplitData:
             raise ValueError(f"{g.name}: no split part data attached")
         den, A = 1, np.array(a_basis).astype(object)
         K = g.killing_ints
-        cs = list(unscaled(*g.read_coords(np.array(a_basis))))
-        G = _gram(cs, K)
-        # orthogonalize exactly when needed (the exceptional factor); the
-        # classical boost bases are already Killing-orthogonal
-        r = len(cs)
-        if any(G[i, j] != 0 for i in range(r) for j in range(i + 1, r)):
-            for i in range(len(cs)):
-                for j in range(i):
-                    Gji = _gram([cs[j], cs[i]], K)
-                    if Gji[0, 1] != 0:
-                        cs[i] = cs[i] - (Gji[0, 1] / Gji[0, 0]) * cs[j]
-                cs[i] = primitive_vector(cs[i])
-            den, A = scaled_ints(np.array([g.matrix(c) for c in cs]))
-            G = _gram(cs, K)
-        gram_diag = [G[i, i] for i in range(r)]
+        C, L = g.read_coords(A)
+        if L != 1:  # the Gram below is then not B but L**2 * B
+            raise InternalError(
+                "rootweyl.split_data", f"{g.name}: boosts off the integer span"
+            )
+        G = int_matmul(int_matmul(C, K), C.T)
+        r = len(C)
+        if (G - np.diag(np.diagonal(G))).any():
+            # orthogonalize on integers (only g2's boosts need it): B > 0 on
+            # the split part, so v <- B(u,u) v - B(v,u) u is a positive
+            # multiple of the rational projection
+            rows = []
+            for v in C.astype(object):
+                for u in rows:
+                    v = (u @ K @ u) * v - (v @ K @ u) * u
+                rows.append(primitive_rows([v])[0])
+            C = np.array(rows)
+            A = int_matmul(C, g.stack.reshape(g.dim, -1)).reshape(A.shape)
+            G = int_matmul(int_matmul(C, K), C.T)
+        gram_diag = [int(x) for x in np.diagonal(G)]
         rt = g.meta.get("root_type", "?")
         if rt != "G" and any(s != gram_diag[0] for s in gram_diag):
             raise ValueError(f"{g.name}: boost norms differ")
         factors = [FactorSplit(g, rt, r, 0)]
-    gram = fzeros((r, r))
-    np.fill_diagonal(gram, gram_diag)
+    gram = np.diag(np.array(gram_diag, dtype=object))
     solver = CoordinateSolver(A.reshape(r, -1))
     sd = SplitData(g, factors, gram, (den, A), solver)
     g.meta["_split_data"] = sd
     return sd
-
-
-def _gram(cs, K):
-    """Gram matrix of the rational coordinate vectors cs under the integer
-    form K, as Fractions."""
-    lc, C = scaled_ints(np.array([list(c) for c in cs], dtype=object))
-    return unscaled(int_matmul(int_matmul(C, K), C.T), lc * lc)
 
 
 def _factor_order(f: FactorSplit) -> int:
@@ -196,9 +188,9 @@ def weyl_order(sd: SplitData) -> int:
 # the g2 Weyl group
 # ---------------------------------------------------------------------------
 
-def _g2_weyl(f: FactorSplit) -> list:
-    """The 12 elements of W(G2) as exact matrices on the a-coordinates of the
-    g2 factor f, identity first.
+def _g2_weyl(f: FactorSplit):
+    """(den, W): the 12 elements of W(G2) on the a-coordinates of the g2
+    factor f as the integer stack W / den, identity first.
 
     The split part of g2 in so(3,4) is the plane x1 + x2 + x3 = 0 of the
     three boost coordinates, and W(G2) acts on it as +-P, P a permutation of
@@ -206,15 +198,17 @@ def _g2_weyl(f: FactorSplit) -> list:
     Humphreys, Reflection Groups and Coxeter Groups, 2.10).  The Killing
     form of g2 is a multiple of the dot product of boost coordinates, so the
     rows X of boost coordinates of the Killing-orthogonal a-basis are
-    orthogonal, and w[i, j] = <X_i, P X_j> / |X_i|^2 (denominator 2)."""
+    orthogonal, and w[i, j] = <X_i, P X_j> / |X_i|^2.  Over the lcm of the
+    norms, reduced by the content of the whole stack, den is 2."""
     _den, A = split_data(f.algebra).boosts
     X = A[:, [0, 1, 2], [3, 4, 5]]  # boost i has entries (i, 3+i), (3+i, i)
-    norms = (X * X).sum(axis=1)[:, None]
-    return [
-        unscaled(s * X @ X[:, perm].T, 1) / norms
-        for s in (1, -1)
-        for perm in itertools.permutations(range(3))
-    ]
+    norms = (X * X).sum(axis=1)
+    L = math.lcm(*norms)
+    W = np.array([s * X @ X[:, perm].T for s in (1, -1)
+                  for perm in itertools.permutations(range(3))])
+    W *= (L // norms)[:, None]
+    c = math.gcd(L, *W.flat)
+    return L // c, (W // c).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +216,10 @@ def _g2_weyl(f: FactorSplit) -> list:
 # ---------------------------------------------------------------------------
 
 def _signed_perm_matrix(perm, signs):
-    """Exact matrix of the signed permutation (perm, signs)."""
+    """Integer matrix of the signed permutation (perm, signs)."""
     k = len(perm)
-    M = fzeros((k, k))
-    for i in range(k):
-        M[i, perm[i]] = Fraction(int(signs[i]))
+    M = np.zeros((k, k), dtype=np.int64)
+    M[np.arange(k), perm] = signs
     return M
 
 
@@ -242,25 +235,22 @@ def _sign_table(f: FactorSplit) -> np.ndarray:
 
 class _FactorGroup:
     """The little Weyl group of one factor, indexed in enumeration order:
-    mod-p matrices for a batch of indices, the exact matrix for one.
+    mod-p matrices for a batch of indices, the exact matrix for one, each
+    element w held as the integer matrix den * w.
 
     A classical factor of rank k is every permutation times every sign
     vector (even sign count for type D), permutation-major: element
-    (perm, signs) is (w x)_i = signs[i] * x[perm[i]].  A g2 factor is its
-    twelve matrices from ``_g2_weyl``, reduced mod p entrywise (a/b as
-    a * b^-1).
-    A factor the scan holds ``fixed`` is its identity alone."""
+    (perm, signs) is (w x)_i = signs[i] * x[perm[i]], and den is 1.  A g2
+    factor is its twelve matrices from ``_g2_weyl``, tabulated mod p as
+    W * den^-1.  A factor the scan holds ``fixed`` is its identity alone."""
 
     def __init__(self, f: FactorSplit, fixed: bool = False):
         self.factor = f
-        p = MODP_PRIME
+        self.den = 1
         if fixed or f.root_type == "G":
-            self.mats = [_identity(f.rank)] if fixed else _g2_weyl(f)
-            self.table = np.array(
-                [[[x.numerator * pow(x.denominator, -1, p) % p for x in row]
-                  for row in M] for M in self.mats],
-                dtype=np.int64,
-            )
+            identity = (1, np.eye(f.rank, dtype=np.int64)[None])
+            self.den, self.mats = identity if fixed else _g2_weyl(f)
+            self.table = self.mats * pow(self.den, -1, MODP_PRIME) % MODP_PRIME
             self.size = len(self.mats)
             return
         k = f.rank
@@ -282,6 +272,7 @@ class _FactorGroup:
         return W
 
     def exact(self, e):
+        """The integer matrix den * w of the element e."""
         if self.table is not None:
             return self.mats[e]
         pi, si = divmod(int(e), len(self.signs))
@@ -289,12 +280,14 @@ class _FactorGroup:
 
 
 def _element_matrix(r: int, groups, idx):
-    """Exact r x r matrix of the product element with factor indices idx."""
-    M = fzeros((r, r))
+    """(den, W) of the product element with factor indices idx: the integer
+    r x r matrix W over den, the lcm of the factors' dens."""
+    den = math.lcm(*(g.den for g in groups))
+    W = np.zeros((r, r), dtype=np.int64)
     for g, e in zip(groups, idx):
         lo, hi = g.factor.offset, g.factor.offset + g.factor.rank
-        M[lo:hi, lo:hi] = g.exact(e)
-    return M
+        W[lo:hi, lo:hi] = g.exact(e) * (den // g.den)
+    return den, W
 
 
 def weyl_elements(sd: SplitData, cutoff: int = DEFAULT_WEYL_CUTOFF):
@@ -313,7 +306,8 @@ def _weyl_element_iter(sd: SplitData):
     groups = [_FactorGroup(f) for f in sd.factors]
     sizes = [g.size for g in groups]
     for flat in range(weyl_order(sd)):
-        yield _element_matrix(sd.rank, groups, np.unravel_index(flat, sizes))
+        den, W = _element_matrix(sd.rank, groups, np.unravel_index(flat, sizes))
+        yield unscaled(W, den)
 
 
 def signed_permutations(sd: SplitData):
@@ -402,7 +396,7 @@ def _d_line_scan(sd: SplitData, U: Subspace, line: Subspace):
         p for p in itertools.permutations(range(k)) if tuple(n[j] for j in p) in rows
     )
     si = np.argmax(hits[rows[tuple(n[j] for j in perm)]])
-    return False, (_signed_perm_matrix(perm, S[si]), fmat([v])[0])
+    return False, ((1, _signed_perm_matrix(perm, S[si])), line.basis[0])
 
 
 def _matmul_modp(A, B):
@@ -427,7 +421,8 @@ def weyl_disjoint(
     lies in w(V_h) and V_l, and w is the first such element in enumeration
     order (``weyl_elements``), except on the type-D line scan with dim V_h
     = 1, which scans V_l against the line and returns the inverse, and on a
-    reduced hit above the cutoff (below).
+    reduced hit above the cutoff (below).  The scan holds w as an integer
+    pair (den, W); the Fraction matrix W / den is built only here.
 
     A single type-D factor above ``_LINE_SCAN_ORDER`` elements, with one
     side a line and the other a hyperplane, bypasses the cutoff: the line
@@ -464,20 +459,24 @@ def weyl_disjoint(
     r = sd.rank
     if V_h.ambient_dim != r or V_l.ambient_dim != r:
         raise ValueError("subspaces must live in a-coordinates")
-    return _disjoint(sd, V_h, V_l, cutoff)
+    ok, wit = _disjoint(sd, V_h, V_l, cutoff)
+    if ok:
+        return True, None
+    (den, W), v = wit
+    return False, (unscaled(W, den), v)
 
 
 def _disjoint(sd, V_h, V_l, cutoff, fixed=frozenset(), memo=None):
-    """``weyl_disjoint`` past its argument check.  The factors indexed in
+    """``weyl_disjoint`` past its argument check, with a hit's element as
+    the pair (den, W) of ``_element_matrix``.  The factors indexed in
     ``fixed`` are held at the identity; a scan that runs is looked up in,
     and stored to, the dict ``memo`` when one is given."""
     r = sd.rank
     if V_h.dim == 0 or V_l.dim == 0:
         return True, None
-    if V_h.dim + V_l.dim > r:
-        inter = intersect(V_h, V_l)
-        w0 = np.eye(r, dtype=object).astype(object)
-        return False, (w0, inter.basis[0] if inter.dim else None)
+    if V_h.dim + V_l.dim > r:  # then V_h meets V_l (Grassmann)
+        identity = (1, np.eye(r, dtype=np.int64))
+        return False, (identity, intersect(V_h, V_l).basis[0])
     if len(sd.factors) == 2 and not fixed:
         got = _reduced(sd, V_h, V_l, cutoff)
         if got is not None and (got[0] or weyl_order(sd) > cutoff):
@@ -516,10 +515,10 @@ def _line_scan(sd, V_h, V_l):
         return _d_line_scan(sd, V_h, V_l)
     ok, wit = _d_line_scan(sd, V_l, V_h)
     if wit is not None:
-        W, v = wit
+        (den, W), v = wit
         # witness came from the transposed roles; map back through w^-1
         Winv = W.T  # signed permutations are orthogonal
-        return False, (Winv, Winv @ v)
+        return False, ((den, Winv), Winv @ v)
     return ok, None
 
 
@@ -554,7 +553,7 @@ def _batched_scan(sd, V_h, V_l, fixed):
         ) % MODP_PRIME
         for j in np.flatnonzero(~rank_modp(stack, V_h.dim)):
             w = _element_matrix(r, groups, [i[j] for i in idx])
-            wh = fmatmul(Hm, w.T)
+            wh = int_matmul(Hm, w[1].T)
             if rank(np.vstack([wh, Lm])) == V_h.dim + V_l.dim:
                 continue  # full rank over Q, deficient only mod p
             return False, _witness(sd, V_h, V_l, w)
@@ -682,24 +681,20 @@ def _generators(f: FactorSplit):
     return gens
 
 
-def _identity(r: int):
-    w = fzeros((r, r))
-    np.fill_diagonal(w, _F1)
-    return w
-
-
 def _on_factor(sd, i: int, w_f):
-    """The product element acting as w_f on factor i and as the identity on
-    the other factor."""
+    """(den, W) of the product element acting as w_f = (den, W_f) on factor
+    i and as the identity on the other factor."""
+    den, W_f = w_f
     f = sd.factors[i]
-    w = _identity(sd.rank)
-    w[f.offset : f.offset + f.rank, f.offset : f.offset + f.rank] = w_f
-    return w
+    W = den * np.eye(sd.rank, dtype=np.int64)
+    W[f.offset : f.offset + f.rank, f.offset : f.offset + f.rank] = W_f
+    return den, W
 
 
 def _witness(sd, V_h, V_l, w):
-    """(w, v) with v a nonzero vector of w(V_h) and V_l."""
-    moved = Subspace.from_rows(fmatmul(V_h.matrix(), w.T), sd.rank)
+    """(w, v) with v a nonzero vector of w(V_h) and V_l, for w = (den, W):
+    the rows of V_h W^T span w(V_h)."""
+    moved = Subspace.from_rows(int_matmul(V_h.matrix(), w[1].T), sd.rank)
     inter = intersect(moved, V_l)
     if not inter.dim:
         raise InternalError("rootweyl._witness", "Weyl hit without a witness")
@@ -712,15 +707,18 @@ def _witness(sd, V_h, V_l, w):
 
 def chamber_sort(sd: SplitData, vec):
     """Dominant representative of a split-part vector under the little Weyl
-    group, factor by factor.  Works on floats or Fractions."""
+    group, factor by factor.  Works on floats or Fractions; a g2 factor
+    takes the largest image den * w(x) over its integer stack and divides it
+    by den."""
     out = list(vec)
     for f in sd.factors:
         seg = out[f.offset : f.offset + f.rank]
         if f.root_type == "G":
-            seg = list(max(
-                tuple(sum(w[i, j] * seg[j] for j in range(2)) for i in range(2))
-                for w in _g2_weyl(f)
-            ))
+            den, W = _g2_weyl(f)
+            seg = [x / den for x in max(
+                tuple(sum(w[i][j] * seg[j] for j in range(2)) for i in range(2))
+                for w in W.tolist()
+            )]
         elif f.root_type == "D":
             mags = sorted((abs(x) for x in seg), reverse=True)
             neg = sum(1 for x in seg if x < 0)

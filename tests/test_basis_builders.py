@@ -14,11 +14,17 @@ import numpy as np
 import pytest
 
 from ckforms import realforms
-from ckforms.exactlin import fzeros, kernel, primitive_vector
+from ckforms.exactlin import fvec, fzeros, kernel, primitive_rows
 from ckforms.realforms import build_real_form, parse_form_name
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _primitive_vector(vec):
+    """``primitive_rows`` of one vector, as Fractions."""
+    return fvec(primitive_rows([list(vec)])[0])
+
 
 # every real form that `table --which table1 --max-n 3` builds
 _TABLE1_FORMS = [
@@ -155,7 +161,7 @@ def _ref_g2_basis():
     ordr = [1, 2, 3, 5, 6, 7, 4]
     out = []
     for v in kernel(np.array(rows, dtype=object)):
-        D = np.array(primitive_vector(v), dtype=object).reshape(8, 8)
+        D = np.array(_primitive_vector(v), dtype=object).reshape(8, 8)
         out.append(np.array([[D[a, b] for b in ordr] for a in ordr], dtype=object))
     return out
 
@@ -170,7 +176,7 @@ def _ref_g2_split_part():
         for ci, B in zip(c[: len(g2)], g2):
             if ci != 0:
                 M = M + ci * B
-        v = primitive_vector(list(M.reshape(-1)))
+        v = _primitive_vector(list(M.reshape(-1)))
         out.append(np.array(v, dtype=object).reshape(7, 7))
     return out
 

@@ -13,18 +13,19 @@ from ckforms.exactlin import (
     Subspace,
     echelon_rows,
     fmat,
-    fmatmul,
     fvec,
     int_matmul,
     intersect,
     kernel,
-    primitive_vector,
+    primitive_rows,
     rank,
     rank_at_least_modp,
     rank_modp,
     reduce_modp,
     rref,
+    scaled_ints,
     signature,
+    unscaled,
 )
 
 
@@ -67,7 +68,7 @@ def test_intersection_of_coordinate_planes_is_the_shared_axis():
     yz = Subspace.from_rows([[0, 1, 0], [0, 0, 1]])
     meet = intersect(xy, yz)
     assert meet.dim == 1
-    v = primitive_vector(meet.basis[0])
+    v = primitive_rows([meet.basis[0]])[0]
     assert list(v) in ([0, 1, 0], [0, -1, 0])
 
 
@@ -243,10 +244,9 @@ def test_coordinate_solver_rejects_dependent_rows():
         CoordinateSolver(fmat([[1, 2, 0], [2, 4, 0]]))
 
 
-def test_primitive_vector_clears_denominators_and_content():
-    v = primitive_vector(fvec([Fraction(2, 3), Fraction(4, 3)]))
+def test_primitive_rows_clear_denominators_and_content():
+    v, w = primitive_rows([fvec([Fraction(2, 3), Fraction(4, 3)]), fvec([-6, -9])])
     assert list(v) == [1, 2]
-    w = primitive_vector(fvec([-6, -9]))
     assert list(w) in ([2, 3], [-2, -3])
 
 
@@ -330,7 +330,8 @@ _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 @settings(max_examples=60, deadline=None)
 def test_integer_scaled_product_equals_the_fraction_product(pair):
     a, b = fmat(pair[0]), fmat(pair[1])
-    got = fmatmul(a, b)
+    (la, na), (lb, nb) = scaled_ints(a), scaled_ints(b)
+    got = unscaled(int_matmul(na, nb), la * lb)
     assert got.shape == (a @ b).shape
     assert all(type(x) is Fraction for x in got.flat)
     assert (got == a @ b).all()

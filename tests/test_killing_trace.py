@@ -19,8 +19,6 @@ _FORMS = [
     "su(1,6)", "su(2,6)",
 ]
 
-_NOT_ABSOLUTELY_SIMPLE = {"so(2,2)", "so(1,3)"}
-
 
 def _fresh(key):
     """A new algebra on the basis and metadata of a catalog form, with no
@@ -40,15 +38,14 @@ def test_trace_route_equals_the_tensor_contraction(key):
     alg = _fresh(key)
     K = alg.killing_ints
     assert K.dtype == np.int64
-    # the trace route never builds the tensor; the guarded forms do
-    assert alg.absolutely_simple == (key not in _NOT_ABSOLUTELY_SIMPLE)
-    assert (alg._tensor is None) == alg.absolutely_simple
+    # no catalog form builds the tensor: B = (p+q-2) Tr also holds on
+    # so(2,2) = sl2 + sl2 and so(1,3) = sl(2,C)
+    assert alg._tensor is None
     assert np.array_equal(K, _tensor_killing(alg))
 
 
 def test_algebras_without_family_metadata_keep_the_tensor_route():
     alg = LieAlgebra("so(2,3)", so_basis(2, 3))
-    assert not alg.absolutely_simple
     alg.killing_ints
     assert alg._tensor is not None
 

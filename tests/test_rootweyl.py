@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 import ckforms.rootweyl as rootweyl
 from ckforms.cli import parse_triple
 from ckforms.enumerate import TABLE1_FAMILIES, GenerationSpec, _instance_ns, generate
-from ckforms.exactlin import Subspace, fmat, fvec, intersect, kernel, unscaled
+from ckforms.exactlin import (
+    MODP_PRIME, InternalError, Subspace, fmat, fvec, int_matmul, intersect,
+    kernel, primitive_rows, scaled_ints, unscaled,
+)
 from ckforms.embeddings import adapted_split_part, catalog_lookup, product_algebra
-from ckforms.realforms import build_real_form
+from ckforms.liealg import LieAlgebra
+from ckforms.realforms import build_real_form, so_basis
 from ckforms.rootweyl import (
     DEFAULT_WEYL_CUTOFF,
     WeylCutoffError,
@@ -169,6 +173,49 @@ def test_g2_lines_related_by_a_coordinate_swap_are_a_hit():
     assert Subspace.from_rows(V_h.matrix() @ w.T, 2).contains(v)
 
 
+def test_g2_hits_keep_their_rational_witnesses():
+    # the first hitting elements in enumeration order: -1 on the first
+    # boost coordinate for (1, 1) against (1, -1), and element 1, a
+    # rotation with half-integer entries, for (1, 0) against (1, -1)
+    sd = split_data(build_real_form("g2(2)"))
+    half = Fraction(1, 2)
+    for h, want in (
+        ([1, 1], [[-1, 0], [0, 1]]),
+        ([1, 0], [[half, -3 * half], [-half, -half]]),
+    ):
+        ok, (w, v) = weyl_disjoint(
+            sd, Subspace.from_rows([h], 2), Subspace.from_rows([[1, -1]], 2)
+        )
+        assert not ok
+        assert all(type(x) is Fraction and type(x.numerator) is int for x in w.flat)
+        assert w.tolist() == want
+        assert list(v) == [1, -1]
+
+
+def test_g2_factor_table_is_the_exact_stack_over_den_mod_p():
+    sd = split_data(build_real_form("g2(2)"))
+    g = _FactorGroup(sd.factors[0])
+    assert g.den == 2 and g.size == 12
+    p = MODP_PRIME
+    for e, w in enumerate(weyl_elements(sd)):
+        assert np.array_equal(unscaled(g.exact(e), g.den), w)
+        want = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in w]
+        assert g.modp(np.array([e]))[0].tolist() == want
+
+
+def test_element_matrix_doubles_the_classical_block_beside_g2():
+    sd = split_data(product_algebra("so(3,4)", "g2(2)"))
+    groups = [_FactorGroup(f) for f in sd.factors]
+    mats = list(weyl_elements(sd))
+    for idx in [(0, 0), (5, 1), (17, 4), (47, 11)]:
+        den, W = rootweyl._element_matrix(sd.rank, groups, idx)
+        assert den == 2
+        assert np.array_equal(W[:3, :3], 2 * groups[0].exact(idx[0]))
+        assert np.array_equal(W[3:, 3:], groups[1].exact(idx[1]))
+        assert not W[:3, 3:].any() and not W[3:, :3].any()
+        assert np.array_equal(unscaled(W, den), mats[12 * idx[0] + idx[1]])
+
+
 def test_chamber_sort_is_a_weyl_representative(so44):
     sd = split_data(so44)
     out = chamber_sort(sd, [3, -1, 2, 0])
@@ -239,6 +286,16 @@ def test_split_gram_is_positive_definite(so44):
     assert np.all(np.linalg.eigvalsh(G) > 0)
     # B-norms of basis boosts agree within a simple factor
     assert all(sd.gram[i][i] == sd.gram[0][0] for i in range(sd.rank))
+
+
+def test_split_data_refuses_boosts_off_the_integer_span():
+    # on the basis 2 * so(1,2), the standard boosts have coordinates 1/2
+    meta = {"family": "so", "p": 1, "q": 2, "root_type": "B"}
+    basis = so_basis(1, 2)
+    meta["a_basis"] = [b for b in basis if (b == b.T).all()][:1]
+    alg = LieAlgebra("2so(1,2)", [2 * b for b in basis], meta=meta)
+    with pytest.raises(InternalError, match=r"2so\(1,2\): boosts off the integer span"):
+        split_data(alg)
 
 
 def test_line_scan_products_are_bounded_explicitly():
@@ -369,8 +426,10 @@ def test_line_scan_agrees_with_the_batched_scan(case):
         if not ok:
             _assert_witness(V_h, V_l, ref_wit)
     if not ok:
-        _assert_witness(U, line, wit)
-        assert any(np.array_equal(wit[0], w) for w in weyl_elements(sd))
+        (den, W), x = wit
+        assert den == 1
+        _assert_witness(U, line, (W, x))
+        assert any(np.array_equal(W, w) for w in weyl_elements(sd))
 
 
 @pytest.mark.parametrize(
@@ -441,9 +500,10 @@ def _assert_line_scan_is_the_group_scan(normal, v):
     perm, signs = ref_wit
     w_ref = np.zeros((k, k), dtype=int)
     w_ref[range(k), perm] = signs
-    assert np.array_equal(got[1][0], w_ref)
-    assert list(got[1][1]) == list(line.basis[0])
-    _assert_witness(U, line, got[1])
+    (den, W), x = got[1]
+    assert den == 1 and np.array_equal(W, w_ref)
+    assert list(x) == list(line.basis[0])
+    _assert_witness(U, line, (W, x))
     return got
 
 
@@ -493,7 +553,7 @@ def test_line_scan_follows_the_even_signs_of_type_d():
 
 def test_line_scan_witness_is_the_first_permutation_that_hits():
     # no signed sum of the identity vanishes; the first hit is a 4-cycle
-    ok, (w, _v) = _assert_line_scan_is_the_group_scan([1, 2, 3, 4], [1, 1, 1, 5])
+    ok, ((_den, w), _v) = _assert_line_scan_is_the_group_scan([1, 2, 3, 4], [1, 1, 1, 5])
     assert not ok
     assert [list(row).index(next(x for x in row if x)) for row in w] == [1, 2, 3, 0]
 
@@ -633,12 +693,13 @@ def _product_pairs(draw, name):
     l_kind, l_rows = draw(_side(sd))
     V_h = Subspace.from_rows(h_rows, sd.rank)
     if V_h.dim and l_kind != "graph" and draw(st.booleans()):
-        w = rootweyl._element_matrix(
+        # den w(x) for the element (den, W)
+        _den, W = rootweyl._element_matrix(
             sd.rank,
             [_FactorGroup(f) for f in sd.factors],
             [draw(st.integers(0, rootweyl._factor_order(f) - 1)) for f in sd.factors],
         )
-        x = list(w @ np.array(V_h.basis[0], dtype=object))
+        x = list(W @ np.array(V_h.basis[0], dtype=object))
         if l_kind in ("factorwise", "proper"):
             for f in sd.factors:
                 part = [0] * sd.rank
@@ -673,9 +734,9 @@ def test_fixed_factor_scan_finds_a_hit_off_the_identity():
     V_h = Subspace.from_rows([[0, 0, 1, 0]], 4)
     V_l = Subspace.from_rows([[0, 0, 0, 1], [1, 1, 1, 0]], 4)
     assert not intersect(V_h, V_l).dim
-    ok, (w, _v) = rootweyl._reduced(sd, V_h, V_l, DEFAULT_WEYL_CUTOFF)
-    assert not ok
-    assert list(w @ fvec([0, 0, 1, 0])) in ([0, 0, 0, 1], [0, 0, 0, -1])
+    ok, ((den, W), _v) = rootweyl._reduced(sd, V_h, V_l, DEFAULT_WEYL_CUTOFF)
+    assert not ok and den == 1
+    assert list(W @ fvec([0, 0, 1, 0])) in ([0, 0, 0, 1], [0, 0, 0, -1])
     _assert_reduced_scan(sd, V_h, V_l)
 
 
@@ -719,23 +780,30 @@ def test_so88_factor_pair_is_scanned_once():
     assert len(calls) == 1
 
 
+def _gram(cs, K):
+    """Gram matrix of the rational coordinate vectors cs under the integer
+    form K, as Fractions."""
+    lc, C = scaled_ints(np.array([list(c) for c in cs], dtype=object))
+    return unscaled(int_matmul(int_matmul(C, K), C.T), lc * lc)
+
+
 def _split_reference(g):
     """The split part of a simple algebra with one ``coords`` call per
-    Fraction boost matrix."""
+    Fraction boost matrix, orthogonalized with Fraction quotients."""
     a_mats = list(unscaled(np.array(g.meta["a_basis"]), 1))
     K = g.killing_ints
     cs = [g.coords(A) for A in a_mats]
-    G = rootweyl._gram(cs, K)
+    G = _gram(cs, K)
     r = len(cs)
     if any(G[i, j] != 0 for i in range(r) for j in range(i + 1, r)):
         for i in range(r):
             for j in range(i):
-                Gji = rootweyl._gram([cs[j], cs[i]], K)
+                Gji = _gram([cs[j], cs[i]], K)
                 if Gji[0, 1] != 0:
                     cs[i] = cs[i] - (Gji[0, 1] / Gji[0, 0]) * cs[j]
-            cs[i] = rootweyl.primitive_vector(cs[i])
+            cs[i] = fvec(primitive_rows([list(cs[i])])[0])
         a_mats = [g.matrix(c) for c in cs]
-        G = rootweyl._gram(cs, K)
+        G = _gram(cs, K)
     return a_mats, [G[i, i] for i in range(r)]
 
 
@@ -755,3 +823,4 @@ def test_split_data_reads_the_boosts_in_one_batch():
         assert all(np.array_equal(a, b) for a, b in zip(mats, a_mats))
         assert len(mats) == len(a_mats)
         assert list(np.diagonal(sd.gram)) == gram_diag
+        assert all(type(x) is int for x in sd.gram.flat)

@@ -20,14 +20,26 @@ import pytest
 from ckforms import realforms
 from ckforms.embeddings import Embedding, catalog_lookup
 from ckforms.exactlin import (
-    fmat, fmatmul, fzeros, kernel, primitive_vector, rank, scaled_ints,
-    unscaled,
+    fmat, fvec, fzeros, kernel, primitive_rows, rank, scaled_ints, unscaled,
 )
 from ckforms.realforms import clifford_candidates
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _FH = Fraction(1, 2)
+
+
+def _primitive_vector(vec):
+    """``primitive_rows`` of one vector, as Fractions."""
+    return fvec(primitive_rows([list(vec)])[0])
+
+
+def _fmatmul(A, B):
+    """Exact ``A @ B`` for rational arrays, on Python ints scaled by one
+    common denominator per factor."""
+    (la, na), (lb, nb) = scaled_ints(A), scaled_ints(B)
+    return unscaled(na @ nb, la * lb)
+
 
 # ---------------------------------------------------------------------------
 # the Fraction reference
@@ -128,7 +140,7 @@ def _ref_build_frame(gam, eps, Smat, p, q):
                 v = v - (v @ u) / (u @ u) * u
             vs.append(v)
         for v in vs:
-            v = np.array(primitive_vector(list(v)), dtype=object)
+            v = np.array(_primitive_vector(list(v)), dtype=object)
             a = v @ v
             if not _ref_is_square(2 * a):
                 return None
@@ -138,22 +150,22 @@ def _ref_build_frame(gam, eps, Smat, p, q):
             neg_cols.append(alpha * (v - w))
     T = np.array(pos_cols + neg_cols, dtype=object).T
     eta_t = np.diag([_F1] * (n // 2) + [-_F1] * (n // 2)).astype(object)
-    if not (fmatmul(fmatmul(T.T, Smat), T) == eta_t).all():
+    if not (_fmatmul(_fmatmul(T.T, Smat), T) == eta_t).all():
         return None
-    TTt = fmatmul(T.T, T)
+    TTt = _fmatmul(T.T, T)
     c = TTt[0, 0]
     if not (TTt == c * np.eye(n, dtype=object)).all():
         return None
     Tinv = T.T / c
     arows = [list(M.reshape(-1)) for M in _ref_boosts(n // 2)]
     for i in range(r):
-        XT = fmatmul(fmatmul(Tinv, X[i]), T)
+        XT = _fmatmul(_fmatmul(Tinv, X[i]), T)
         if rank(np.array(arows + [list(XT.reshape(-1))], dtype=object)) != n // 2:
             return None
     images = []
     for (a, b), M in phi.items():
-        Y = fmatmul(fmatmul(Tinv, M), T)
-        if not ((fmatmul(Y.T, eta_t) + fmatmul(eta_t, Y)) == 0).all():
+        Y = _fmatmul(_fmatmul(Tinv, M), T)
+        if not ((_fmatmul(Y.T, eta_t) + _fmatmul(eta_t, Y)) == 0).all():
             return None
         images.append(Y if b < p else -Y)
     return T, images
