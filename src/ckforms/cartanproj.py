@@ -451,8 +451,10 @@ def _boost_coords(parts, ranks, X):
 
 
 def _chamber_rows(sd: SplitData, amb):
-    """``chamber_sort`` of every row, for the B, C, BC and D factors of an
-    indefinite-orthogonal ambient (``gap_experiment`` refuses any other)."""
+    """Each row's Weyl chamber representative: per factor, magnitudes sorted
+    down, the last negated on a type D factor with an odd count of negative
+    entries.  For the B, C, BC and D factors of an indefinite-orthogonal
+    ambient (``gap_experiment`` refuses any other)."""
     out = np.empty_like(amb)
     for f in sd.factors:
         seg = amb[:, f.offset : f.offset + f.rank]

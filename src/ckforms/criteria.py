@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import intersect, primitive_rows, rank, rank_at_least_modp
+from .exactlin import intersect, rank, rank_at_least_modp
 from .liealg import LieAlgebra, is_compactly_embedded, span_closure
-from .embeddings import Embedding, adapted_split_part
+from .embeddings import Embedding, adapted_split_part, placed_subspace
 from .rootweyl import (
     DEFAULT_WEYL_CUTOFF,
     WeylCutoffError,
@@ -155,10 +155,10 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
-    """Exact test that the two images span g.  Every image row, dependent
-    ones included, is stacked and made primitive, so the mod-p certificate
-    sees the same rows in the same order for every shape of side."""
-    M = primitive_rows(np.vstack([h.coord_rows(), l.coord_rows()]))
+    """Exact test that the two images span g.  Both images' primitive basis
+    rows are stacked: every image row (an embedding is injective), so the
+    mod-p certificate sees the same rows in the same order for every side."""
+    M = np.vstack([h.subspace().matrix(), l.subspace().matrix()])
     d = g.dim
     for p in _CERT_PRIMES:
         if rank_at_least_modp(M, d, p=p):
@@ -167,13 +167,26 @@ def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
     return SumCheck(r == d, r, d, "fraction-free elimination")
 
 
+def _meet(g: LieAlgebra, h: Embedding, l: Embedding):
+    """h cap l: factor by factor, the placed sum of the h_i cap l_i, for two
+    placed sides (direct sums over the factors); else ``intersect`` in g."""
+    if not (h.parts and l.parts):
+        return intersect(h.subspace(), l.subspace())
+    hp, lp = dict(h.parts), dict(l.parts)
+    return placed_subspace(g.dim, [
+        (off, intersect(hp[i].subspace(), lp[i].subspace()))
+        for i, (_alg, off, _b) in enumerate(g.factors) if i in hp and i in lp
+    ])
+
+
 def check_compact_intersection(
     g: LieAlgebra, h: Embedding, l: Embedding
 ) -> CompactCheck:
     """Exact intersection of the images plus the compactness test: the
     intersection must be a subalgebra on which the Killing form is negative
-    definite."""
-    sub = intersect(h.subspace(), l.subspace())
+    definite.  Two placed sides meet factor by factor (``_meet``): the
+    basis may differ from a full ``intersect``, its span does not."""
+    sub = _meet(g, h, l)
     closed = span_closure(g, sub).dim == sub.dim
     compact, sig = is_compactly_embedded(g, sub)
     return CompactCheck(compact and closed, sub.dim, sig, closed)
@@ -186,11 +199,17 @@ def check_compact_intersection(
 def _proj_dims(g: LieAlgebra, e: Embedding):
     """Ranks of the two factor projections of the image V, and its meets with
     the factors by rank-nullity: dim(V cap g_i) = dim V - rank pi_j(V) for
-    the other factor j."""
-    N = e.coord_rows()
-    proj = [rank(N[:, off : off + alg.dim]) for alg, off, _b in g.factors]
+    the other factor j.  A placed side's ranks are its parts' source dims
+    (0 on a factor with no part); cached on the embedding."""
+    if e.proj is None and e.parts:
+        e.proj = [0] * len(g.factors)
+        for i, part in e.parts:
+            e.proj[i] = part.source.dim
+    elif e.proj is None:
+        N = e.coord_rows()
+        e.proj = [rank(N[:, off : off + alg.dim]) for alg, off, _b in g.factors]
     dim = e.source.dim  # an embedding is injective
-    return proj, [dim - proj[1], dim - proj[0]]
+    return e.proj, [dim - e.proj[1], dim - e.proj[0]]
 
 
 def _match_case(g: LieAlgebra, h: Embedding, l: Embedding, ev: dict):

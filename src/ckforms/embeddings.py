@@ -54,6 +54,7 @@ __all__ = [
     "diagonal",
     "a_map",
     "adapted_split_part",
+    "placed_subspace",
     "validate_embedding",
     "canonical_variant",
     "canonical_iota",
@@ -79,14 +80,22 @@ class Embedding:
     integer stack ``IM`` (k, n, n), int64 when it fits, over one positive
     ``den`` (image i is IM[i] / den), passed as rational matrices or as the
     pair (den, IM).  ``images`` is the rational view, built on first read.
-    ``iota`` is the twist of a diagonal (``diagonal``), None otherwise."""
+    ``iota`` is the twist of a diagonal (``diagonal``), None otherwise.
 
-    def __init__(self, key, source, target, images, iota=None):
+    ``parts`` is ((i, emb), ...), in source-basis order, for a side placed
+    into product factors i by ``factor_embedding`` or ``product_embedding``,
+    whose exact data is read off its parts; () otherwise.  Memoized:
+    ``subspace()``, ``split_part`` (``adapted_split_part``) and ``proj``
+    (the factor projection ranks of ``criteria``)."""
+
+    def __init__(self, key, source, target, images, iota=None, parts=()):
         self.key, self.source, self.target, self.iota = key, source, target, iota
         if not isinstance(images, tuple):
             images = scaled_ints(np.array(images, dtype=object))
         self.den, self.IM = images[0], fit_int64(images[1])
-        self._images = self._coord_rows = None
+        self.parts = parts
+        self._images = self._coord_rows = self._subspace = None
+        self.split_part = self.proj = None
 
     @property
     def images(self) -> list:
@@ -104,7 +113,16 @@ class Embedding:
         return self._coord_rows
 
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(self.coord_rows(), self.target.dim)
+        """The image: every coordinate row made primitive, in order (an
+        injective embedding keeps them all).  A placed side pads its parts'
+        rows at their factors' coordinate offsets."""
+        if self._subspace is None and self.parts:
+            self._subspace = placed_subspace(self.target.dim, [
+                (self.target.factors[i][1], e.subspace()) for i, e in self.parts
+            ])
+        elif self._subspace is None:
+            self._subspace = Subspace.from_rows(self.coord_rows(), self.target.dim)
+        return self._subspace
 
     def apply_ints(self, X):
         """(Y, s) with Y / s the images of a stack X (m, n, n) of integer
@@ -126,6 +144,18 @@ class Embedding:
 
     def __repr__(self):
         return f"Embedding({self.key}: {self.source.name} -> {self.target.name})"
+
+
+def placed_subspace(width: int, blocks) -> Subspace:
+    """The direct sum of subspaces placed at column offsets: each (offset,
+    sub) puts sub's basis rows, zero-padded to ``width``, after the rows of
+    the blocks before it."""
+    M = np.zeros((sum(sub.dim for _o, sub in blocks), width), dtype=object)
+    at = 0
+    for off, sub in blocks:
+        M[at : at + sub.dim, off : off + sub.ambient_dim] = sub.matrix()
+        at += sub.dim
+    return Subspace(width, tuple(M))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +237,12 @@ def parse_space_key(tok: str):
 # ---------------------------------------------------------------------------
 
 def identity_embedding(alg: LieAlgebra) -> Embedding:
-    return Embedding(f"{alg.name}:{alg.name}:id", alg, alg, (1, alg.stack))
+    """The identity of alg: one per algebra, kept in ``alg.meta``."""
+    if "_identity" not in alg.meta:
+        alg.meta["_identity"] = Embedding(
+            f"{alg.name}:{alg.name}:id", alg, alg, (1, alg.stack)
+        )
+    return alg.meta["_identity"]
 
 
 def block_embedding(amb_key: str, sub_key: str) -> Embedding:
@@ -397,7 +432,7 @@ def factor_embedding(g: LieAlgebra, factor_index: int, emb: Embedding) -> Embedd
         raise ValueError("embedding target is not the chosen factor")
     images = _placed(g, len(emb.IM), [(slice(None), factor_index, emb.den, emb.IM)])
     key = f"[{factor_index}]{emb.key}"
-    return Embedding(key, emb.source, g, images)
+    return Embedding(key, emb.source, g, images, parts=((factor_index, emb),))
 
 
 def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedding:
@@ -411,7 +446,8 @@ def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedd
         (slice(k1, None), 1, emb2.den, emb2.IM),
     ])
     key = f"{emb1.key} (+) {emb2.key}"
-    return Embedding(key, _direct_sum(emb1.source, emb2.source), g, images)
+    source = _direct_sum(emb1.source, emb2.source)
+    return Embedding(key, source, g, images, parts=((0, emb1), (1, emb2)))
 
 
 def diagonal(g: LieAlgebra, iota: Embedding | None = None) -> Embedding:
@@ -539,18 +575,24 @@ def a_map(emb: Embedding) -> np.ndarray:
 
 def adapted_split_part(emb: Embedding) -> Subspace:
     """Coordinates (in the ambient boost basis) of the image of the source
-    split part; raises AdaptednessError if it leaves the ambient split part."""
-    sd_src = split_data(emb.source)
-    sd_tgt = split_data(emb.target)
-    rows = a_map(emb)
-    sub = Subspace.from_rows(rows, sd_tgt.rank)
-    if sub.dim != sd_src.rank:
-        raise AdaptednessError(
-            "embeddings.adapted_split_part",
-            f"{emb.key}: split part image has dimension {sub.dim}, expected "
-            f"{sd_src.rank}",
-        )
-    return sub
+    split part; raises AdaptednessError if it leaves the ambient split part.
+    Memoized on the embedding; a placed side pads its parts' split parts at
+    their factors' offsets in the product's boost coordinates."""
+    if emb.split_part is None and emb.parts:
+        sd = split_data(emb.target)
+        emb.split_part = placed_subspace(sd.rank, [
+            (sd.factors[i].offset, adapted_split_part(e)) for i, e in emb.parts
+        ])
+    elif emb.split_part is None:
+        sub = Subspace.from_rows(a_map(emb), split_data(emb.target).rank)
+        if sub.dim != split_data(emb.source).rank:
+            raise AdaptednessError(
+                "embeddings.adapted_split_part",
+                f"{emb.key}: split part image has dimension {sub.dim}, "
+                f"expected {split_data(emb.source).rank}",
+            )
+        emb.split_part = sub
+    return emb.split_part
 
 
 def validate_embedding(emb: Embedding) -> dict:

@@ -28,7 +28,9 @@ from ckforms.exactlin import (
     Subspace, echelon_rows, int_matmul, scaled_ints, unscaled,
 )
 from ckforms.realforms import build_real_form
-from ckforms.rootweyl import chamber_sort, split_data, weyl_elements
+from ckforms.rootweyl import split_data, weyl_elements
+
+from chamber_reference import chamber_sort
 
 
 def _floats(m):

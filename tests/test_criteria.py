@@ -6,8 +6,18 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ckforms.criteria import check_compact_intersection, check_sum, classify_triple
+from ckforms.criteria import (
+    SumCheck,
+    _CERT_PRIMES,
+    _meet,
+    _proj_dims,
+    check_compact_intersection,
+    check_sum,
+    classify_triple,
+)
 from ckforms.embeddings import (
+    a_map,
+    adapted_split_part,
     catalog_lookup,
     diagonal,
     factor_embedding,
@@ -15,8 +25,23 @@ from ckforms.embeddings import (
     product_algebra,
     product_embedding,
 )
-from ckforms.enumerate import GenerationSpec, generate
+from ckforms.enumerate import (
+    TABLE2_FAMILIES,
+    GenerationSpec,
+    _instance_ns,
+    _t2_instance,
+    generate,
+)
+from ckforms.exactlin import (
+    Subspace,
+    intersect,
+    primitive_rows,
+    rank,
+    rank_at_least_modp,
+)
+from ckforms.liealg import is_compactly_embedded, span_closure
 from ckforms.realforms import build_real_form
+from ckforms.rootweyl import split_data
 
 
 def _lk(key):
@@ -343,3 +368,65 @@ def test_generic_intersection_keeps_each_side_shape(
     assert tuple(v.compact_check.signature) == sig
     assert v.projections == projections
     assert v.case_label == case
+
+
+# ---------------------------------------------------------------------------
+# placed sides: read off their parts, as the general route reads them in g
+# ---------------------------------------------------------------------------
+
+def _ref_check_sum(g, h, l):
+    """The sum check on every image row read in g, made primitive."""
+    M = primitive_rows(np.vstack([h.coord_rows(), l.coord_rows()]))
+    for p in _CERT_PRIMES:
+        if rank_at_least_modp(M, g.dim, p=p):
+            return SumCheck(True, g.dim, g.dim, f"full-rank certificate mod {p}")
+    r = rank(M)
+    return SumCheck(r == g.dim, r, g.dim, "fraction-free elimination")
+
+
+@pytest.fixture(scope="module")
+def placed_triples():
+    """Every record of ``enumerate --max-n 1`` (so(8,8) included) and every
+    instance of ``table --which table2 --max-n 2``."""
+    triples = [(r.g, r.h, r.l) for r in generate(GenerationSpec(max_n=1))]
+    assert len(triples) == 69
+    for fam in TABLE2_FAMILIES:
+        for n in _instance_ns(fam, 2):
+            triples.append(_t2_instance(fam, n)[:3])
+    return triples
+
+
+def test_placed_sides_match_the_general_route(placed_triples):
+    placed = 0
+    for g, h, l in placed_triples:
+        sd = split_data(g)
+        for side in (h, l):
+            if not side.parts:
+                continue
+            placed += 1
+            N = side.coord_rows()
+            want = Subspace.from_rows(N, g.dim).matrix()
+            assert np.array_equal(side.subspace().matrix(), want), side.key
+            want = Subspace.from_rows(a_map(side), sd.rank).matrix()
+            assert np.array_equal(adapted_split_part(side).matrix(), want)
+            ranks = [rank(N[:, off : off + alg.dim]) for alg, off, _b in g.factors]
+            assert _proj_dims(g, side)[0] == ranks, side.key
+    assert placed > 100
+
+
+def test_placed_meets_and_sums_match_the_general_route(placed_triples):
+    meets = 0
+    for g, h, l in placed_triples:
+        assert check_sum(g, h, l) == _ref_check_sum(g, h, l)
+        if not (h.parts and l.parts):
+            continue
+        meets += 1
+        got = _meet(g, h, l)
+        full = intersect(
+            Subspace.from_rows(h.coord_rows(), g.dim),
+            Subspace.from_rows(l.coord_rows(), g.dim),
+        )
+        assert got.dim == full.dim
+        assert is_compactly_embedded(g, got) == is_compactly_embedded(g, full)
+        assert span_closure(g, got).dim == span_closure(g, full).dim
+    assert meets > 30

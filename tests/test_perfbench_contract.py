@@ -1,25 +1,32 @@
-"""The benchmark's tracer against the package it wraps.
+"""The benchmark against the package it drives.
 
 ``perfbench/tracer.py`` wraps a fixed list of ckforms functions, methods and
 properties by name, and its ``install`` fails on a name the package no
 longer has.  perfbench's own self-tests are outside ``testpaths``, so this
 test loads the tracer from its file and checks that every name still
-installs and uninstalls.
+installs and uninstalls.  It also loads ``perfbench/workloads.py`` and checks
+that the ``products`` traffic takes the placed-side route.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
-import ckforms.cli  # noqa: F401  (loads every layer the tracer wraps)
+import ckforms.cli  # (loads every layer the tracer wraps)
 
-_TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+_BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", _TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", _BENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def _targets(tracer):
@@ -48,3 +55,17 @@ def test_the_benchmark_tracer_installs_every_wrapper():
         t.uninstall()
     assert all(a is not b for a, b in zip(installed, before))
     assert all(vars(owner)[attr] is b for (owner, attr), b in zip(targets, before))
+
+
+def test_product_workload_sides_are_placed_from_their_parts():
+    # every side that is not a diagonal is read off its cached catalog parts
+    placed = 0
+    for key in _load("workloads").PRODUCT_KEYS:
+        _g, h, l, _key = ckforms.cli.parse_triple(key)
+        specs = key.split(":", 1)[1].split("+")
+        for spec, side in zip(specs, (h, l)):
+            if not spec.startswith("delta"):
+                assert side.parts, key
+                placed += 1
+    # 53 triples, 17 of them with one diagonal side
+    assert placed == 2 * 53 - 17

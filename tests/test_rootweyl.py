@@ -23,13 +23,14 @@ from ckforms.rootweyl import (
     WeylCutoffError,
     _d_line_scan,
     _FactorGroup,
-    chamber_sort,
     signed_permutations,
     split_data,
     weyl_disjoint,
     weyl_elements,
     weyl_order,
 )
+
+from chamber_reference import chamber_sort
 
 
 @pytest.mark.parametrize(
