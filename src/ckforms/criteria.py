@@ -10,12 +10,13 @@ dimensions, and (when enumerable) the Weyl disjointness status.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exactlin import intersect, rank, rank_at_least_modp
+from .exactlin import Subspace, intersect, rank, rank_at_least_modp
 from .liealg import LieAlgebra, is_compactly_embedded, span_closure
-from .embeddings import Embedding, adapted_split_part, placed_subspace
+from .embeddings import Embedding, adapted_split_part
 from .rootweyl import (
     DEFAULT_WEYL_CUTOFF,
     WeylCutoffError,
@@ -72,6 +73,11 @@ class SumCheck:
 
 @dataclass
 class CompactCheck:
+    """The meet h cap l: its dim, the Killing signature on it, whether it
+    is a subalgebra (``closed``), and ``compact``: closed with a negative
+    definite signature.  For two placed sides each value is combined from
+    the factor meets."""
+
     compact: bool
     dim: int
     signature: tuple
@@ -154,29 +160,73 @@ class Verdict:
 # the two algebraic criteria
 # ---------------------------------------------------------------------------
 
+class _PairFacts:
+    """What the criteria read of two sides h, l (subspaces) of one algebra:
+    full rank mod p of their stacked rows, its exact rank, and the dim,
+    Killing signature and closure of h cap l.  Each is computed on first
+    read; only the results are kept."""
+
+    def __init__(self, alg: LieAlgebra, h: Subspace, l: Subspace):
+        self.alg, self.h, self.l = alg, h, l
+        self._full = {}
+
+    def _stack(self):
+        return np.vstack([self.h.matrix(), self.l.matrix()])
+
+    def full_mod(self, p: int) -> bool:
+        if p not in self._full:
+            self._full[p] = rank_at_least_modp(self._stack(), self.alg.dim, p=p)
+        return self._full[p]
+
+    @cached_property
+    def exact_rank(self) -> int:
+        return rank(self._stack())
+
+    @cached_property
+    def meet(self) -> tuple:
+        """(dim, Killing signature, closed) of h cap l."""
+        sub = intersect(self.h, self.l)
+        closed = span_closure(self.alg, sub).dim == sub.dim
+        return sub.dim, is_compactly_embedded(self.alg, sub)[1], closed
+
+
+# pair facts by (factor algebra, h part, l part); a missing part is None
+_pair_cache = {}
+
+
+def _facts(g: LieAlgebra, h: Embedding, l: Embedding) -> list:
+    """The pair facts that decide (g, h, l): one per factor of g, memoized,
+    for two placed sides (direct sums over the factors); else one for the
+    whole pair, not kept."""
+    if not (h.parts and l.parts):
+        return [_PairFacts(g, h.subspace(), l.subspace())]
+    hp, lp = dict(h.parts), dict(l.parts)
+    out = []
+    for i, (alg, _c, _b) in enumerate(g.factors):
+        key = (alg, hp.get(i), lp.get(i))
+        if key not in _pair_cache:
+            _pair_cache[key] = _PairFacts(alg, *(
+                Subspace(alg.dim, ()) if e is None else e.subspace()
+                for e in key[1:]
+            ))
+        out.append(_pair_cache[key])
+    return out
+
+
 def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
-    """Exact test that the two images span g.  Both images' primitive basis
-    rows are stacked: every image row (an embedding is injective), so the
-    mod-p certificate sees the same rows in the same order for every side."""
-    M = np.vstack([h.subspace().matrix(), l.subspace().matrix()])
+    """Exact test that the two images span g: their stacked primitive basis
+    rows are certified full rank mod the first prime of ``_CERT_PRIMES``
+    that works, else ranked exactly.  Two placed sides are decided factor
+    by factor from memoized pair facts: their stack is block diagonal after
+    a row permutation, so it is full rank mod p exactly when every factor's
+    is, and its rank is the sum of theirs."""
+    facts = _facts(g, h, l)
     d = g.dim
     for p in _CERT_PRIMES:
-        if rank_at_least_modp(M, d, p=p):
+        if all(f.full_mod(p) for f in facts):
             return SumCheck(True, d, d, f"full-rank certificate mod {p}")
-    r = rank(M)
+    r = sum(f.exact_rank for f in facts)
     return SumCheck(r == d, r, d, "fraction-free elimination")
-
-
-def _meet(g: LieAlgebra, h: Embedding, l: Embedding):
-    """h cap l: factor by factor, the placed sum of the h_i cap l_i, for two
-    placed sides (direct sums over the factors); else ``intersect`` in g."""
-    if not (h.parts and l.parts):
-        return intersect(h.subspace(), l.subspace())
-    hp, lp = dict(h.parts), dict(l.parts)
-    return placed_subspace(g.dim, [
-        (off, intersect(hp[i].subspace(), lp[i].subspace()))
-        for i, (_alg, off, _b) in enumerate(g.factors) if i in hp and i in lp
-    ])
 
 
 def check_compact_intersection(
@@ -184,12 +234,13 @@ def check_compact_intersection(
 ) -> CompactCheck:
     """Exact intersection of the images plus the compactness test: the
     intersection must be a subalgebra on which the Killing form is negative
-    definite.  Two placed sides meet factor by factor (``_meet``): the
-    basis may differ from a full ``intersect``, its span does not."""
-    sub = _meet(g, h, l)
-    closed = span_closure(g, sub).dim == sub.dim
-    compact, sig = is_compactly_embedded(g, sub)
-    return CompactCheck(compact and closed, sub.dim, sig, closed)
+    definite.  Two placed sides meet factor by factor, from memoized pair
+    facts: the meet is the direct sum of the factor meets, [g1, g2] = 0 and
+    the Killing form is block diagonal, so dims and signatures add and the
+    meet is closed exactly when every factor meet is."""
+    dims, sigs, closed = zip(*(f.meet for f in _facts(g, h, l)))
+    dim, sig, closed = sum(dims), tuple(map(sum, zip(*sigs))), all(closed)
+    return CompactCheck(closed and sig == (0, dim, 0), dim, sig, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +250,17 @@ def check_compact_intersection(
 def _proj_dims(g: LieAlgebra, e: Embedding):
     """Ranks of the two factor projections of the image V, and its meets with
     the factors by rank-nullity: dim(V cap g_i) = dim V - rank pi_j(V) for
-    the other factor j.  A placed side's ranks are its parts' source dims
-    (0 on a factor with no part); cached on the embedding."""
+    the other factor j.  A placed side's ranks are its parts' dims (0 on a
+    factor with no part); cached on the embedding.  A dim is read as the
+    number of basis images (embeddings are injective), not off the source."""
     if e.proj is None and e.parts:
         e.proj = [0] * len(g.factors)
         for i, part in e.parts:
-            e.proj[i] = part.source.dim
+            e.proj[i] = len(part.IM)
     elif e.proj is None:
         N = e.coord_rows()
         e.proj = [rank(N[:, off : off + alg.dim]) for alg, off, _b in g.factors]
-    dim = e.source.dim  # an embedding is injective
+    dim = len(e.IM)
     return e.proj, [dim - e.proj[1], dim - e.proj[0]]
 
 
@@ -218,8 +270,8 @@ def _match_case(g: LieAlgebra, h: Embedding, l: Embedding, ev: dict):
     d1, d2 = facs[0][0].dim, facs[1][0].dim
     (p1h, p2h), (m1h, m2h) = ev["h_proj"], ev["h_meet"]
     (p1l, p2l), (m1l, m2l) = ev["l_proj"], ev["l_meet"]
-    h_dec = m1h + m2h == h.source.dim
-    l_dec = m1l + m2l == l.source.dim
+    h_dec = m1h + m2h == len(h.IM)
+    l_dec = m1l + m2l == len(l.IM)
     if p1h == d1 and p2h == 0 and p1l == 0 and p2l == d2:
         return "Case1"
     if (
@@ -288,8 +340,8 @@ def classify_triple(
     compact_check = check_compact_intersection(g, h, l)
     dims = {
         "g": g.dim,
-        "h": h.source.dim,
-        "l": l.source.dim,
+        "h": len(h.IM),
+        "l": len(l.IM),
         "intersection": compact_check.dim,
     }
     standard = sum_check.holds and compact_check.compact
@@ -320,8 +372,8 @@ def classify_triple(
             "pi2_h": evh_proj[1],
             "pi1_l": evl_proj[0],
             "pi2_l": evl_proj[1],
-            "h_decomposable": evh_meet[0] + evh_meet[1] == h.source.dim,
-            "l_decomposable": evl_meet[0] + evl_meet[1] == l.source.dim,
+            "h_decomposable": evh_meet[0] + evh_meet[1] == len(h.IM),
+            "l_decomposable": evl_meet[0] + evl_meet[1] == len(l.IM),
         }
         if standard:
             label = _match_case(g, h, l, ev)

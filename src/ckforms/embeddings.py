@@ -86,16 +86,23 @@ class Embedding:
     into product factors i by ``factor_embedding`` or ``product_embedding``,
     whose exact data is read off its parts; () otherwise.  Memoized:
     ``subspace()``, ``split_part`` (``adapted_split_part``) and ``proj``
-    (the factor projection ranks of ``criteria``)."""
+    (the factor projection ranks of ``criteria``).  A ``source`` of None is
+    the direct sum of the parts' sources, built on first read."""
 
     def __init__(self, key, source, target, images, iota=None, parts=()):
-        self.key, self.source, self.target, self.iota = key, source, target, iota
+        self.key, self._source, self.target, self.iota = key, source, target, iota
         if not isinstance(images, tuple):
             images = scaled_ints(np.array(images, dtype=object))
         self.den, self.IM = images[0], fit_int64(images[1])
         self.parts = parts
         self._images = self._coord_rows = self._subspace = None
         self.split_part = self.proj = None
+
+    @property
+    def source(self) -> LieAlgebra:
+        if self._source is None:
+            self._source = _direct_sum(*(e.source for _i, e in self.parts))
+        return self._source
 
     @property
     def images(self) -> list:
@@ -436,7 +443,8 @@ def factor_embedding(g: LieAlgebra, factor_index: int, emb: Embedding) -> Embedd
 
 
 def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedding:
-    """Blockwise product embedding source1 (+) source2 into g1 (+) g2."""
+    """Blockwise product embedding source1 (+) source2 into g1 (+) g2; the
+    source direct sum is built on first read."""
     (alg1, _c1, _b1), (alg2, _c2, _b2) = g.factors
     if emb1.target is not alg1 or emb2.target is not alg2:
         raise ValueError("part targets do not match the product factors")
@@ -446,8 +454,7 @@ def product_embedding(g: LieAlgebra, emb1: Embedding, emb2: Embedding) -> Embedd
         (slice(k1, None), 1, emb2.den, emb2.IM),
     ])
     key = f"{emb1.key} (+) {emb2.key}"
-    source = _direct_sum(emb1.source, emb2.source)
-    return Embedding(key, source, g, images, parts=((0, emb1), (1, emb2)))
+    return Embedding(key, None, g, images, parts=((0, emb1), (1, emb2)))
 
 
 def diagonal(g: LieAlgebra, iota: Embedding | None = None) -> Embedding:

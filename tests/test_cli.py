@@ -164,6 +164,18 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert r.returncode == 0, r.stderr.decode()
 
 
+def test_importing_the_cli_does_no_math():
+    # no algebra, catalog entry or pair facts are built at import
+    code = (
+        "import sys, ckforms.cli\n"
+        "from ckforms import criteria, embeddings\n"
+        "sys.exit(bool(embeddings._product_cache or embeddings._lookup_cache"
+        " or criteria._pair_cache))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+
+
 def test_gap_leaves_scipy_unloaded():
     code = (
         "import sys, ckforms.cli\n"

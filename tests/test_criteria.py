@@ -2,14 +2,17 @@
 
 import json
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ckforms.criteria as criteria
 from ckforms.criteria import (
+    CompactCheck,
     SumCheck,
     _CERT_PRIMES,
-    _meet,
+    _PairFacts,
     _proj_dims,
     check_compact_intersection,
     check_sum,
@@ -415,18 +418,56 @@ def test_placed_sides_match_the_general_route(placed_triples):
 
 
 def test_placed_meets_and_sums_match_the_general_route(placed_triples):
-    meets = 0
+    # both criteria, decided from pair facts, against whole-g references
+    placed = 0
     for g, h, l in placed_triples:
         assert check_sum(g, h, l) == _ref_check_sum(g, h, l)
-        if not (h.parts and l.parts):
-            continue
-        meets += 1
-        got = _meet(g, h, l)
         full = intersect(
             Subspace.from_rows(h.coord_rows(), g.dim),
             Subspace.from_rows(l.coord_rows(), g.dim),
         )
-        assert got.dim == full.dim
-        assert is_compactly_embedded(g, got) == is_compactly_embedded(g, full)
-        assert span_closure(g, got).dim == span_closure(g, full).dim
-    assert meets > 30
+        closed = span_closure(g, full).dim == full.dim
+        compact, sig = is_compactly_embedded(g, full)
+        want = CompactCheck(compact and closed, full.dim, sig, closed)
+        assert check_compact_intersection(g, h, l) == want, (h.key, l.key)
+        placed += bool(h.parts and l.parts)
+    assert len(placed_triples) == 81 and placed > 30
+
+
+def test_block_certificates_name_the_prime_of_the_whole_stack(monkeypatch):
+    # block A = [[1, 1], [1, 1 + p1]] has determinant p1: singular mod p1,
+    # not mod p2; block B is the identity, block C has rank 1
+    p1, p2 = _CERT_PRIMES
+    alg = SimpleNamespace(dim=2)  # the sum facts read only its dim
+    A = _PairFacts(alg, Subspace(2, ((1, 1),)), Subspace(2, ((1, 1 + p1),)))
+    B = _PairFacts(alg, Subspace(2, ((1, 0),)), Subspace(2, ((0, 1),)))
+    C = _PairFacts(alg, Subspace(2, ((1, 1),)), Subspace(2, ((1, 1),)))
+
+    def sum_check(*blocks):
+        monkeypatch.setattr(criteria, "_facts", lambda g, h, l: list(blocks))
+        return check_sum(SimpleNamespace(dim=4), None, None)
+
+    M = np.zeros((4, 4), dtype=object)
+    M[:2, :2] = [[1, 1], [1, 1 + p1]]
+    M[2:, 2:] = [[1, 0], [0, 1]]
+    assert not rank_at_least_modp(M, 4, p=p1) and rank_at_least_modp(M, 4, p=p2)
+    want = SumCheck(True, 4, 4, f"full-rank certificate mod {p2}")
+    assert sum_check(A, B) == sum_check(B, A) == want
+    # a block singular mod both primes: the exact rank is the sum
+    M[:2, :2] = [[1, 1], [1, 1]]
+    want = SumCheck(False, rank(M), 4, "fraction-free elimination")
+    assert sum_check(C, B) == sum_check(B, C) == want and want.rank == 3
+
+
+def test_factor_meets_combine_into_the_whole_meet(monkeypatch):
+    # a coordinate plane of so(2,1) is no subalgebra, a line is: their sum
+    # is no subalgebra, of the summed dim and signature
+    alg = build_real_form("so(2,1)")
+    plane = Subspace(3, ((1, 0, 0), (0, 1, 0)))
+    line = Subspace(3, ((1, 0, 0),))
+    A, B = _PairFacts(alg, plane, plane), _PairFacts(alg, line, line)
+    assert not A.meet[2] and B.meet[2]
+    monkeypatch.setattr(criteria, "_facts", lambda g, h, l: [A, B])
+    sig = tuple(x + y for x, y in zip(A.meet[1], B.meet[1]))
+    got = check_compact_intersection(None, None, None)
+    assert got == CompactCheck(False, 3, sig, False)

@@ -5,13 +5,15 @@ properties by name, and its ``install`` fails on a name the package no
 longer has.  perfbench's own self-tests are outside ``testpaths``, so this
 test loads the tracer from its file and checks that every name still
 installs and uninstalls.  It also loads ``perfbench/workloads.py`` and checks
-that the ``products`` traffic takes the placed-side route.
+that the ``products`` traffic takes the placed-side route and shares its
+factor pair facts.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
 import ckforms.cli  # (loads every layer the tracer wraps)
+from ckforms import criteria
 
 _BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,3 +71,17 @@ def test_product_workload_sides_are_placed_from_their_parts():
                 placed += 1
     # 53 triples, 17 of them with one diagonal side
     assert placed == 2 * 53 - 17
+
+
+def test_placed_product_triples_share_eight_factor_pairs(monkeypatch):
+    # the 36 triples with two placed sides fill 72 factor slots with 8
+    # distinct (factor, h part, l part) pairs, each computed once
+    monkeypatch.setattr(criteria, "_pair_cache", {})
+    triples = [ckforms.cli.parse_triple(key)[:3]
+               for key in _load("workloads").PRODUCT_KEYS]
+    placed = [(g, h, l) for g, h, l in triples if h.parts and l.parts]
+    assert len(placed) == 36
+    for g, h, l in placed:
+        criteria.check_sum(g, h, l)
+        criteria.check_compact_intersection(g, h, l)
+    assert len(criteria._pair_cache) == 8
