@@ -336,6 +336,8 @@ def classify_triple(
     the decomposition label (simple ambient), and assemble the evidence."""
     if h.target is not g or l.target is not g:
         raise ValueError("embedding targets must be the ambient algebra")
+    if weyl_cutoff is not None and weyl_cutoff < 0:
+        raise ValueError("weyl cutoff must be at least 0")
     sum_check = check_sum(g, h, l)
     compact_check = check_compact_intersection(g, h, l)
     dims = {

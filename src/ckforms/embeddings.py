@@ -502,7 +502,10 @@ _lookup_cache = {}
 
 
 def catalog_lookup(key: str) -> Embedding:
-    """Resolve a catalog key to a validated-on-construction embedding."""
+    """Resolve a catalog key (normalized: spaces dropped, lower case) to its
+    embedding and cache the result by that key.  Nothing is validated here;
+    ``test_catalog_entries_are_injective_homomorphisms`` checks that every
+    catalog entry is an injective homomorphism."""
     k = key.replace(" ", "").lower()
     if k in _lookup_cache:
         return _lookup_cache[k]

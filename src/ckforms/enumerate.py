@@ -79,6 +79,8 @@ class GenerationSpec:
     def __post_init__(self):
         if self.max_n < 1:
             raise ValueError("max_n must be at least 1")
+        if self.weyl_cutoff < 0:
+            raise ValueError("weyl cutoff must be at least 0")
         object.__setattr__(self, "cases", frozenset(self.cases))
 
 

@@ -8,11 +8,14 @@ non-integral entry.  ``basis`` is the Fraction view, built on first read.
 There is one coordinate path: ``LieAlgebra.read_coords`` reads the
 coordinates of a whole stack of integer matrices at once (it gathers the
 pivot entries, multiplies them by the solver's integer transform, and
-rebuilds every matrix from the nonzero basis entries to certify that it lies
-in the span).  The structure constants, theta, the coordinates of embedded
-images, ``bracket_coords`` and ``span_closure`` all go through it; brackets
-are read from integer matrix commutators, so a direct sum never needs a
-structure tensor of its own.
+rebuilds every matrix from the nonzero basis entries, with
+``exactlin.sparse_product``, to certify that it lies in the span).  The
+structure constants, theta, the coordinates of embedded images and
+``bracket_coords`` go through it; brackets are read from integer matrix
+commutators, so a direct sum never needs a structure tensor of its own.
+``span_closure`` tests its commutators against the span of the subspace's
+own matrices first, so a closed input never goes through ``read_coords``;
+only brackets that leave that span are read in g.
 
 The structure constants are one dense int64 array ``tensor[i, k, j] =
 c_ij^k`` (``tensor[i]`` is ad(b_i)), computed one basis element at a time.
@@ -51,6 +54,7 @@ from .exactlin import (
     Subspace,
     absmax,
     check_int64,
+    column_nonzeros,
     echelon_rows,
     embed_block,
     fit_int64,
@@ -58,6 +62,7 @@ from .exactlin import (
     kernel,
     scaled_ints,
     signature,
+    sparse_product,
     unscaled,
 )
 
@@ -95,15 +100,12 @@ class LieAlgebra:
         )
         # the nonzero basis entries grouped by column: every coordinate read
         # rebuilds its matrices from them
-        rows, cols = np.nonzero(self._flat)
-        order = np.argsort(cols, kind="stable")
-        self._nz_rows, self._nz_vals = rows[order], self._flat[rows, cols][order]
-        self._nz_cols, self._nz_starts, counts = np.unique(
-            cols[order], return_index=True, return_counts=True
-        )
+        self._nz = column_nonzeros(self._flat)
+        _rows, vals, cols, starts = self._nz
         self._off_support = np.ones(self.n**2, dtype=bool)
-        self._off_support[self._nz_cols] = False
-        self._rebuild_bound = absmax(self._nz_vals) * int(counts.max(initial=0))
+        self._off_support[cols] = False
+        counts = np.diff(starts, append=len(vals))
+        self._rebuild_bound = absmax(vals) * int(counts.max(initial=0))
         self.theta_conjugator = (
             np.asarray(theta_conjugator, dtype=object)
             if theta_conjugator is not None
@@ -176,22 +178,27 @@ class LieAlgebra:
         bound = max(absmax(N), 1) * self._rebuild_bound
         dtype = np.int64 if max(bound, L * max(absmax(X), 1)) < 2**63 else object
         N, X = N.astype(dtype, copy=False), X.astype(dtype, copy=False)
-        R = np.add.reduceat(
-            N[:, self._nz_rows] * self._nz_vals, self._nz_starts, axis=1
-        )
-        if X[:, self._off_support].any() or (R != L * X[:, self._nz_cols]).any():
+        R = sparse_product(N, self._nz)
+        if X[:, self._off_support].any() or (R != L * X[:, self._nz[2]]).any():
             return None
         return N, L
+
+    def _commutators(self, M, a, b):
+        """The commutators [M[a], M[b]] of a stack of integer matrices M
+        (m, n*n), flattened.  A commutator subtracts two products of n
+        terms: int64 under the bound 2 * max|entry|**2 * n < 2**63, Python
+        ints past it."""
+        M = M.reshape(-1, self.n, self.n)
+        m = absmax(M)
+        M = M.astype(np.int64 if 2 * m * m * self.n < 2**63 else object, copy=False)
+        return (M[a] @ M[b] - M[b] @ M[a]).reshape(len(a), -1)
 
     def _brackets(self, rows, a, b):
         """(N, L) of ``read_coords`` for the brackets [rows[a], rows[b]] of
         integer coordinate rows, read from their matrix commutators in one
-        batch.  A commutator subtracts two products of n terms: int64 under
-        the bound 2 * max|entry|**2 * n < 2**63, Python ints past it."""
-        M = int_matmul(np.asarray(rows), self._flat).reshape(-1, self.n, self.n)
-        m = absmax(M)
-        M = M.astype(np.int64 if 2 * m * m * self.n < 2**63 else object, copy=False)
-        return self.read_coords(M[a] @ M[b] - M[b] @ M[a])
+        batch."""
+        M = int_matmul(np.asarray(rows), self._flat)
+        return self.read_coords(self._commutators(M, a, b))
 
     # -- structure constants ----------------------------------------------
 
@@ -396,17 +403,30 @@ def validate_structure(alg: LieAlgebra) -> ValidationReport:
 def span_closure(alg: LieAlgebra, sub: Subspace) -> Subspace:
     """Smallest Lie subalgebra containing the given coordinate subspace.
 
-    Each round reads the brackets of all pairs of the current basis from
-    their matrix commutators in one batch; a grown basis is kept in reduced
+    Each round forms the matrix commutators of all pairs of the current
+    basis in one batch and tests each for membership in the span of the
+    basis's own flattened matrices: one ``CoordinateSolver`` on their
+    support columns, then ``solve_rows`` (a commutator with an entry off
+    that support is outside).  A closed basis ends there, so a closed input
+    is proved closed over all k(k-1)/2 brackets without a coordinate read
+    in g.  Only the brackets outside the span are read in g
+    (``LieAlgebra._brackets``) to grow the basis, which is kept in reduced
     echelon form (``echelon_rows``), so its entries stay small."""
     if sub.ambient_dim != alg.dim:
         raise ValueError("subspace lives in a different coordinate space")
     cur = sub
     while cur.dim > 1:
-        N, _L = alg._brackets(cur.matrix(), *np.triu_indices(cur.dim, 1))
-        grown = Subspace.from_rows(list(cur.basis) + list(N), alg.dim)
-        if grown.dim == cur.dim:
+        rows = cur.matrix()
+        M = int_matmul(rows, alg._flat)
+        a, b = np.triu_indices(cur.dim, 1)
+        C = alg._commutators(M, a, b)
+        on = M.any(axis=0)
+        out = ~CoordinateSolver(M[:, on]).solve_rows(C[:, on])[2]
+        out |= C[:, ~on].any(axis=1)
+        if not out.any():
             break
+        N, _L = alg._brackets(rows, a[out], b[out])
+        grown = Subspace.from_rows(list(cur.basis) + list(N), alg.dim)
         cur = Subspace(alg.dim, tuple(echelon_rows(grown.matrix())))
     return cur
 

@@ -329,6 +329,48 @@ def test_gap_refuses_a_negative_seed_before_building(monkeypatch, capsys):
     assert err == "error: seed must be at least 0\n"
 
 
+def test_verify_refuses_a_negative_weyl_cutoff_before_the_criteria(
+    monkeypatch, capsys
+):
+    # with cutoff -1 every Weyl scan would be marked skipped-cutoff
+    import ckforms.criteria as criteria
+    from ckforms.cli import main
+
+    def no_check(*args):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(criteria, "check_sum", no_check)
+    argv = [
+        "verify", "--triple", "so(4,4):so(3,4)@spin+so(1,4)@block",
+        "--weyl-cutoff", "-1",
+    ]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: weyl cutoff must be at least 0\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["table", "--which", "table1"], ["enumerate"]]
+)
+def test_table_and_enumerate_refuse_a_negative_weyl_cutoff_before_generating(
+    command, monkeypatch, capsys
+):
+    from ckforms import cli
+
+    def no_generate(*args):
+        raise AssertionError("candidates generated")
+
+    monkeypatch.setattr(cli, "emit_table", no_generate)
+    monkeypatch.setattr(cli, "generate", no_generate)
+    assert cli.main([*command, "--weyl-cutoff", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: weyl cutoff must be at least 0\n"
+    # a cutoff of 0 is a request that can run
+    assert GenerationSpec(weyl_cutoff=0).weyl_cutoff == 0
+
+
 def test_impossible_spin_side_exits_two_without_a_search(monkeypatch, capsys):
     import time
 

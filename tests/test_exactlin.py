@@ -264,6 +264,88 @@ def test_int_matmul_with_a_zero_factor_keeps_big_entries_exact():
     assert list(int_matmul(np.ones((1, 1), dtype=object), big)[0]) == [2**70, 1]
 
 
+def _sparse_ints(rng, shape, density, scale=1):
+    """Random integers in [-3, 3] times scale, each kept with the given
+    probability (scale may be a Python int past int64)."""
+    keep = rng.random(shape) < density
+    out = (rng.integers(-3, 4, shape) * keep).astype(object)
+    return out * scale if scale != 1 else out.astype(np.int64)
+
+
+def _product_path(monkeypatch, A, B):
+    """int_matmul(A, B), checked against the product on Python ints, and the
+    operand whose nonzero entries it multiplied: "A", "B", or None when it
+    ran on the dense ``@``."""
+    import ckforms.exactlin as exactlin
+
+    real, seen = exactlin.column_nonzeros, []
+    monkeypatch.setattr(
+        exactlin, "column_nonzeros", lambda M: seen.append(M.shape) or real(M)
+    )
+    got = int_matmul(A, B)
+    monkeypatch.undo()
+    want = A.astype(object) @ B.astype(object)
+    assert got.shape == want.shape
+    assert (got.astype(object) == want).all()
+    assert len(seen) <= 1 and A.T.shape != B.shape
+    path = {(): None, (B.shape,): "B", (A.T.shape,): "A"}[tuple(seen)]
+    return got, path
+
+
+def test_int_matmul_is_exact_on_both_sides_of_the_sparse_choice(monkeypatch):
+    rng = np.random.default_rng(25)
+    cases = [
+        # tiny dense: below 2**18 multiply-adds
+        (_sparse_ints(rng, (3, 4), 1), _sparse_ints(rng, (4, 5), 1), None),
+        # large, A 1% nonzero against a half-full B
+        (_sparse_ints(rng, (300, 200), 0.01), _sparse_ints(rng, (200, 40), 0.5), "A"),
+        # large, B 1% nonzero
+        (_sparse_ints(rng, (40, 200), 0.5), _sparse_ints(rng, (200, 300), 0.01), "B"),
+        # large and half full on both sides
+        (_sparse_ints(rng, (64, 80), 0.5), _sparse_ints(rng, (80, 90), 0.5), None),
+        # the int64 bound with entries near 2**27: 2**54 * 200 < 2**63
+        (_sparse_ints(rng, (40, 200), 0.5) * 2**25,
+         _sparse_ints(rng, (200, 300), 0.01) * 2**25, "B"),
+    ]
+    for A, B, path in cases:
+        got, took = _product_path(monkeypatch, A, B)
+        assert took == path
+        assert got.dtype == np.int64
+
+
+def test_int_matmul_sparse_form_keeps_zero_rows_and_columns(monkeypatch):
+    rng = np.random.default_rng(26)
+    A = _sparse_ints(rng, (300, 200), 0.03)
+    A[:10], A[:, 50:60] = 0, 0
+    B = _sparse_ints(rng, (200, 120), 0.03)
+    B[:, 7:19], B[100:130] = 0, 0
+    got, path = _product_path(monkeypatch, A, B)
+    assert path is not None and not got[:10].any()
+    zeros = np.zeros((300, 200), dtype=np.int64)
+    for A, B in [(zeros, B), (A, np.zeros((200, 120), dtype=np.int64))]:
+        got, path = _product_path(monkeypatch, A, B)
+        assert path is not None and not got.any() and got.dtype == np.int64
+    # no rows on one side: an empty product
+    got, _path = _product_path(monkeypatch, A[:0], B)
+    assert got.shape == (0, 120)
+
+
+def test_int_matmul_sparse_form_runs_on_python_ints_past_int64(monkeypatch):
+    rng = np.random.default_rng(27)
+    big = [
+        (_sparse_ints(rng, (300, 200), 0.01, 2**70), _sparse_ints(rng, (200, 40), 0.5), "A"),
+        (_sparse_ints(rng, (40, 200), 0.5), _sparse_ints(rng, (200, 300), 0.01, 3**45), "B"),
+        # 2**31 * 2**31 * 200 passes 2**63 though each factor fits int64
+        (_sparse_ints(rng, (40, 200), 0.5, 2**31),
+         _sparse_ints(rng, (200, 300), 0.01, 2**31), "B"),
+    ]
+    for A, B, path in big:
+        got, took = _product_path(monkeypatch, A, B)
+        assert took == path
+        assert got.dtype == object
+        assert absmax(got) >= 2**62
+
+
 def test_echelon_rows_are_one_basis_per_row_space():
     # two spanning sets of one plane, one with a dependent and a zero row
     a = np.array([[0, 3, -6, 3], [2, 1, 0, 5]], dtype=object)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckforms.exactlin import CoordinateSolver, Subspace, echelon_rows, fvec, signature
+from ckforms.exactlin import (
+    CoordinateSolver,
+    Subspace,
+    echelon_rows,
+    fvec,
+    intersect,
+    signature,
+)
 from ckforms.liealg import (
     LieAlgebra,
     direct_sum,
@@ -279,6 +286,69 @@ def _assert_same_closure(g, sub):
 def test_span_closure_agrees_with_a_naive_fixpoint(data):
     g, vecs = data
     _assert_same_closure(g, Subspace.from_rows(vecs, g.dim))
+
+
+def _table1_meets():
+    """(key, g, h cap l) for each triple of ``table --which table1 --max-n 2``,
+    the meet as the criteria form it."""
+    from ckforms.enumerate import TABLE1_FAMILIES, _instance_ns
+
+    for fam in TABLE1_FAMILIES:
+        for n in _instance_ns(fam, 2):
+            g, h, l, key = fam["build"](n)
+            yield key, g, intersect(h.subspace(), l.subspace())
+
+
+def test_span_closure_agrees_with_a_naive_fixpoint_on_the_table1_meets():
+    dims = {}
+    for key, g, meet in _table1_meets():
+        _assert_same_closure(g, meet)
+        dims[key] = meet.dim
+    assert len(dims) == 9
+    assert dims["so(8,8):so(7,8)@block+so(1,8)@spin"] == 21
+
+
+def test_span_closure_reads_nothing_in_g_on_a_closed_meet(monkeypatch):
+    from ckforms.cli import parse_triple
+
+    g, h, l, _key = parse_triple("so(8,8):so(7,8)@block+so(1,8)@spin")
+    meet = intersect(h.subspace(), l.subspace())
+
+    def no_read(self, X):
+        raise AssertionError(f"coordinates read in {self.name}")
+
+    monkeypatch.setattr(LieAlgebra, "read_coords", no_read)
+    closure = span_closure(g, meet)
+    assert closure.dim == meet.dim == 21
+    assert np.array_equal(closure.matrix(), meet.matrix())
+    # a basis that grows is read in g
+    with pytest.raises(AssertionError, match="coordinates read in g2"):
+        span_closure(build_real_form("g2(2)"), _g2_closure_input())
+
+
+def test_span_closure_reads_only_the_brackets_outside_the_span(so23, monkeypatch):
+    # the compact part (closed) and the sum of two boosts: of the 10
+    # brackets, the 4 that leave the span are read in g.  Three of them have
+    # entries off the support of the basis matrices, one lies on it
+    k, p = so23.k_subspace(), so23.p_subspace()
+    sub = Subspace.from_rows(list(k.basis) + [p.basis[0] + p.basis[1]], so23.dim)
+    mats = [so23.matrix(v) for v in sub.basis]
+    pairs = list(zip(*np.triu_indices(sub.dim, 1)))
+    outside = [
+        (a, b) for a, b in pairs
+        if not sub.contains(so23.coords(mats[a] @ mats[b] - mats[b] @ mats[a]))
+    ]
+    reads = []
+    brackets = so23._brackets
+
+    def spy(rows, a, b):
+        reads.append(list(zip(a, b)))
+        return brackets(rows, a, b)
+
+    monkeypatch.setattr(so23, "_brackets", spy)
+    assert span_closure(so23, sub).dim == so23.dim
+    assert len(outside) == 4 and len(pairs) == 10
+    assert reads[0] == outside
 
 
 def _g2_closure_input():
