@@ -32,6 +32,7 @@ __all__ = [
     "CriteriaDisagreeError",
     "check_sum",
     "check_compact_intersection",
+    "check_weyl_cutoff",
     "classify_triple",
 ]
 
@@ -325,19 +326,27 @@ def _weyl_section(g, h, l, cutoff):
     return {"order": order, "status": "disjoint"}
 
 
+def check_weyl_cutoff(cutoff) -> None:
+    """ValueError unless a Weyl cutoff is an integer at least 0: the check
+    of ``classify_triple`` and ``GenerationSpec``."""
+    if not isinstance(cutoff, (int, np.integer)):
+        raise ValueError(f"weyl cutoff must be an integer, not {cutoff!r}")
+    if cutoff < 0:
+        raise ValueError("weyl cutoff must be at least 0")
+
+
 def classify_triple(
     g: LieAlgebra,
     h: Embedding,
     l: Embedding,
-    weyl_cutoff: int | None = DEFAULT_WEYL_CUTOFF,
+    weyl_cutoff: int = DEFAULT_WEYL_CUTOFF,
     with_weyl: bool = True,
 ) -> Verdict:
     """Run both criteria, attach the case label (products of two ideals) or
     the decomposition label (simple ambient), and assemble the evidence."""
     if h.target is not g or l.target is not g:
         raise ValueError("embedding targets must be the ambient algebra")
-    if weyl_cutoff is not None and weyl_cutoff < 0:
-        raise ValueError("weyl cutoff must be at least 0")
+    check_weyl_cutoff(weyl_cutoff)
     sum_check = check_sum(g, h, l)
     compact_check = check_compact_intersection(g, h, l)
     dims = {

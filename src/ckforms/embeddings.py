@@ -26,6 +26,7 @@ from .exactlin import (
     absmax,
     fit_int64,
     int_matmul,
+    int_scale,
     rank,
     rank_at_least_modp,
     scaled_ints,
@@ -415,17 +416,11 @@ def product_algebra(k1: str, k2: str) -> LieAlgebra:
     )
 
 
-def _scaled(S, f):
-    """The integer stack f * S, in int64 when it fits."""
-    fits = f == 1 or S.dtype != object and absmax(S) * f < 2**63
-    return S * f if fits else S.astype(object) * f
-
-
 def _placed(g: LieAlgebra, k: int, parts) -> tuple:
     """(den, IM) of k images in the product g: each part (rows, factor
     index, den, stack) puts stack / den into that factor's block."""
     den = lcm(*(d for _r, _i, d, _S in parts))
-    stacks = [_scaled(S, den // d) for _r, _i, d, S in parts]
+    stacks = [int_scale(S, den // d) for _r, _i, d, S in parts]
     IM = np.zeros((k, g.n, g.n), dtype=np.result_type(*stacks))
     for (rows, i, _d, _S), S in zip(parts, stacks):
         off, m = g.factors[i][2], S.shape[-1]

@@ -23,7 +23,7 @@ from .embeddings import (
     product_embedding,
 )
 from .realforms import build_real_form, parse_form_name
-from .criteria import Verdict, classify_triple
+from .criteria import Verdict, check_weyl_cutoff, classify_triple
 from .rootweyl import DEFAULT_WEYL_CUTOFF
 
 __all__ = [
@@ -79,8 +79,7 @@ class GenerationSpec:
     def __post_init__(self):
         if self.max_n < 1:
             raise ValueError("max_n must be at least 1")
-        if self.weyl_cutoff < 0:
-            raise ValueError("weyl cutoff must be at least 0")
+        check_weyl_cutoff(self.weyl_cutoff)
         object.__setattr__(self, "cases", frozenset(self.cases))
 
 

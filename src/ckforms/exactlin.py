@@ -55,6 +55,7 @@ __all__ = [
     "absmax",
     "int_matmul",
     "fit_int64",
+    "int_scale",
     "embed_block",
     "primitive_rows",
     "echelon_rows",
@@ -202,6 +203,13 @@ def fit_int64(A):
     return A.astype(np.int64) if A.dtype == object and absmax(A) < 2**63 else A
 
 
+def int_scale(S, f: int):
+    """The integer array f * S: in int64 when S is and max|S| * f < 2**63,
+    on Python ints past it."""
+    fits = f == 1 or S.dtype != object and absmax(S) * f < 2**63
+    return S * f if fits else S.astype(object) * f
+
+
 def embed_block(M, size: int, off: int) -> RationalMatrix:
     """size x size zero matrix with the square matrix M placed at (off, off)."""
     out = fzeros((size, size))
@@ -246,12 +254,14 @@ def _scaled(row: dict) -> dict:
     return dict(zip(row, scaled_ints(values)[1].tolist()))
 
 
-def _dense(rows, n: int) -> np.ndarray:
-    """Sparse rows as an (len(rows), n) object array of Python ints."""
-    out = np.zeros(len(rows) * n, dtype=object)
-    out[[i * n + j for i, r in enumerate(rows) for j in r]] = [
-        x for r in rows for x in r.values()
-    ]
+def _dense(rows, n: int, fit: bool = False) -> np.ndarray:
+    """Sparse rows as a dense (len(rows), n) integer array: of Python ints,
+    or with ``fit`` in int64 when every entry is below 2**63 in absolute
+    value."""
+    values = [x for r in rows for x in r.values()]
+    big = not fit or max(map(abs, values), default=0) >= 2**63
+    out = np.zeros(len(rows) * n, dtype=object if big else np.int64)
+    out[[i * n + j for i, r in enumerate(rows) for j in r]] = values
     return out.reshape(len(rows), n)
 
 
@@ -328,8 +338,7 @@ def reduce_modp(m, p: int = MODP_PRIME) -> np.ndarray:
     """The integer rows of a rational matrix (``_sparse_rows``) reduced mod p
     on Python ints; returns an int64 array for ``rank_modp``."""
     rows, n = _sparse_rows(m)
-    rows = [{j: x % p for j, x in r.items()} for r in rows]
-    return _dense(rows, n).astype(np.int64)
+    return _dense([{j: x % p for j, x in r.items()} for r in rows], n, fit=True)
 
 
 def rank_modp(M: np.ndarray, target: int, p: int = MODP_PRIME):
@@ -525,11 +534,20 @@ class CoordinateSolver:
     """Solve for coordinates in a fixed independent basis of row vectors.
 
     Precomputes an RREF transform once; a solve gathers the pivot entries
-    and multiplies them by the integer transform.
+    and multiplies them by the integer transform.  A signed-integer basis
+    is kept as given (basis_den 1); any other is read by ``scaled_ints``
+    and kept in int64 when it fits.  The transform is built from the pivot
+    rows in int64 when its largest entry is below 2**63, on Python ints past
+    it, so an int64 basis never takes an object-array round trip.
     """
 
     def __init__(self, basis_rows: RationalMatrix):
-        self._basis_den, self._basis_int = scaled_ints(basis_rows)
+        B = basis_rows
+        if isinstance(B, np.ndarray) and B.dtype.kind == "i":
+            self._basis_den, self._basis_int = 1, B
+        else:
+            self._basis_den, B = scaled_ints(B)
+            self._basis_int = fit_int64(B)
         d, n = self._basis_int.shape
         # rref([B | I]) = [R | C] with R = C @ B, on the integer rows of
         # basis_den * [B | I]
@@ -547,8 +565,7 @@ class CoordinateSolver:
         L = self._transform_den = lcm(*[pivots[c][c] for c in piv])
         T = [{j - n: x * (L // pivots[c][c]) for j, x in pivots[c].items()
               if j >= n} for c in piv]
-        self._transform = fit_int64(_dense(T, d))
-        self._basis_int = fit_int64(self._basis_int)
+        self._transform = _dense(T, d, fit=True)
 
     @classmethod
     def block_sum(cls, a, b, cols_a, cols_b, basis_int):
@@ -569,10 +586,12 @@ class CoordinateSolver:
         out.pivots += [int(cols_b[c]) for c in b.pivots]
         out.dim = a.dim + b.dim
         L = out._transform_den = lcm(a._transform_den, b._transform_den)
-        T = np.zeros((out.dim, out.dim), dtype=object)
-        T[: a.dim, : a.dim] = a._transform.astype(object) * (L // a._transform_den)
-        T[a.dim :, a.dim :] = b._transform.astype(object) * (L // b._transform_den)
-        out._transform = fit_int64(T)
+        Ta = int_scale(a._transform, L // a._transform_den)
+        Tb = int_scale(b._transform, L // b._transform_den)
+        T = np.zeros((out.dim, out.dim), dtype=np.result_type(Ta, Tb))
+        T[: a.dim, : a.dim] = Ta
+        T[a.dim :, a.dim :] = Tb
+        out._transform = T
         return out
 
     def solve(self, Y):

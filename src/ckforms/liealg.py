@@ -38,8 +38,9 @@ is also what ``validate_structure`` and ``embeddings.validate_embedding``
 check.  Gram matrices contract the Killing form on integer rows, and
 ``killing_form`` is its Fraction view, built on first read.
 
-The Cartan involution theta is stored both as a matrix-level conjugator and as
-its coordinate matrix on the chosen basis.
+The Cartan involution theta is stored as a matrix-level conjugator; its
+coordinate matrix on the chosen basis is read on first use (a direct sum's
+too).
 """
 from __future__ import annotations
 
@@ -443,8 +444,10 @@ def is_compactly_embedded(alg: LieAlgebra, sub: Subspace):
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
-    """Block-diagonal direct sum of the two basis stacks; the Killing form
-    and theta are assembled blockwise."""
+    """Block-diagonal direct sum of the two basis stacks.  The solver and the
+    Killing form are assembled blockwise from the factors'; the theta
+    conjugator is the block-diagonal one, and ``theta`` reads its
+    coordinate matrix on first use, like any algebra's."""
     n1, N = a.n, a.n + b.n
     B = np.zeros((a.dim + b.dim, N, N), dtype=np.result_type(a._flat, b._flat))
     B[: a.dim, :n1, :n1] = a.stack
@@ -469,17 +472,12 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name=None) -> LieAlgebra:
     }
     out = LieAlgebra(name or f"{a.name}x{b.name}", B, conj, meta)
 
-    # the Killing form and theta are block diagonal: set them from the
-    # factors; brackets are read from matrix commutators, so the product
-    # never needs a tensor of its own
+    # the Killing form is block diagonal: set it from the factors; brackets
+    # are read from matrix commutators, so the product never needs a tensor
+    # of its own
     d = out.dim
     K = np.zeros((d, d), dtype=np.int64)
     K[: a.dim, : a.dim] = a.killing_ints
     K[a.dim :, a.dim :] = b.killing_ints
     out._killing_ints = K
-
-    if conj is not None:
-        th = embed_block(a.theta, d, 0)
-        th[a.dim :, a.dim :] = b.theta
-        out._theta_coord = th
     return out

@@ -175,62 +175,29 @@ def sp_real_basis_r4(p: int, q: int):
 # split g2 as derivations of the split octonions
 # ---------------------------------------------------------------------------
 
-_QI = {"1": 0, "i": 1, "j": 2, "k": 3}
-
-
 def _quat_table():
-    T = {}
-    mul = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1),
-        ("1", "k"): ("k", 1), ("i", "1"): ("i", 1), ("j", "1"): ("j", 1),
-        ("k", "1"): ("k", 1), ("i", "i"): ("1", -1), ("j", "j"): ("1", -1),
-        ("k", "k"): ("1", -1), ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1), ("k", "i"): ("j", 1),
-        ("i", "k"): ("j", -1),
-    }
-    for (a, b), (c, s) in mul.items():
-        T[(_QI[a], _QI[b])] = (_QI[c], s)
-    return T
-
-
-_QT = _quat_table()
-
-
-def _quat_mul(a, b):
-    out = np.zeros(4, dtype=np.int64)
-    for x in range(4):
-        if not a[x]:
-            continue
-        for y in range(4):
-            if not b[y]:
-                continue
-            c, s = _QT[(x, y)]
-            out[c] += s * a[x] * b[y]
-    return out
-
-
-def _quat_conj(a):
-    out = a.copy()
-    out[1:] = -out[1:]
-    return out
+    """Q[x, y] = e_x e_y for the quaternion units (1, i, j, k)."""
+    Q = np.zeros((4, 4, 4), dtype=np.int64)
+    Q[0, range(4), range(4)] = 1  # 1 e = e
+    Q[1:, 0, 1:] = np.eye(3, dtype=np.int64)  # e 1 = e
+    Q[range(1, 4), range(1, 4), 0] = -1  # ii = jj = kk = -1
+    for x, y, z in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):  # ij = k, jk = i, ki = j
+        Q[x, y, z], Q[y, x, z] = 1, -1
+    return Q
 
 
 def _oct_mul_table():
-    # split octonions as quaternion pairs, Cayley-Dickson with unit parameter:
-    # (a,b)(c,d) = (ac + conj(d) b, d a + b conj(c))
+    """OT[u, v] = e_u e_v for the split octonions as quaternion pairs, units
+    0-3 the (e, 0) and 4-7 the (0, e): Cayley-Dickson with unit parameter,
+    (a,b)(c,d) = (ac + conj(d) b, da + b conj(c))."""
+    Q = _quat_table()
+    Qt = Q.transpose(1, 0, 2)  # Qt[x, y] = e_y e_x
+    conj = np.array([1, -1, -1, -1])[:, None]  # conj(e_y) = conj[y] e_y
     OT = np.zeros((8, 8, 8), dtype=np.int64)
-    for u in range(8):
-        for v in range(8):
-            a = np.zeros(4, dtype=np.int64)
-            b = np.zeros(4, dtype=np.int64)
-            c = np.zeros(4, dtype=np.int64)
-            d = np.zeros(4, dtype=np.int64)
-            (a if u < 4 else b)[u % 4] = 1
-            (c if v < 4 else d)[v % 4] = 1
-            first = _quat_mul(a, c) + _quat_mul(_quat_conj(d), b)
-            second = _quat_mul(d, a) + _quat_mul(b, _quat_conj(c))
-            OT[u, v, :4] = first
-            OT[u, v, 4:] = second
+    OT[:4, :4, :4] = Q  # (a,0)(c,0) = (ac, 0)
+    OT[:4, 4:, 4:] = Qt  # (a,0)(0,d) = (0, da)
+    OT[4:, :4, 4:] = Q * conj  # (0,b)(c,0) = (0, b conj(c))
+    OT[4:, 4:, :4] = Qt * conj  # (0,b)(0,d) = (conj(d) b, 0)
     return OT
 
 
@@ -241,23 +208,22 @@ def g2_basis():
     """Basis of the split g2: derivations of the split octonions, restricted
     to the imaginary part, ordered so the norm form is diag(+1 x 3, -1 x 4).
 
-    Imaginary basis order: (i, j, k, il, jl, kl, l)."""
+    The derivation condition D(e_p e_q) = D(e_p) e_q + e_p D(e_q), p < q,
+    on the unknowns D[a, b] is one int64 array of 224 rows (pairs (p, q) in
+    lex order, then the component c), whose exact ``kernel`` is the
+    algebra.  Imaginary basis order: (i, j, k, il, jl, kl, l)."""
     global _g2_cache
     if _g2_cache is not None:
         return [m.copy() for m in _g2_cache]
     OT = _oct_mul_table()
-    rows = []
-    # derivation condition D(e_p e_q) = D(e_p) e_q + e_p D(e_q), unknowns D[c,r]
-    for p in range(8):
-        for q in range(p + 1, 8):
-            for c in range(8):
-                row = np.zeros(64, dtype=np.int64)
-                for r in range(8):
-                    row[c * 8 + r] += OT[p, q, r]
-                    row[r * 8 + p] -= OT[r, q, c]
-                    row[r * 8 + q] -= OT[p, r, c]
-                rows.append(row)
-    ker = primitive_rows(kernel(np.array(rows, dtype=object)))
+    I = np.eye(8, dtype=np.int64)
+    # R[p, q, c, a, b]: the coefficient of D[a, b] in component c, a sum of
+    # three table entries in {-1, 0, 1}, so int64 is exact
+    R = (np.einsum("ca,pqb->pqcab", I, OT)
+         - np.einsum("bp,aqc->pqcab", I, OT)
+         - np.einsum("bq,pac->pqcab", I, OT))
+    rows = R[np.triu_indices(8, 1)].reshape(-1, 64)
+    ker = primitive_rows(kernel(rows))
     ordr = [1, 2, 3, 5, 6, 7, 4]
     D = ker.astype(np.int64).reshape(-1, 8, 8)[:, ordr][:, :, ordr]
     _g2_cache = list(D)

@@ -51,6 +51,7 @@ from .exactlin import (
     Subspace,
     echelon_rows,
     int_matmul,
+    int_scale,
     intersect,
     kernel,
     primitive_rows,
@@ -115,8 +116,10 @@ class SplitData:
 
 def split_data(g: LieAlgebra) -> SplitData:
     """Assemble the standard split part of g together with the exact Killing
-    Gram of its boost basis; a product places its factors' own (cached)
-    integer stacks block by block, over one common denominator."""
+    Gram of its boost basis.  The boost stack is int64 (Python ints only
+    past the int64 bound): a simple algebra's is its ``a_basis``, and a
+    product places its factors' own (cached) stacks block by block, each
+    scaled to one common denominator by ``int_scale``."""
     cached = g.meta.get("_split_data")
     if cached is not None:
         return cached
@@ -124,21 +127,20 @@ def split_data(g: LieAlgebra) -> SplitData:
         parts = [split_data(alg) for alg, _coff, _boff in g.factors]
         r = sum(sd.rank for sd in parts)
         den = math.lcm(*(sd.boosts[0] for sd in parts))
-        A = np.zeros((r, g.n, g.n), dtype=object)
+        stacks = [int_scale(sd.boosts[1], den // sd.boosts[0]) for sd in parts]
+        A = np.zeros((r, g.n, g.n), dtype=np.result_type(*stacks))
         factors, gram_diag = [], []
-        for (alg, _coff, boff), sd in zip(g.factors, parts):
+        for (alg, _coff, boff), sd, S in zip(g.factors, parts, stacks):
             (f,) = sd.factors
             lo, hi = len(gram_diag), len(gram_diag) + f.rank
             factors.append(FactorSplit(alg, f.root_type, f.rank, lo))
-            A[lo:hi, boff : boff + alg.n, boff : boff + alg.n] = (
-                sd.boosts[1] * (den // sd.boosts[0])
-            )
+            A[lo:hi, boff : boff + alg.n, boff : boff + alg.n] = S
             gram_diag.extend(np.diagonal(sd.gram))
     else:
         a_basis = g.meta.get("a_basis")
         if not a_basis:
             raise ValueError(f"{g.name}: no split part data attached")
-        den, A = 1, np.array(a_basis).astype(object)
+        den, A = 1, np.array(a_basis)
         K = g.killing_ints
         C, L = g.read_coords(A)
         if L != 1:  # the Gram below is then not B but L**2 * B

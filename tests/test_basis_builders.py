@@ -3,7 +3,9 @@ replaced.
 
 The reference builders below are the Fraction constructions as they stood
 before the real forms were built on integers: ``fzeros`` matrices filled
-with Fraction entries, the split g2 from primitive Fraction kernel vectors.
+with Fraction entries, the split g2 from primitive Fraction kernel vectors
+of its derivation system filled entry by entry, on the octonion table built
+unit pair by unit pair.
 Every builder must return int64 matrices equal to its reference entry for
 entry, over every real form that ``table --which table1 --max-n 3`` builds,
 and so must the basis stack and split part of each built algebra.
@@ -146,8 +148,49 @@ def _ref_boost_basis(p, q, width):
     return out
 
 
+_REF_QUAT = {
+    ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1),
+    ("1", "k"): ("k", 1), ("i", "1"): ("i", 1), ("j", "1"): ("j", 1),
+    ("k", "1"): ("k", 1), ("i", "i"): ("1", -1), ("j", "j"): ("1", -1),
+    ("k", "k"): ("1", -1), ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
+    ("j", "k"): ("i", 1), ("k", "j"): ("i", -1), ("k", "i"): ("j", 1),
+    ("i", "k"): ("j", -1),
+}
+
+
+def _ref_quat_mul(a, b):
+    """Quaternion product of coefficient lists in the units (1, i, j, k)."""
+    units = "1ijk"
+    out = [0] * 4
+    for x in range(4):
+        for y in range(4):
+            c, s = _REF_QUAT[(units[x], units[y])]
+            out[units.index(c)] += s * a[x] * b[y]
+    return out
+
+
+def _ref_oct_mul_table():
+    """The split octonion table unit pair by unit pair: (a,b)(c,d) = (ac +
+    conj(d) b, da + b conj(c)) on quaternion pairs."""
+
+    def conj(a):
+        return [a[0], -a[1], -a[2], -a[3]]
+
+    OT = np.zeros((8, 8, 8), dtype=np.int64)
+    for u in range(8):
+        for v in range(8):
+            a, b, c, d = ([0] * 4 for _ in range(4))
+            (a if u < 4 else b)[u % 4] = 1
+            (c if v < 4 else d)[v % 4] = 1
+            first = np.add(_ref_quat_mul(a, c), _ref_quat_mul(conj(d), b))
+            second = np.add(_ref_quat_mul(d, a), _ref_quat_mul(b, conj(c)))
+            OT[u, v] = np.concatenate([first, second])
+    return OT
+
+
 def _ref_g2_basis():
-    OT = realforms._oct_mul_table()
+    """The kernel of the derivation system, filled entry by entry."""
+    OT = _ref_oct_mul_table()
     rows = []
     for p in range(8):
         for q in range(p + 1, 8):
@@ -233,3 +276,9 @@ def test_basis_builders_equal_the_fraction_bases(key):
     assert alg.stack.dtype == np.int64
     assert (alg.stack == np.array(basis, dtype=object)).all()
     _assert_int64_equal(alg.meta["a_basis"], a_basis)
+
+
+def test_octonion_table_is_the_unit_by_unit_product():
+    OT = realforms._oct_mul_table()
+    assert OT.dtype == np.int64
+    assert (OT == _ref_oct_mul_table()).all()

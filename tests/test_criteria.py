@@ -169,6 +169,16 @@ def test_weyl_section_reports_the_cutoff(so44):
     assert "[--] Weyl-orbit disjointness: skipped-cutoff" in v.summary()
 
 
+@pytest.mark.parametrize("cutoff", [None, 2.5, "10"])
+def test_a_cutoff_that_is_not_an_integer_is_refused(so44, cutoff):
+    h = _lk("so(4,4):so(3,4):spin")
+    l = _lk("so(4,4):so(1,4):block")
+    with pytest.raises(ValueError, match="weyl cutoff must be an integer"):
+        classify_triple(so44, h, l, weyl_cutoff=cutoff)
+    with pytest.raises(ValueError, match="weyl cutoff must be an integer"):
+        GenerationSpec(weyl_cutoff=cutoff)
+
+
 def test_embedding_targets_must_be_the_ambient(so44):
     # the first embedding lands in so(3,4), not the ambient so(4,4)
     h = _lk("so(3,4):so(1,4):block")

@@ -244,6 +244,67 @@ def test_coordinate_solver_rejects_dependent_rows():
         CoordinateSolver(fmat([[1, 2, 0], [2, 4, 0]]))
 
 
+def _assert_same_solver(a, b):
+    """Equal pivots, transforms (values and dtype), denominators and bases."""
+    assert (a.pivots, a.dim) == (b.pivots, b.dim)
+    assert (a._transform_den, a._basis_den) == (b._transform_den, b._basis_den)
+    assert a._transform.dtype == b._transform.dtype
+    assert a._transform.tolist() == b._transform.tolist()
+    assert a._basis_int.tolist() == b._basis_int.tolist()
+
+
+def _table1_algebras():
+    """Every algebra that ``table --which table1 --max-n 2`` builds: the
+    ambients and the sources of both sides, by name."""
+    from ckforms.enumerate import TABLE1_FAMILIES, _instance_ns
+
+    forms = {}
+    for fam in TABLE1_FAMILIES:
+        for n in _instance_ns(fam, 2):
+            g, h, l, _key = fam["build"](n)
+            for alg in (g, h.source, l.source):
+                forms[alg.name] = alg
+    return forms
+
+
+def test_coordinate_solvers_agree_on_int64_python_int_and_fraction_bases():
+    forms = _table1_algebras()
+    assert len(forms) == 19
+    rng = np.random.default_rng(5)
+    for alg in forms.values():
+        B = alg._flat
+        assert B.dtype == np.int64
+        fast = CoordinateSolver(B)
+        # an int64 basis is kept as given, its transform built in int64
+        assert fast._basis_int is B and fast._basis_den == 1
+        assert fast._transform.dtype == np.int64
+        slow = [CoordinateSolver(B.astype(object)),
+                CoordinateSolver(unscaled(B, 1))]
+        for other in slow:
+            _assert_same_solver(fast, other)
+        Y = int_matmul(rng.integers(-3, 4, (4, alg.dim)), B)
+        N, L = fast.solve(Y)
+        for other in slow:
+            N2, L2 = other.solve(Y)
+            assert L2 == L and N2.tolist() == N.tolist()
+        assert fast.solve_checked(Y) is not None
+
+
+def test_coordinate_solver_transform_falls_back_to_python_ints_past_int64():
+    # the basis fits int64, but its transform holds the 2x2 minors, ~2**124
+    M = 2**62 + 1
+    B = np.array([[M, 1, 0], [1, M, 1], [0, 1, M]], dtype=np.int64)
+    sol = CoordinateSolver(B)
+    assert sol._basis_int.dtype == np.int64
+    assert sol._transform.dtype == object and absmax(sol._transform) >= 2**63
+    _assert_same_solver(sol, CoordinateSolver(B.astype(object)))
+    _assert_same_solver(sol, CoordinateSolver(unscaled(B, 1)))
+    N, L = sol.solve(B)
+    assert (N == L * np.eye(3, dtype=object)).all()
+    x = sol.coords(fvec([M + 1, M + 1, 1]))
+    assert list(x) == [1, 1, 0] and all(type(c) is Fraction for c in x)
+
+
 def test_primitive_rows_clear_denominators_and_content():
     v, w = primitive_rows([fvec([Fraction(2, 3), Fraction(4, 3)]), fvec([-6, -9])])
     assert list(v) == [1, 2]

@@ -11,6 +11,7 @@ from ckforms.exactlin import (
     CoordinateSolver,
     Subspace,
     echelon_rows,
+    embed_block,
     fvec,
     intersect,
     signature,
@@ -406,3 +407,15 @@ def test_direct_sum_places_the_factor_solvers():
         )
         assert placed._transform.dtype == fresh._transform.dtype
         assert np.array_equal(placed._basis_int, fresh._basis_int)
+
+
+@pytest.mark.parametrize("a,b", [("so(2,4)", "su(2,2)"), ("so(3,4)", "g2(2)"),
+                                 ("sp(1,1)", "so(1,4)")])
+def test_direct_sum_theta_is_read_on_first_use_as_the_blockwise_one(a, b):
+    A, B = build_real_form(a), build_real_form(b)
+    s = direct_sum(A, B)
+    assert s._theta_coord is None
+    want = embed_block(A.theta, s.dim, 0)
+    want[A.dim :, A.dim :] = B.theta
+    assert np.array_equal(s.theta, want)
+    assert all(type(x) is Fraction for x in s.theta.flat)

@@ -6,9 +6,12 @@ longer has.  perfbench's own self-tests are outside ``testpaths``, so this
 test loads the tracer from its file and checks that every name still
 installs and uninstalls.  It also loads ``perfbench/workloads.py`` and checks
 that the ``products`` traffic takes the placed-side route and shares its
-factor pair facts.
+factor pair facts, and that the ``table1`` and ``products`` operations write
+the bytes of ``perfbench/golden/``, so a changed output fails here and not
+only as a lower ``ok_ratio`` in the benchmark.
 """
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -85,3 +88,18 @@ def test_placed_product_triples_share_eight_factor_pairs(monkeypatch):
         criteria.check_sum(g, h, l)
         criteria.check_compact_intersection(g, h, l)
     assert len(criteria._pair_cache) == 8
+
+
+def test_table1_and_product_outputs_are_the_golden_bytes(tmp_path):
+    workloads = _load("workloads")
+    golden = _BENCH / "golden"
+    want = {"table1": (golden / "table1.json").read_bytes()}
+    products = json.loads((golden / "products.json").read_text(encoding="utf-8"))
+    assert sorted(products) == sorted(workloads.PRODUCT_KEYS)
+    want.update((k, v.encode("utf-8")) for k, v in products.items())
+    ops = workloads.operations("table1", 0) + workloads.operations("products", 0)
+    assert len(ops) == 1 + 53
+    out = tmp_path / "op.out"
+    for op in ops:
+        assert ckforms.cli.main([*op["argv"], "--out", str(out)]) == 0, op["name"]
+        assert out.read_bytes() == want[op["name"]], op["name"]

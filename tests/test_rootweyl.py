@@ -12,8 +12,8 @@ import ckforms.rootweyl as rootweyl
 from ckforms.cli import parse_triple
 from ckforms.enumerate import TABLE1_FAMILIES, GenerationSpec, _instance_ns, generate
 from ckforms.exactlin import (
-    MODP_PRIME, InternalError, Subspace, fmat, fvec, int_matmul, intersect,
-    kernel, primitive_rows, scaled_ints, unscaled,
+    MODP_PRIME, CoordinateSolver, InternalError, Subspace, fmat, fvec,
+    int_matmul, intersect, kernel, primitive_rows, scaled_ints, unscaled,
 )
 from ckforms.embeddings import adapted_split_part, catalog_lookup, product_algebra
 from ckforms.liealg import LieAlgebra
@@ -825,3 +825,30 @@ def test_split_data_reads_the_boosts_in_one_batch():
         assert len(mats) == len(a_mats)
         assert list(np.diagonal(sd.gram)) == gram_diag
         assert all(type(x) is int for x in sd.gram.flat)
+
+
+def test_split_stacks_are_int64_and_equal_the_object_built_ones():
+    # every catalog ambient of `enumerate --max-n 1` and every simple factor
+    algs = {rec.g.name: rec.g for rec in generate(GenerationSpec(max_n=1))}
+    algs.update((f.name, f) for g in list(algs.values()) for f, _c, _b in g.factors)
+    assert len(algs) == 48
+    for g in algs.values():
+        sd = split_data(g)
+        den, A = sd.boosts
+        assert A.dtype == np.int64, g.name
+        if len(g.factors) == 1:
+            if g.meta["root_type"] != "G":
+                assert (A == np.array(g.meta["a_basis"], dtype=object)).all()
+            continue
+        # the product's factor stacks placed over den in an object array
+        want = np.zeros(A.shape, dtype=object)
+        for (alg, _coff, boff), f in zip(g.factors, sd.factors):
+            fden, FA = split_data(alg).boosts
+            blk = slice(boff, boff + alg.n)
+            want[f.offset : f.offset + f.rank, blk, blk] = (
+                FA.astype(object) * (den // fden))
+        assert (A == want).all(), g.name
+        slow = CoordinateSolver(want.reshape(len(A), -1))
+        assert sd.solver.pivots == slow.pivots
+        assert sd.solver._transform_den == slow._transform_den
+        assert sd.solver._transform.tolist() == slow._transform.tolist()
