@@ -6,6 +6,20 @@ A triple is presented as the ambient algebra together with two embeddings
 whose targets are that algebra.  Verdicts carry machine-checkable evidence:
 exact ranks, the Killing signature of the intersection, projection
 dimensions, and (when enumerable) the Weyl disjointness status.
+
+In a product g = g1 + g2 both criteria are decided from pair facts of the
+factors (``_facts``).  Two placed sides split factor by factor.  A twisted
+diagonal D = {(iota x, x) : x in g2} against a placed side S = S1 + S2 is
+decided in g1, from S1 and iota(S2), by three identities:
+
+- sum: D + S = g iff S1 + iota(S2) = g1, and dim(D + S) = dim g2 +
+  dim(S1 + iota(S2));
+- meet: D cap S = {(iota x, x) : x in S2, iota x in S1}, and (iota x, x) ->
+  iota x is a Lie algebra isomorphism onto S1 cap iota(S2), so the meet's
+  dim and closure are those of the g1 meet;
+- signature: with iota* B1 = c B2 for c > 0 (checked exactly when the fact
+  is built), B_g((iota x, x), (iota y, y)) = (1 + 1/c) B1(iota x, iota y),
+  so the meet's Killing signature is that of the g1 meet.
 """
 from __future__ import annotations
 
@@ -14,9 +28,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactlin import Subspace, intersect, rank, rank_at_least_modp
+from .exactlin import (
+    InternalError,
+    Subspace,
+    int_matmul,
+    intersect,
+    rank,
+    rank_at_least_modp,
+)
 from .liealg import LieAlgebra, is_compactly_embedded, span_closure
-from .embeddings import Embedding, adapted_split_part
+from .embeddings import Embedding, adapted_split_part, identity_embedding
 from .rootweyl import (
     DEFAULT_WEYL_CUTOFF,
     WeylCutoffError,
@@ -76,8 +97,8 @@ class SumCheck:
 class CompactCheck:
     """The meet h cap l: its dim, the Killing signature on it, whether it
     is a subalgebra (``closed``), and ``compact``: closed with a negative
-    definite signature.  For two placed sides each value is combined from
-    the factor meets."""
+    definite signature.  In a product each value is combined from the
+    factor meets of ``_facts``."""
 
     compact: bool
     dim: int
@@ -191,27 +212,74 @@ class _PairFacts:
         return sub.dim, is_compactly_embedded(self.alg, sub)[1], closed
 
 
-# pair facts by (factor algebra, h part, l part); a missing part is None
+# pair facts by (factor algebra, h part, l part), and by (g1, S1 part, S2
+# part, twist) for a twisted diagonal; a missing part is None
 _pair_cache = {}
 
 
+def _fact(alg: LieAlgebra, h, l, iota=None) -> _PairFacts:
+    """The memoized facts of parts h, l of alg (embeddings, None for 0); with
+    a twist ``iota`` into alg, of h and iota(l): l's rows times R (below)."""
+    key = (alg, h, l) if iota is None else (alg, h, l, iota)
+    if key not in _pair_cache:
+        if iota is None:
+            sub = _part(alg, l)
+        else:
+            rows = int_matmul(_part(iota.source, l).matrix(), _twist_rows(iota))
+            sub = Subspace.from_rows(rows, alg.dim)
+        _pair_cache[key] = _PairFacts(alg, _part(alg, h), sub)
+    return _pair_cache[key]
+
+
+def _part(alg: LieAlgebra, e) -> Subspace:
+    return Subspace(alg.dim, ()) if e is None else e.subspace()
+
+
+def _twist_rows(iota: Embedding) -> np.ndarray:
+    """R = ``iota.coord_rows()``, once R K1 R^T = c K2 holds exactly with
+    c > 0 for the Killing forms K1, K2 of iota's target and source; else
+    InternalError (the meet's signature would not be the g1 meet's)."""
+    R = iota.coord_rows()
+    K = int_matmul(int_matmul(R, iota.target.killing_ints), R.T).astype(object)
+    K2 = iota.source.killing_ints.astype(object)
+    i, j = np.argwhere(K2)[0]
+    a, b = K[i, j], K2[i, j]
+    if a * b <= 0 or (K * b != K2 * a).any():
+        raise InternalError(
+            "criteria._twist_rows",
+            f"{iota.key}: the pulled-back Killing form is not a positive "
+            f"multiple of the Killing form of {iota.source.name}",
+        )
+    return R
+
+
 def _facts(g: LieAlgebra, h: Embedding, l: Embedding) -> list:
-    """The pair facts that decide (g, h, l): one per factor of g, memoized,
-    for two placed sides (direct sums over the factors); else one for the
-    whole pair, not kept."""
-    if not (h.parts and l.parts):
+    """The pair facts that decide (g, h, l), memoized per factor pair.
+
+    Two placed sides (direct sums over the factors) give one fact per factor
+    of g.  A twisted diagonal D = {(iota x, x) : x in g2} against a placed
+    S = S1 + S2 gives (g1, S1, iota(S2)) and (g2, g2, 0): D + S = g iff
+    S1 + iota(S2) = g1, and D cap S is isomorphic to S1 cap iota(S2), with
+    Killing form (1 + 1/c) B1 when iota* B1 = c B2, c > 0 (``_twist_rows``).
+    The identity twist has c = 1 and iota(S2) = S2: a placed pair's fact.
+    Any other pair (a simple ambient, two diagonals) is one fact of the
+    whole of g, not kept."""
+    if h.parts and l.parts:
+        hp, lp = dict(h.parts), dict(l.parts)
+        return [
+            _fact(alg, hp.get(i), lp.get(i))
+            for i, (alg, _c, _b) in enumerate(g.factors)
+        ]
+    d, s = (h, l) if h.iota is not None else (l, h)
+    if d.iota is None or not s.parts:
         return [_PairFacts(g, h.subspace(), l.subspace())]
-    hp, lp = dict(h.parts), dict(l.parts)
-    out = []
-    for i, (alg, _c, _b) in enumerate(g.factors):
-        key = (alg, hp.get(i), lp.get(i))
-        if key not in _pair_cache:
-            _pair_cache[key] = _PairFacts(alg, *(
-                Subspace(alg.dim, ()) if e is None else e.subspace()
-                for e in key[1:]
-            ))
-        out.append(_pair_cache[key])
-    return out
+    (g1, _c1, _b1), (g2, _c2, _b2) = g.factors
+    sp = dict(s.parts)
+    twist = None if d.iota is identity_embedding(g1) and g1 is g2 else d.iota
+    return [
+        _fact(g1, sp.get(0), sp.get(1), twist),
+        _fact(g2, identity_embedding(g2), None),
+    ]
 
 
 def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
@@ -220,7 +288,9 @@ def check_sum(g: LieAlgebra, h: Embedding, l: Embedding) -> SumCheck:
     that works, else ranked exactly.  Two placed sides are decided factor
     by factor from memoized pair facts: their stack is block diagonal after
     a row permutation, so it is full rank mod p exactly when every factor's
-    is, and its rank is the sum of theirs."""
+    is, and its rank is the sum of theirs.  For a twisted diagonal D and a
+    placed S = S1 + S2, D + S = g iff S1 + iota(S2) = g1, and dim(D + S) =
+    dim(S1 + iota(S2)) + dim g2, the rank of the (g2, g2, 0) fact."""
     facts = _facts(g, h, l)
     d = g.dim
     for p in _CERT_PRIMES:
@@ -238,7 +308,11 @@ def check_compact_intersection(
     definite.  Two placed sides meet factor by factor, from memoized pair
     facts: the meet is the direct sum of the factor meets, [g1, g2] = 0 and
     the Killing form is block diagonal, so dims and signatures add and the
-    meet is closed exactly when every factor meet is."""
+    meet is closed exactly when every factor meet is.  A twisted diagonal D
+    meets a placed S = S1 + S2 in {(iota x, x) : x in S2, iota x in S1},
+    isomorphic to S1 cap iota(S2) by (iota x, x) -> iota x, on which B_g is
+    (1 + 1/c) B1 when iota* B1 = c B2, c > 0: the g1 meet gives its dim,
+    closure and signature, and the (g2, g2, 0) fact adds a closed 0."""
     dims, sigs, closed = zip(*(f.meet for f in _facts(g, h, l)))
     dim, sig, closed = sum(dims), tuple(map(sum, zip(*sigs))), all(closed)
     return CompactCheck(closed and sig == (0, dim, 0), dim, sig, closed)
@@ -253,15 +327,19 @@ def _proj_dims(g: LieAlgebra, e: Embedding):
     the factors by rank-nullity: dim(V cap g_i) = dim V - rank pi_j(V) for
     the other factor j.  A placed side's ranks are its parts' dims (0 on a
     factor with no part); cached on the embedding.  A dim is read as the
-    number of basis images (embeddings are injective), not off the source."""
-    if e.proj is None and e.parts:
+    number of basis images (embeddings are injective), not off the source;
+    a diagonal (iota x, x) projects onto both factors with that dim, since
+    iota is injective."""
+    dim = len(e.IM)
+    if e.proj is None and e.iota is not None:
+        e.proj = [dim, dim]
+    elif e.proj is None and e.parts:
         e.proj = [0] * len(g.factors)
         for i, part in e.parts:
             e.proj[i] = len(part.IM)
     elif e.proj is None:
         N = e.coord_rows()
         e.proj = [rank(N[:, off : off + alg.dim]) for alg, off, _b in g.factors]
-    dim = len(e.IM)
     return e.proj, [dim - e.proj[1], dim - e.proj[0]]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: grammar, exit codes, determinism, README examples."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ckforms.cli import TripleSyntaxError, parse_triple
+from ckforms.cli import TripleSyntaxError, main, parse_triple
 from ckforms.embeddings import CatalogError
 from ckforms.enumerate import GenerationSpec, generate
 
@@ -229,6 +230,28 @@ def test_table_json_is_deterministic_and_matches_golden_rows():
         ("so(3,4)", "so(1,4)", "g2(2)"),
         ("so(8,8)", "so(7,8)", "so(1,8)"),
     ]
+
+
+# sha256 and byte count of outputs that stay byte-identical across changes
+# (beside the table1 and products goldens of perfbench)
+_PINNED_OUTPUTS = {
+    ("enumerate", "--max-n", "1", "--format", "json"): (
+        "501e32aaa7a5d705950e110685d2c424dc1cea6e50c1d4a35fc9432c3c08c625",
+        82270,
+    ),
+    ("table", "--which", "table2", "--max-n", "2", "--format", "json"): (
+        "d87d2733811d908739657eac87a483ffe0ee00570d59716837daf1fd447e5d31",
+        18742,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_OUTPUTS), ids=["enumerate", "table2"])
+def test_pinned_outputs_keep_their_bytes(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == _PINNED_OUTPUTS[argv]
 
 
 def test_enumerate_reports_each_candidate():

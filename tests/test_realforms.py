@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from ckforms.exactlin import signature, unscaled
-from ckforms.liealg import validate_structure
 from ckforms.realforms import (
     build_real_form,
     g2_basis,
@@ -12,6 +11,7 @@ from ckforms.realforms import (
     spin_embedding,
     su_real_basis,
 )
+from structure_reference import validate_structure
 
 
 def test_parse_form_name_normalizes_and_validates():
